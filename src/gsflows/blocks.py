@@ -731,20 +731,22 @@ def catalog_counts() -> dict[SingularityType, int]:
     return counts
 
 
-def entries_for(label: VertexLabel) -> list[CatalogEntry]:
+@lru_cache(maxsize=1)
+def _entries_by_label() -> dict[VertexLabel, tuple[CatalogEntry, ...]]:
+    by_label: dict[VertexLabel, list[CatalogEntry]] = {}
+    for e in minimal_block_catalog():
+        for candidate in (e, e.reversed()):
+            by_label.setdefault(candidate.label, []).append(candidate)
+    return {label: tuple(entries) for label, entries in by_label.items()}
+
+
+def entries_for(label: VertexLabel) -> tuple[CatalogEntry, ...]:
     """Catalog entries applying to the label, reversing blocks as needed.
 
     Self-reversed natures (the saddles) match both orientations of a block,
     so both the entry and its reversal are offered.
     """
-    out = []
-    for e in minimal_block_catalog():
-        if e.label == label:
-            out.append(e)
-        rev = e.reversed()
-        if rev.label == label:
-            out.append(rev)
-    return out
+    return _entries_by_label().get(label, ())
 
 
 # ---------------------------------------------------------------------------

@@ -105,40 +105,186 @@ def _connected(order: int, arcs: tuple[tuple[int, int], ...]) -> bool:
     return len(seen) == order
 
 
+# ---------------------------------------------------------------------------
+# Canonical labelling of coloured graphs
+#
+# Individualisation-refinement with automorphism pruning (McKay & Piperno,
+# "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).  An
+# ordered partition is kept as `lab` (vertices in cell order), `rank` (the
+# start position of each vertex's cell) and `size` (the cell size at each
+# start position).  Every step depends only on the partition and the graph,
+# never on vertex names, so isomorphic inputs grow isomorphic search trees.
+
+
+def _refine(lab: list[int], rank: list[int], size: list[int], adj: list[list], dirty) -> None:
+    """Split cells by their neighbour cells until the partition is equitable.
+
+    A vertex's signature is the sorted list of edge code + neighbour cell
+    over its edges.  Cells are examined in position order, pass by pass;
+    only cells in `dirty` (start positions) are examined, and a split marks
+    the cells of the moved vertices' neighbours for the next pass: no other
+    signature changed.
+    """
+    while dirty:
+        marked = set()
+        for r in sorted(dirty):
+            s = size[r]
+            if s == 1:
+                continue
+            keyed = sorted(
+                (sorted([c + rank[w] for c, w in adj[v]]), v) for v in lab[r : r + s]
+            )
+            if keyed[0][0] == keyed[-1][0]:
+                continue
+            start, prev = r, keyed[0][0]
+            moved = []
+            for i, (sig, v) in enumerate(keyed, r):
+                if sig != prev:
+                    size[start] = i - start
+                    start, prev = i, sig
+                lab[i] = v
+                if rank[v] != start:
+                    rank[v] = start
+                    moved.append(v)
+            size[start] = r + s - start
+            for v in moved:
+                for _, w in adj[v]:
+                    marked.add(rank[w])
+        dirty = marked
+
+
+def canonical_labelling(colors: list, edges: list[tuple]) -> tuple[tuple, list[int]]:
+    """Canonical key and labelling of a vertex-coloured, edge-labelled graph.
+
+    `colors[v]` is any sortable value; `edges` holds (label, a, b) triples
+    with sortable labels, undirected, repeats allowed.  The key lists the
+    whole relabelled graph, so two graphs have equal keys exactly when they
+    are isomorphic, and `labelling[v]` is the new name of vertex v in the
+    least leaf.
+
+    The search individualises each vertex of the first non-singleton cell in
+    turn and refines.  Two leaves with equal relabelled graphs give an
+    automorphism; a child lying in the orbit of an explored sibling, under
+    the recorded automorphisms that fix the node's prefix pointwise, is
+    skipped, and a leaf matching the first or the best leaf abandons its
+    subtree up to the level where its path leaves the matched one.
+    """
+    n = len(colors)
+    labels = sorted({lbl for lbl, _, _ in edges})
+    code = {lbl: i for i, lbl in enumerate(labels)}
+    width = len(labels)
+    adj: list[list] = [[] for _ in range(n)]
+    coded = []
+    for lbl, a, b in edges:
+        c = code[lbl]
+        adj[a].append((c * n, b))
+        adj[b].append((c * n, a))
+        coded.append((c, a, b))
+    lab = sorted(range(n), key=colors.__getitem__)
+    rank = [0] * n
+    size = [0] * n
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or colors[lab[i]] != colors[lab[start]]:
+            size[start] = i - start
+            for v in lab[start:i]:
+                rank[v] = start
+            start = i
+    _refine(lab, rank, size, adj, {r for r in range(n) if size[r] > 1})
+    head = (tuple(colors[v] for v in lab), tuple(labels))
+
+    autos: list[list[int]] = []
+    # first / best: [graph key, labelling, inverse labelling, path]
+    first: list = []
+    best: list = []
+
+    def leaf(lab: list[int], rank: list[int], path: list[int]) -> int | None:
+        # rank[v] is now v's label.  Edge (a, b) with label code c, a <= b
+        # after relabelling, is written as one integer.
+        key = tuple(
+            sorted([(rank[a] * n + rank[b]) * width + c if rank[a] <= rank[b]
+                    else (rank[b] * n + rank[a]) * width + c for c, a, b in coded])
+        )
+        if not first:
+            first.extend((key, rank, lab, path))
+            best.extend(first)
+            return None
+        for ref in (first, best):
+            if key == ref[0]:
+                inverse = ref[2]
+                autos.append([inverse[rank[v]] for v in range(n)])
+                common = 0
+                for x, y in zip(path, ref[3]):
+                    if x != y:
+                        break
+                    common += 1
+                return common
+        if key < best[0]:
+            best[:] = [key, rank, lab, path]
+        return None
+
+    def descend(lab: list[int], rank: list[int], size: list[int], path: list[int]) -> int | None:
+        """Search below a node; returns the depth to back-jump to, if any."""
+        target = 0
+        while target < n and size[target] == 1:
+            target += 1
+        if target == n:
+            return leaf(lab, rank, path)
+        depth = len(path)
+        s = size[target]
+        explored: list[int] = []
+        parent: list[int] | None = None
+        used = 0
+        for v in lab[target : target + s]:
+            if explored:
+                while used < len(autos):
+                    g = autos[used]
+                    used += 1
+                    if all(g[p] == p for p in path):
+                        if parent is None:
+                            parent = list(range(n))
+                        for x in range(n):
+                            a, b = _find(parent, x), _find(parent, g[x])
+                            if a != b:
+                                parent[a] = b
+                if parent is not None:
+                    root = _find(parent, v)
+                    if any(_find(parent, u) == root for u in explored):
+                        continue
+            child_lab, child_rank, child_size = lab[:], rank[:], size[:]
+            i = child_lab.index(v, target)
+            child_lab[i], child_lab[target] = child_lab[target], v
+            child_size[target], child_size[target + 1] = 1, s - 1
+            for w in child_lab[target + 1 : target + s]:
+                child_rank[w] = target + 1
+            # The parent partition is equitable, so only cells holding a
+            # neighbour of v can split.
+            _refine(child_lab, child_rank, child_size, adj, {child_rank[w] for _, w in adj[v]})
+            jump = descend(child_lab, child_rank, child_size, path + [v])
+            explored.append(v)
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    descend(lab, rank, size, [])
+    return (head, best[0]), list(best[1])
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 _CANON_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], BranchedComponent] = {}
-
-_PERM_BUDGET = 2_000_000
-
-
-def _refine_colors(order: int, arcs: tuple[tuple[int, int], ...], rounds: int = 3) -> list:
-    """Isomorphism-invariant vertex colours by neighbourhood refinement."""
-    mult: dict[tuple[int, int], int] = {}
-    loops = [0] * order
-    for u, v in arcs:
-        if u == v:
-            loops[u] += 1
-        else:
-            mult[(u, v)] = mult.get((u, v), 0) + 1
-    neighbours: dict[int, list[tuple[int, int]]] = {v: [] for v in range(order)}
-    for (u, w), m in mult.items():
-        neighbours[u].append((m, w))
-        neighbours[w].append((m, u))
-    colors = [loops[v] for v in range(order)]
-    for _ in range(rounds):
-        fresh = [
-            (colors[v], tuple(sorted((m, colors[n]) for m, n in neighbours[v])))
-            for v in range(order)
-        ]
-        ranks = {c: i for i, c in enumerate(sorted(set(fresh)))}
-        colors = [ranks[c] for c in fresh]
-    return colors
 
 
 def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> BranchedComponent:
-    """Relabel vertices to the lexicographically least sorted arc list.
+    """Relabel vertices by the canonical labelling of the component.
 
-    The search runs over relabelings preserving refinement colour classes,
-    which is still canonical because the classes are isomorphism-invariant.
+    The component is read as a graph whose vertex colours are loop counts
+    and whose edge labels are arc multiplicities.
     """
     if order == 0:
         return CIRCLE
@@ -146,27 +292,16 @@ def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> Bran
     cached = _CANON_CACHE.get((order, norm))
     if cached is not None:
         return cached
-    colors = _refine_colors(order, norm)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    ordered = [classes[c] for c in sorted(classes)]
-    budget = 1
-    for group in ordered:
-        for i in range(2, len(group) + 1):
-            budget *= i
-        if budget > _PERM_BUDGET:
-            raise ValueError("component too symmetric for canonical labeling")
-    best = None
-    for parts in product(*(permutations(group) for group in ordered)):
-        flat = [v for group in parts for v in group]
-        perm = [0] * order
-        for new, old in enumerate(flat):
-            perm[old] = new
-        key = tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in norm))
-        if best is None or key < best:
-            best = key
-    comp = BranchedComponent(order, best)
+    loops = [0] * order
+    for u, v in norm:
+        if u == v:
+            loops[u] += 1
+    edges = [(m, u, v) for (u, v), m in Counter(a for a in norm if a[0] != a[1]).items()]
+    _, label = canonical_labelling(loops, edges)
+    relabelled = sorted(
+        (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u]) for u, v in norm
+    )
+    comp = BranchedComponent(order, tuple(relabelled))
     _CANON_CACHE[(order, norm)] = comp
     return comp
 

@@ -32,7 +32,7 @@ from .model import (
 )
 from .realize import RealizationVerdict
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 HEADER = "gsgraph v1"
 
 
@@ -183,7 +183,7 @@ def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
     return {int(k): parse_manifold(v) for k, v in cert.items()}
 
 
-CATALOG_VERSION = 1
+CATALOG_VERSION = 2
 
 
 def catalog_document() -> dict:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branched import Branched1Manifold, manifold_from_arcs
+from .branched import Branched1Manifold, canonical_labelling, manifold_from_arcs
 
 BRANCH = "b"
 MARKER = "k"
@@ -214,11 +214,7 @@ def _apply(state: BlockState, i: int, j: int) -> BlockState:
 # States are deduplicated by an exact canonical key over an auxiliary
 # labelled graph: one node per boundary vertex, per dead arc, and per band,
 # with band nodes wired to their four arc ends by role-labelled edges.  The
-# key is computed by individualization-refinement: refine vertex colours to
-# a fixed point, then branch on the members of the first non-singleton
-# class; the canonical key is the least discrete labelling over all leaves.
-
-_LEAF_BUDGET = 100_000
+# key is the canonical labelling key of that graph.
 
 
 def _state_units(state: BlockState):
@@ -256,58 +252,10 @@ def _state_units(state: BlockState):
     return colors, edges
 
 
-def _refine_fixpoint(ranks: list[int], incident: list[list[tuple[int, int]]]) -> list[int]:
-    n = len(ranks)
-    while True:
-        fresh = [
-            (ranks[i], tuple(sorted((lbl, ranks[m]) for lbl, m in incident[i])))
-            for i in range(n)
-        ]
-        mapping = {c: r for r, c in enumerate(sorted(set(fresh)))}
-        new_ranks = [mapping[c] for c in fresh]
-        if new_ranks == ranks:
-            return ranks
-        ranks = new_ranks
-
-
 def state_key(state: BlockState) -> tuple:
-    """Exact canonical key via individualization-refinement."""
+    """Exact canonical key: equal keys mean isomorphic states."""
     colors, edges = _state_units(state)
-    n = len(colors)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for lbl, a, b in edges:
-        incident[a].append((lbl, b))
-        incident[b].append((lbl, a))
-    base = {c: r for r, c in enumerate(sorted(set(colors)))}
-    start = _refine_fixpoint([base[c] for c in colors], incident)
-    sig = tuple(sorted(zip(start, colors)))
-    best: list = [None]
-    leaves = [0]
-
-    def descend(ranks: list[int]) -> None:
-        classes: dict[int, list[int]] = {}
-        for i, r in enumerate(ranks):
-            classes.setdefault(r, []).append(i)
-        target = None
-        for r in sorted(classes):
-            if len(classes[r]) > 1:
-                target = classes[r]
-                break
-        if target is None:
-            leaves[0] += 1
-            if leaves[0] > _LEAF_BUDGET:
-                raise RuntimeError("state too symmetric for canonical labelling")
-            key = tuple(sorted((lbl, *sorted((ranks[a], ranks[b]))) for lbl, a, b in edges))
-            if best[0] is None or key < best[0]:
-                best[0] = key
-            return
-        for member in target:
-            split = [(r, 0 if i == member else 1) for i, r in enumerate(ranks)]
-            mapping = {c: r for r, c in enumerate(sorted(set(split)))}
-            descend(_refine_fixpoint([mapping[c] for c in split], incident))
-
-    descend(start)
-    return (sig, best[0])
+    return canonical_labelling(colors, edges)[0]
 
 
 class StateSet:
@@ -364,23 +312,8 @@ def explorer_for(initial: BlockState) -> Explorer:
     return found
 
 
-def reach_levels(initial: BlockState, depth: int) -> list[list[BlockState]]:
-    """States reachable in exactly 0..depth moves, deduplicated per level."""
-    exp = explorer_for(initial)
-    return [exp.level(k) for k in range(depth + 1)]
-
-
 def _encode_side(m: Branched1Manifold | None) -> str:
     return "" if m is None else m.encode()
-
-
-def reachable_pairs(initial: BlockState, depth: int) -> set[tuple[str, str]]:
-    """Canonical (entering, exiting) form pairs after exactly `depth` moves."""
-    level = explorer_for(initial).level(depth)
-    return {
-        (_encode_side(p), _encode_side(q))
-        for p, q in (state_forms(s) for s in level)
-    }
 
 
 def _within_caps(kinds, arcs, caps: tuple[int, ...]) -> bool:

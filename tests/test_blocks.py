@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from gsflows.blocks import (
     shape_for,
 )
 from gsflows.branched import family_A, family_B, family_minimal, parse_manifold
-from gsflows.engine import state_totals
+from gsflows.engine import DEAD, BlockState, state_forms, state_key, state_totals, successors
 from gsflows.model import (
     Nature,
     SemiGraph,
@@ -236,6 +237,11 @@ class TestCatalog:
         names = {e.name for e in entries_for(lab("D", "r"))}
         assert names == {"D_a~rev"}
 
+    def test_entries_for_is_built_once(self):
+        label = lab("T", "ssr")
+        assert entries_for(label) is entries_for(label)
+        assert isinstance(entries_for(label), tuple) and len(entries_for(label)) == 10
+
 
 class TestClosures:
     def test_regular_attractor_closure(self):
@@ -266,6 +272,61 @@ class TestClosures:
                 dp = parse_manifold(plus).total_weight - p0
                 dm = parse_manifold(minus).total_weight - m0
                 assert dp == dm >= 0
+
+
+def relabel_state(state: BlockState, rng: random.Random) -> BlockState:
+    """The same state with shuffled vertex ids, band ids and arc order."""
+    plus = list(range(len(state.plus_kinds)))
+    minus = list(range(len(state.minus_kinds)))
+    bands = sorted({b for _, _, b in state.plus_arcs if b != DEAD})
+    fresh = rng.sample(range(10 * len(bands) + 10), len(bands))
+    rng.shuffle(plus)
+    rng.shuffle(minus)
+    band_of = {DEAD: DEAD, **dict(zip(bands, fresh))}
+
+    def side(kinds, arcs, perm):
+        new_kinds = [None] * len(kinds)
+        for old, new in enumerate(perm):
+            new_kinds[new] = kinds[old]
+        new_arcs = [(perm[u], perm[v], band_of[b]) for u, v, b in arcs]
+        rng.shuffle(new_arcs)
+        return tuple(new_kinds), tuple(new_arcs)
+
+    return BlockState(*side(state.plus_kinds, state.plus_arcs, plus),
+                      *side(state.minus_kinds, state.minus_arcs, minus))
+
+
+class TestStateKey:
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(41)
+        for entry in minimal_block_catalog():
+            state = entry.state
+            for _ in range(3):
+                nxt = successors(state)
+                if not nxt:
+                    break
+                state = rng.choice(nxt)
+            key = state_key(state)
+            for _ in range(3):
+                assert state_key(relabel_state(state, rng)) == key
+
+    def test_band_pairings_stay_apart(self):
+        entry = next(e for e in minimal_block_catalog() if e.name == "R_s_11")
+        f8 = family_minimal(2).encode()
+        nxt = successors(entry.state)
+        assert all(tuple(m.encode() for m in state_forms(s)) == (f8, f8) for s in nxt)
+
+        def loops(s):
+            return sum(u == v for u, v, _ in s.plus_arcs)
+
+        # A loop move on either band leaves a loop arc; the move joining the
+        # two bands leaves none, so those states cannot be isomorphic.
+        assert sorted(loops(s) for s in nxt) == [0, 1, 1]
+        keys = {loops(s): set() for s in nxt}
+        for s in nxt:
+            keys[loops(s)].add(state_key(s))
+        assert len(keys[0]) == len(keys[1]) == 1
+        assert keys[0] != keys[1]
 
 
 class TestBoundaryFeasible:

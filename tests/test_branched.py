@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gsflows.branched import (
     CIRCLE,
@@ -9,7 +10,9 @@ from gsflows.branched import (
     Branched1Manifold,
     BranchedComponent,
     StrandedComponent,
+    _connected,
     canonical_component,
+    canonical_labelling,
     circle_manifold,
     enumerate_connected,
     family_A,
@@ -258,6 +261,20 @@ def all_positions(m: Branched1Manifold):
     return out
 
 
+def pair_half_edges(order: int, pairing: list[int]) -> list[tuple[int, int]]:
+    """Arcs of a 4-regular multigraph: consecutive half-edges of `pairing`
+    are joined, half-edge h sitting at vertex h // 4."""
+    return [(pairing[i] // 4, pairing[i + 1] // 4) for i in range(0, 4 * order, 2)]
+
+
+def relabel(order: int, arcs, rng: random.Random):
+    perm = list(range(order))
+    rng.shuffle(perm)
+    out = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in arcs]
+    rng.shuffle(out)
+    return out
+
+
 class TestEncoding:
     def test_fixed_forms(self):
         assert circle_manifold().encode() == "O"
@@ -272,7 +289,7 @@ class TestEncoding:
             assert parse_manifold(m.encode()) == m
 
     @given(st.integers(1, 6))
-    @settings(max_examples=20)
+    @settings(max_examples=20, deadline=None)
     def test_families_round_trip(self, w):
         for fam in (family_A, family_B):
             m = fam(w)
@@ -315,3 +332,110 @@ class TestCanonicalAgainstBruteForce:
         for a in sample:
             for b in sample:
                 assert multigraphs_isomorphic(a, b) == (a == b)
+
+
+def assert_labelling_invariant(colours, edges, data):
+    key, labelling = canonical_labelling(colours, edges)
+    n = len(colours)
+    assert sorted(labelling) == list(range(n))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(3):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [None] * n
+        for v in range(n):
+            moved[perm[v]] = colours[v]
+        moved_edges = [(lbl, perm[a], perm[b]) for lbl, a, b in edges]
+        rng.shuffle(moved_edges)
+        assert canonical_labelling(moved, moved_edges)[0] == key
+
+
+class TestCanonicalLabelling:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_relabelling(self, data):
+        # `copies` copies of a random connected 4-regular multigraph, the
+        # first arc rotated from copy to copy, so that the result is
+        # connected and has a cyclic symmetry of order `copies`.
+        copies = data.draw(st.integers(1, 3))
+        base = data.draw(st.integers(1, 20 // copies))
+        arcs = pair_half_edges(base, data.draw(st.permutations(range(4 * base))))
+        assume(_connected(base, tuple((min(u, v), max(u, v)) for u, v in arcs)))
+        (u0, v0), rest = arcs[0], arcs[1:]
+        order = base * copies
+        arcs = [(u + i * base, v + i * base) for i in range(copies) for u, v in rest]
+        arcs += [(u0 + i * base, v0 + (i + 1) % copies * base) for i in range(copies)]
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        comp = canonical_component(order, arcs)
+        assert comp.order == order and len(comp.arcs) == 2 * order
+        if order <= 6:
+            norm = tuple(sorted((min(u, v), max(u, v)) for u, v in arcs))
+            assert multigraphs_isomorphic(comp, BranchedComponent(order, norm))
+        for _ in range(3):
+            assert canonical_component(order, relabel(order, arcs, rng)) == comp
+
+    @pytest.mark.parametrize(
+        "family, w", [(family_A, 18), (family_B, 19), (family_A, 20), (family_B, 20)]
+    )
+    def test_symmetric_families(self, family, w):
+        m = family(w)
+        (comp,) = m.components
+        assert weight(m)[1] == comp.order + 1
+        rng = random.Random(comp.order)
+        for _ in range(5):
+            assert canonical_component(comp.order, relabel(comp.order, comp.arcs, rng)) == comp
+        assert parse_manifold(m.encode()) == m
+
+    def test_ring_with_doubled_arcs(self):
+        for k in (9, 10, 16):
+            ring = [(i, (i + 1) % k) for i in range(k)] * 2
+            comp = canonical_component(k, ring)
+            rng = random.Random(k)
+            for _ in range(5):
+                assert canonical_component(k, relabel(k, ring, rng)) == comp
+            assert sorted(Counter(comp.arcs).values()) == [2] * k
+
+    def test_labelling_separates_edge_labels_and_colours(self):
+        path = [(0, 0, 1), (1, 1, 2)]
+        key, labelling = canonical_labelling(["x", "y", "z"], path)
+        assert labelling == [0, 1, 2]
+        assert canonical_labelling(["z", "y", "x"], [(1, 0, 1), (0, 1, 2)])[0] == key
+        assert canonical_labelling(["x", "y", "z"], [(1, 0, 1), (0, 1, 2)])[0] != key
+        assert canonical_labelling(["x", "y", "y"], path)[0] != key
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coloured_graphs_with_repeated_parts(self, data):
+        # Disjoint copies of one random coloured graph next to another: the
+        # copies give automorphisms, the extra part other orbits in the same
+        # colour classes, so pruning by a wrong automorphism would show.
+        def part(size):
+            colours = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+            end = st.integers(0, size - 1)
+            edge = st.tuples(st.integers(0, 1), end, end)
+            return colours, data.draw(st.lists(edge, max_size=2 * size))
+
+        size, copies = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        colours, edges = part(size)
+        extra_colours, extra_edges = part(data.draw(st.integers(1, 6)))
+        all_colours = colours * copies + extra_colours
+        base = size * copies
+        all_edges = [
+            (lbl, a + i * size, b + i * size) for i in range(copies) for lbl, a, b in edges
+        ]
+        all_edges += [(lbl, a + base, b + base) for lbl, a, b in extra_edges]
+        assert_labelling_invariant(all_colours, all_edges, data)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_regular_graphs(self, data):
+        # Vertex v joined to p(v) for one or two permutations p: a 2- or
+        # 4-regular multigraph that refinement leaves in one cell, while its
+        # cycles of different lengths lie in different orbits.
+        n = data.draw(st.integers(1, 16))
+        edges = [
+            (lbl, v, w)
+            for lbl in range(data.draw(st.integers(1, 2)))
+            for v, w in enumerate(data.draw(st.permutations(range(n))))
+        ]
+        assert_labelling_invariant([0] * n, edges, data)

@@ -114,8 +114,31 @@ def test_catalog_json_round_trips(capsys):
 
     assert main(["catalog", "--json"]) == EX_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 1 and len(doc["entries"]) == 33
+    assert doc["version"] == 2 and len(doc["entries"]) == 33
     for entry in doc["entries"]:
         for side in ("n_plus", "n_minus"):
             if entry[side]:
                 assert parse_manifold(entry[side]).encode() == entry[side]
+
+
+def whitney_chain(k: int) -> str:
+    """Thm7 chain r -> s_u^k -> s_s^k -> a; its maximum edge weight is k + 1."""
+    lines = ["gsgraph v1", "vertex r R r", "vertex a R a"]
+    path = ["r"] + [f"u{i}" for i in range(k)] + [f"s{i}" for i in range(k)] + ["a"]
+    lines += [f"vertex u{i} W s_u" for i in range(k)]
+    lines += [f"vertex s{i} W s_s" for i in range(k)]
+    weights = list(range(1, k + 2)) + list(range(k, 0, -1))
+    lines += [f"edge {src} {dst} {w}" for src, dst, w in zip(path, path[1:], weights)]
+    return "\n".join(lines) + "\n"
+
+
+def test_realize_symmetric_chain(tmp_path, capsys):
+    from gsflows.branched import parse_manifold
+
+    path = tmp_path / "chain.gs"
+    path.write_text(whitney_chain(19))
+    assert main(["realize", str(path)]) == EX_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "realizable" and report["theorem"] == "Thm7"
+    forms = [parse_manifold(form) for form in report["certificate"].values()]
+    assert max(m.total_weight for m in forms) == 20

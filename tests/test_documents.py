@@ -13,7 +13,7 @@ from gsflows.documents import (
 )
 from gsflows.generator import gen_random_gs_graph
 from gsflows.model import OPEN
-from gsflows.realize import realize
+from gsflows.realize import realize, verify_certificate
 
 SPHERE_DOC = """gsgraph v1
 vertex a R a
@@ -117,7 +117,22 @@ class TestReport:
         cert = report_certificate(parsed)
         assert cert[0].encode() == "O"
 
+    def test_old_encoding_still_verifies(self):
+        # A report written before the canonical strings changed: edge 1
+        # carries the weight-5 form in its old canonical encoding.
+        g = parse_graph(
+            "gsgraph v1\nvertex r D r\nvertex u T ssr\nvertex s T ssa\nvertex a D a\n"
+            "edge r u 3\nedge u s 5\nedge s a 3\n"
+        )
+        three = "0:1,0:1,0:1,0:1"
+        old = "0:1,0:1,0:1,0:2,1:3,2:3,2:3,2:3"
+        report = {"version": 1, "certificate": {"0": three, "1": old, "2": three}}
+        cert = report_certificate(report)
+        assert cert[1].encode() == "0:1,0:2,0:2,0:2,1:3,1:3,1:3,2:3"
+        assert verify_certificate(g, cert)
+        assert realize(g).certificate[1] == cert[1]
+
     def test_fractional_formatting(self):
         g = parse_graph(SPHERE_DOC)
         report = report_document(g, realize(g))
-        assert json.loads(report_to_json(report))["version"] == 1
+        assert json.loads(report_to_json(report))["version"] == 2
