@@ -69,11 +69,8 @@ from .blocks import (
 from .realize import (
     GSGraphStatus,
     RealizationVerdict,
-    check_blend,
-    check_families,
-    check_linear,
-    check_minimal_case,
-    check_rcw,
+    CONDITIONS,
+    check_condition,
     classify_graph,
     lemma_familyB_ok,
     lemma_firstfamily_ok,

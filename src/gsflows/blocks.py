@@ -199,19 +199,6 @@ YES_MINIMAL = "yes-minimal"
 YES_PASSAGEWAYS = "yes-passageways"
 NO = "no"
 
-REASONS = (
-    "PH-violated",
-    "degree-bound",
-    "shape-absent",
-    "Thm4-exclusion",
-    "Thm5-ii",
-    "Thm5-iii",
-    "Thm5-iv",
-    "Thm2-b",
-    "Thm2-c",
-)
-
-
 @dataclass(frozen=True)
 class LocalVerdict:
     status: str
@@ -238,9 +225,7 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
     crossing with two saddle natures at outdegree 3 or 4 with indegree 2,
     the unequal splits at minimal totals, and their flow reversals.  The
     remaining weight constraints (reasons Thm5-*) are the splitting rules
-    for non-minimal weights; Thm2-b and Thm2-c name the same minimal-split
-    rules and are retained for reporting symmetry, although the exclusion
-    patterns subsume them.
+    for non-minimal weights.
     """
     kind, nature = sg.label.kind, sg.label.nature
     ins, outs = sg.in_weights, sg.out_weights
@@ -323,12 +308,6 @@ class CatalogEntry:
     @property
     def n_minus(self) -> Branched1Manifold | None:
         return engine.state_forms(self.state)[1]
-
-    @property
-    def boundary_pairs(self) -> frozenset[tuple[str, str]]:
-        """Canonical (entering, exiting) encodings; "" for an empty side."""
-        plus, minus = engine.state_forms(self.state)
-        return frozenset({(plus.encode() if plus else "", minus.encode() if minus else "")})
 
     @property
     def beta_in(self) -> int:

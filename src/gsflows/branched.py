@@ -6,13 +6,8 @@ weight of a component is its first Betti number, which for a 4-regular
 multigraph on V vertices is always V + 1.  A manifold is a disjoint union of
 at most four components.
 
-Isomorphism is plain multigraph isomorphism by default; for these spaces it
-is homeomorphism, and `enumerate_connected` counts classes under it.  An
-optional strand-sensitive mode additionally matches the pairing of the four
-arc ends at each branch point into two transverse strands.  The two notions
-already differ at weight 2: the figure-eight carries two strandings that are
-not strand-isomorphic (a strand per petal, or two strands crossing), where
-plain isomorphism has one class.
+Isomorphism is plain multigraph isomorphism; for these spaces it is
+homeomorphism, and `enumerate_connected` counts classes under it.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
 
 MAX_COMPONENTS = 4
 DEFAULT_ENUM_BOUND = 6
@@ -669,100 +663,3 @@ def _chain_component(w: int) -> BranchedComponent:
     for i in range(k - 2):
         arcs.extend([(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3)])
     return canonical_component(n, arcs)
-
-
-# ---------------------------------------------------------------------------
-# Strand-sensitive comparison (optional mode)
-
-
-@dataclass(frozen=True)
-class StrandedComponent:
-    """Component plus, per branch point, the pairing of its four arc ends
-    into two transverse strands.
-
-    An arc end is (arc index, side) with side 0 for the first endpoint and 1
-    for the second; a loop contributes both sides at its vertex.
-    """
-
-    component: BranchedComponent
-    strands: tuple[frozenset[frozenset[tuple[int, int]]], ...]
-
-    def __post_init__(self) -> None:
-        c = self.component
-        if len(self.strands) != c.order:
-            raise ValueError("one strand pairing per branch point required")
-        for v in range(c.order):
-            ends = set(_vertex_ends(c, v))
-            pairing = self.strands[v]
-            flat = [e for pair in pairing for e in pair]
-            if len(pairing) != 2 or len(flat) != 4 or set(flat) != ends:
-                raise ValueError(f"strand pairing at vertex {v} must split its 4 ends in two")
-
-
-def _vertex_ends(c: BranchedComponent, v: int) -> list[tuple[int, int]]:
-    ends = []
-    for i, (a, b) in enumerate(c.arcs):
-        if a == v:
-            ends.append((i, 0))
-        if b == v:
-            ends.append((i, 1))
-    return ends
-
-
-def stranded_is_isomorphic(x: StrandedComponent, y: StrandedComponent) -> bool:
-    """Isomorphism of components that also preserves strand pairings."""
-    cx, cy = x.component, y.component
-    if cx.order != cy.order or len(cx.arcs) != len(cy.arcs):
-        return False
-    if cx.order == 0:
-        return True
-    targets_by_pair: dict[tuple[int, int], list[int]] = {}
-    for j, arc in enumerate(cy.arcs):
-        targets_by_pair.setdefault(arc, []).append(j)
-    for perm in permutations(range(cx.order)):
-        choices = []
-        ok = True
-        for u, v in cx.arcs:
-            pair = (min(perm[u], perm[v]), max(perm[u], perm[v]))
-            cands = targets_by_pair.get(pair)
-            if not cands:
-                ok = False
-                break
-            choices.append(cands)
-        if not ok:
-            continue
-        for combo in product(*choices):
-            if len(set(combo)) != len(combo):
-                continue
-            for flips in product((False, True), repeat=len(cx.arcs)):
-                if _strand_map_ok(x, y, perm, combo, flips):
-                    return True
-    return False
-
-
-def _strand_map_ok(
-    x: StrandedComponent,
-    y: StrandedComponent,
-    perm: tuple[int, ...],
-    combo: tuple[int, ...],
-    flips: tuple[bool, ...],
-) -> bool:
-    cx, cy = x.component, y.component
-    # The end map must send the end at vertex u to an end at perm[u].
-    for i, (u, v) in enumerate(cx.arcs):
-        j = combo[i]
-        a, b = cy.arcs[j]
-        ends = (b, a) if flips[i] else (a, b)
-        if (perm[u], perm[v]) != ends:
-            return False
-
-    def map_end(end: tuple[int, int]) -> tuple[int, int]:
-        i, side = end
-        j = combo[i]
-        return (j, 1 - side if flips[i] else side)
-
-    for v in range(cx.order):
-        image = frozenset(frozenset(map_end(e) for e in pair) for pair in x.strands[v])
-        if image != y.strands[perm[v]]:
-            return False
-    return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .blocks import local_realizable
+from .blocks import local_realizable, shape_catalog
 from .model import (
     LyapunovGraph,
     Nature,
@@ -26,47 +26,18 @@ from .model import (
 _T = SingularityType
 _N = Nature
 
-# Saddle insertions for minimal mode: (type, nature, consumed, produced).
-_MIN_OPS = [
-    (_T.REGULAR, _N.S, (1,), (1,)),
-    (_T.REGULAR, _N.S, (1,), (1, 1)),
-    (_T.REGULAR, _N.S, (1, 1), (1,)),
-    (_T.CONE, _N.S, (1,), (1,)),
-    (_T.CONE, _N.S, (1, 1), (1, 1)),
-    (_T.WHITNEY, _N.S_S, (2,), (1,)),
-    (_T.WHITNEY, _N.S_S, (2,), (1, 1)),
-    (_T.WHITNEY, _N.S_U, (1,), (2,)),
-    (_T.WHITNEY, _N.S_U, (1, 1), (2,)),
-    (_T.DOUBLE, _N.SA, (3,), (1,)),
-    (_T.DOUBLE, _N.SA, (3,), (1, 1)),
-    (_T.DOUBLE, _N.SR, (1,), (3,)),
-    (_T.DOUBLE, _N.SR, (1, 1), (3,)),
-    (_T.DOUBLE, _N.SS_S, (3,), (1,)),
-    (_T.DOUBLE, _N.SS_S, (2, 2), (1,)),
-    (_T.DOUBLE, _N.SS_S, (3,), (1, 1)),
-    (_T.DOUBLE, _N.SS_S, (2, 2), (1, 1)),
-    (_T.DOUBLE, _N.SS_S, (3,), (1, 1, 1)),
-    (_T.DOUBLE, _N.SS_S, (3,), (1, 1, 1, 1)),
-    (_T.DOUBLE, _N.SS_U, (1,), (3,)),
-    (_T.DOUBLE, _N.SS_U, (1,), (2, 2)),
-    (_T.DOUBLE, _N.SS_U, (1, 1), (3,)),
-    (_T.DOUBLE, _N.SS_U, (1, 1), (2, 2)),
-    (_T.DOUBLE, _N.SS_U, (1, 1, 1), (3,)),
-    (_T.DOUBLE, _N.SS_U, (1, 1, 1, 1), (3,)),
-    (_T.TRIPLE, _N.SSA, (5,), (3,)),
-    (_T.TRIPLE, _N.SSA, (5,), (2, 2)),
-    (_T.TRIPLE, _N.SSR, (3,), (5,)),
-    (_T.TRIPLE, _N.SSR, (2, 2), (5,)),
-]
+# Saddle insertions for minimal mode, (type, nature, consumed, produced):
+# the minimal weights of every shape with both sides non-empty, grouped by
+# label in enum order.  `grow_step` shuffles them with the seeded RNG, so the
+# order is part of every generated graph.
+_MIN_OPS = sorted(
+    ((e.label.kind, e.label.nature, e.min_in, e.min_out)
+     for e in shape_catalog() if e.e_plus and e.e_minus),
+    key=lambda op: (list(_T).index(op[0]), list(_N).index(op[1])),
+)
 
-# Sources: (type, produced stubs).
-_SOURCES = [
-    (_T.REGULAR, (1,)),
-    (_T.CONE, (1, 1)),
-    (_T.WHITNEY, (2,)),
-    (_T.DOUBLE, (3,)),
-    (_T.TRIPLE, (7,)),
-]
+# Sources, (type, produced stubs): the repeller shapes in catalog order.
+_SOURCES = [(e.label.kind, e.min_out) for e in shape_catalog() if e.e_plus == 0]
 
 
 class _Grower:

@@ -222,12 +222,6 @@ class LyapunovGraph:
     def is_closed(self) -> bool:
         return all(e.src is not None and e.dst is not None for e in self.edges)
 
-    def in_edges(self, vid: str) -> list[tuple[int, Edge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if e.dst == vid]
-
-    def out_edges(self, vid: str) -> list[tuple[int, Edge]]:
-        return [(i, e) for i, e in enumerate(self.edges) if e.src == vid]
-
     def canonical(self) -> "LyapunovGraph":
         """Copy with sorted vertex ids and sorted edge list."""
         verts = dict(sorted(self.vertices.items()))

@@ -2,17 +2,19 @@
 
 A graph is realizable when branched 1-manifolds can be assigned to its edges
 so that around every vertex the induced boundary pair bounds an isolating
-block for the vertex label.  Sufficient conditions are dispatched in order
-of increasing generality: all-minimal weights, no bifurcation vertices,
-minimal bifurcations, plane/cone/Whitney labels only, and the two uniform
-edge-assignment families.  Each fires with an explicit certificate mapping
-edges to canonical forms.  When no condition applies, a bounded exhaustive
+block for the vertex label.  The sufficient conditions form one table,
+evaluated in order of increasing generality over one classification of the
+graph: all-minimal weights, no bifurcation vertices, minimal bifurcations,
+plane/cone/Whitney labels only, and the two uniform edge-assignment
+families.  Each fires with an explicit certificate mapping edges to
+canonical forms.  When no condition applies, a bounded exhaustive
 search over per-edge form assignments either produces a certificate, proves
 non-realizability within the bound, or reports the question as open.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .blocks import LocalVerdict, boundary_feasible, local_realizable
@@ -76,70 +78,6 @@ def classify_graph(g: LyapunovGraph) -> GSGraphStatus:
     is_gs = all(v.ok for v in verdicts.values())
     is_minimal = is_gs and all(v.is_minimal for v in verdicts.values())
     return GSGraphStatus(is_gs, is_minimal, verdicts)
-
-
-def _ready(g: LyapunovGraph, status: GSGraphStatus | None = None) -> GSGraphStatus | None:
-    """Common guards of the sufficient conditions: GS, closed, fold-balanced."""
-    if not g.is_closed():
-        return None
-    st = status or classify_graph(g)
-    if not st.is_gs or not fold_balance(g):
-        return None
-    return st
-
-
-def check_minimal_case(g: LyapunovGraph) -> Certificate | None:
-    """All-minimal graphs: assign the minimal-weight form to every edge."""
-    st = _ready(g)
-    if st is None or not st.is_minimal_gs:
-        return None
-    return {i: family_minimal(e.weight) for i, e in enumerate(g.edges)}
-
-
-def _kinds(g: LyapunovGraph) -> set[SingularityType]:
-    return {label.kind for label in g.vertices.values()}
-
-
-def _degree(g: LyapunovGraph, vid: str) -> int:
-    return sum(1 for e in g.edges if vid in (e.src, e.dst))
-
-
-def check_linear(g: LyapunovGraph) -> Certificate | None:
-    """No bifurcation vertices, no triple crossings: the circle-chain family."""
-    if _T.TRIPLE in _kinds(g):
-        return None
-    if any(_degree(g, vid) > 2 for vid in g.vertices):
-        return None
-    if _ready(g) is None:
-        return None
-    return {i: family_B(e.weight) for i, e in enumerate(g.edges)}
-
-
-def check_blend(g: LyapunovGraph) -> Certificate | None:
-    """Bifurcation vertices allowed if all their incident weights are minimal.
-
-    Minimal weights at plane/cone/Whitney/double-crossing vertices are at
-    most 3, where the circle-chain family coincides with the minimal-weight
-    forms, so one uniform assignment covers both parts of the decomposition.
-    """
-    if _T.TRIPLE in _kinds(g):
-        return None
-    st = _ready(g)
-    if st is None:
-        return None
-    for vid in g.vertices:
-        if _degree(g, vid) >= 3 and not st.verdicts[vid].is_minimal:
-            return None
-    return {i: family_B(e.weight) for i, e in enumerate(g.edges)}
-
-
-def check_rcw(g: LyapunovGraph) -> Certificate | None:
-    """Plane, cone and Whitney labels only: the loop-chain family."""
-    if not _kinds(g) <= {_T.REGULAR, _T.CONE, _T.WHITNEY}:
-        return None
-    if _ready(g) is None:
-        return None
-    return {i: family_A(e.weight) for i, e in enumerate(g.edges)}
 
 
 def lemma_firstfamily_ok(sg: SemiGraph) -> bool:
@@ -221,19 +159,77 @@ def lemma_familyB_ok(sg: SemiGraph) -> bool:
     return True
 
 
-def check_families(g: LyapunovGraph) -> tuple[Certificate, str] | None:
-    """Uniform per-weight assignment from one of the two families."""
+def _kinds(g: LyapunovGraph) -> set[SingularityType]:
+    return {label.kind for label in g.vertices.values()}
+
+
+def _degrees(g: LyapunovGraph) -> Counter[str]:
+    return Counter(vid for e in g.edges for vid in (e.src, e.dst))
+
+
+def _linear(g: LyapunovGraph, st: GSGraphStatus) -> bool:
+    """No bifurcation vertices, no triple crossings."""
+    return _T.TRIPLE not in _kinds(g) and all(d <= 2 for d in _degrees(g).values())
+
+
+def _blend(g: LyapunovGraph, st: GSGraphStatus) -> bool:
+    """Bifurcation vertices allowed if all their incident weights are minimal.
+
+    Minimal weights at plane/cone/Whitney/double-crossing vertices are at
+    most 3, where the circle-chain family coincides with the minimal-weight
+    forms, so one uniform assignment covers both parts of the decomposition.
+    """
     if _T.TRIPLE in _kinds(g):
+        return False
+    return all(d < 3 or st.verdicts[vid].is_minimal for vid, d in _degrees(g).items())
+
+
+def _rcw(g: LyapunovGraph, st: GSGraphStatus) -> bool:
+    """Plane, cone and Whitney labels only."""
+    return _kinds(g) <= {_T.REGULAR, _T.CONE, _T.WHITNEY}
+
+
+def _first_family(g: LyapunovGraph, st: GSGraphStatus) -> bool:
+    return all(lemma_firstfamily_ok(semigraph(g, vid)) for vid in g.vertices)
+
+
+def _second_family(g: LyapunovGraph, st: GSGraphStatus) -> bool:
+    return all(lemma_familyB_ok(semigraph(g, vid)) for vid in g.vertices)
+
+
+# The sufficient conditions in dispatch order: (theorem, edge family,
+# applies(graph, status)).  Each predicate is evaluated on a closed,
+# fold-balanced GS graph; when it holds, the family's form of every edge
+# weight is a certificate.  Both lemma predicates reject triple crossings.
+CONDITIONS = (
+    ("Thm6", family_minimal, lambda g, st: st.is_minimal_gs),
+    ("Thm7", family_B, _linear),
+    ("Thm8", family_B, _blend),
+    ("Thm9", family_A, _rcw),
+    ("Thm10-i", family_A, _first_family),
+    ("Thm10-ii", family_B, _second_family),
+)
+
+
+def _uniform(g: LyapunovGraph, family) -> Certificate:
+    return {i: family(e.weight) for i, e in enumerate(g.edges)}
+
+
+def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:
+    """Certificate from one row of `CONDITIONS`, or None when it does not apply.
+
+    The graph must also be closed, GS and fold-balanced, as in `realize`.
+    """
+    row = next((r for r in CONDITIONS if r[0] == theorem), None)
+    if row is None:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    if not g.is_closed():
         return None
-    st = _ready(g)
-    if st is None:
+    status = classify_graph(g)
+    if not status.is_gs or not fold_balance(g):
         return None
-    sgs = [semigraph(g, vid) for vid in g.vertices]
-    if all(lemma_firstfamily_ok(sg) for sg in sgs):
-        return {i: family_A(e.weight) for i, e in enumerate(g.edges)}, "Thm10-i"
-    if all(lemma_familyB_ok(sg) for sg in sgs):
-        return {i: family_B(e.weight) for i, e in enumerate(g.edges)}, "Thm10-ii"
-    return None
+    _, family, applies = row
+    return _uniform(g, family) if applies(g, status) else None
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +336,9 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     if euler_gs(g).denominator != 1:
         return RealizationVerdict(NOT_REALIZABLE, reason="fractional-euler-characteristic")
 
-    cert = check_minimal_case(g)
-    if cert is not None:
-        return RealizationVerdict(REALIZABLE, theorem="Thm6", certificate=cert)
-    cert = check_linear(g)
-    if cert is not None:
-        return RealizationVerdict(REALIZABLE, theorem="Thm7", certificate=cert)
-    cert = check_blend(g)
-    if cert is not None:
-        return RealizationVerdict(REALIZABLE, theorem="Thm8", certificate=cert)
-    cert = check_rcw(g)
-    if cert is not None:
-        return RealizationVerdict(REALIZABLE, theorem="Thm9", certificate=cert)
-    pair = check_families(g)
-    if pair is not None:
-        return RealizationVerdict(REALIZABLE, theorem=pair[1], certificate=pair[0])
+    for theorem, family, applies in CONDITIONS:
+        if applies(g, status):
+            return RealizationVerdict(REALIZABLE, theorem=theorem, certificate=_uniform(g, family))
 
     if search_bound is None:
         return RealizationVerdict(UNKNOWN, searched_bound=0)

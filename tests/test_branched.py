@@ -9,7 +9,6 @@ from gsflows.branched import (
     ArcPosition,
     Branched1Manifold,
     BranchedComponent,
-    StrandedComponent,
     _connected,
     canonical_component,
     canonical_labelling,
@@ -24,7 +23,6 @@ from gsflows.branched import (
     manifold,
     parse_manifold,
     puncture,
-    stranded_is_isomorphic,
     weight,
 )
 
@@ -297,26 +295,8 @@ class TestEncoding:
 
 
 class TestStrandMode:
-    def test_figure_eight_strandings_differ(self):
-        f8 = figure_eight()
-        ends = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        per_petal = StrandedComponent(
-            f8, (frozenset({frozenset(ends[:2]), frozenset(ends[2:])}),)
-        )
-        crossing = StrandedComponent(
-            f8,
-            (frozenset({frozenset({ends[0], ends[2]}), frozenset({ends[1], ends[3]})}),),
-        )
-        assert stranded_is_isomorphic(per_petal, per_petal)
-        assert stranded_is_isomorphic(crossing, crossing)
-        assert not stranded_is_isomorphic(per_petal, crossing)
-
     def test_plain_isomorphism_ignores_strands(self):
         assert is_isomorphic(manifold([figure_eight()]), manifold([figure_eight()]))
-
-    def test_invalid_pairing_rejected(self):
-        with pytest.raises(ValueError):
-            StrandedComponent(figure_eight(), (frozenset({frozenset({(0, 0), (0, 1)})}),))
 
 
 class TestCanonicalAgainstBruteForce:

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from gsflows.branched import family_A, family_B, family_minimal, parse_manifold
@@ -16,11 +18,8 @@ from gsflows.realize import (
     NOT_REALIZABLE,
     REALIZABLE,
     UNKNOWN,
-    check_blend,
-    check_families,
-    check_linear,
-    check_minimal_case,
-    check_rcw,
+    CONDITIONS,
+    check_condition,
     classify_graph,
     lemma_familyB_ok,
     lemma_firstfamily_ok,
@@ -96,13 +95,13 @@ class TestCheckers:
             [("dr", "dsa", 3), ("dsa", "w", 1), ("w", "wa", 2)],
         )
         # dsa collapses 3 -> 1; the Whitney saddle lifts 1 -> 2.
-        cert = check_minimal_case(g)
+        cert = check_condition(g, "Thm6")
         assert cert is not None
         assert cert[0] == family_minimal(3)
         assert verify_certificate(g, cert)
 
     def test_minimal_case_guard(self):
-        assert check_minimal_case(NON_REALIZABLE) is None
+        assert check_condition(NON_REALIZABLE, "Thm6") is None
 
     def test_linear(self):
         g = G(
@@ -110,13 +109,13 @@ class TestCheckers:
              ("s1", "W", "s_s"), ("s2", "W", "s_s"), ("a", "R", "a")],
             [("r", "u1", 1), ("u1", "u2", 2), ("u2", "s1", 3), ("s1", "s2", 2), ("s2", "a", 1)],
         )
-        cert = check_linear(g)
+        cert = check_condition(g, "Thm7")
         assert cert is not None and cert[2] == family_B(3)
         assert verify_certificate(g, cert)
 
     def test_linear_guards(self):
-        assert check_linear(NON_REALIZABLE) is None  # degree-3 vertex
-        assert check_linear(T_PAIR) is None  # triple crossing label
+        assert check_condition(NON_REALIZABLE, "Thm7") is None  # degree-3 vertex
+        assert check_condition(T_PAIR, "Thm7") is None  # triple crossing label
 
     def test_blend(self):
         g = G(
@@ -126,8 +125,8 @@ class TestCheckers:
             [("r", "dsr", 1), ("dsr", "d", 3), ("d", "a1", 1), ("d", "a2", 1),
              ("d", "u", 1), ("u", "s", 2), ("s", "a3", 1)],
         )
-        assert check_linear(g) is None
-        cert = check_blend(g)
+        assert check_condition(g, "Thm7") is None
+        cert = check_condition(g, "Thm8")
         assert cert is not None
         assert verify_certificate(g, cert)
 
@@ -140,7 +139,7 @@ class TestCheckers:
              ("d", "a1", 2), ("d", "a2", 1), ("d", "a3", 1)],
         )
         assert classify_graph(g).is_gs
-        assert check_blend(g) is None
+        assert check_condition(g, "Thm8") is None
 
     def test_rcw(self):
         g = G(
@@ -148,11 +147,11 @@ class TestCheckers:
              ("c", "C", "s"), ("s", "W", "s_s"), ("a1", "R", "a"), ("a2", "R", "a")],
             [("r1", "u", 1), ("u", "c", 2), ("r2", "c", 1), ("c", "s", 2), ("c", "a1", 1), ("s", "a2", 1)],
         )
-        assert check_rcw(g) is not None
-        assert verify_certificate(g, check_rcw(g))
+        assert check_condition(g, "Thm9") is not None
+        assert verify_certificate(g, check_condition(g, "Thm9"))
 
     def test_rcw_guard(self):
-        assert check_rcw(SEARCH_ONLY) is None
+        assert check_condition(SEARCH_ONLY, "Thm9") is None
 
 
 class TestLemmaPredicates:
@@ -183,10 +182,54 @@ class TestLemmaPredicates:
             [("r", "u1", 1), ("u1", "u2", 2), ("u2", "s1", 3), ("s1", "s2", 2), ("s2", "a", 1)],
         )
         # Non-minimal interior weights; every vertex passes the loop-chain
-        # conditions, so the first family wins the tie over the second.
-        result = check_families(g)
-        assert result is not None and result[1] == "Thm10-i"
-        assert verify_certificate(g, result[0])
+        # conditions.
+        cert = check_condition(g, "Thm10-i")
+        assert cert is not None
+        assert verify_certificate(g, cert)
+
+
+class TestConditionTable:
+    def test_unknown_theorem_rejected(self):
+        with pytest.raises(ValueError):
+            check_condition(SPHERE, "Thm11")
+
+    def test_realize_takes_first_applicable_row(self):
+        for seed in range(100):
+            for minimal in (True, False):
+                g = gen_random_gs_graph(seed, size=4 + seed % 30, minimal=minimal)
+                verdict = realize(g)
+                first = next(
+                    ((t, c) for t, _, _ in CONDITIONS if (c := check_condition(g, t)) is not None),
+                    (None, None),
+                )
+                assert (verdict.theorem, verdict.certificate) == first
+
+    def test_first_family_wins_tie(self):
+        # Corpus graph 0337-n17g of the seed-1 decide workload: both family
+        # rows apply and no earlier row does.
+        g = gen_random_gs_graph(607901832, size=17)
+        applicable = [t for t, _, _ in CONDITIONS if check_condition(g, t) is not None]
+        assert applicable == ["Thm10-i", "Thm10-ii"]
+        verdict = realize(g)
+        assert verdict.theorem == "Thm10-i"
+        assert verdict.certificate == check_condition(g, "Thm10-i")
+
+    def test_one_classification_per_realize(self, monkeypatch):
+        module = importlib.import_module("gsflows.realize")
+        calls = []
+        classify = module.classify_graph
+
+        def counting(g):
+            calls.append(g)
+            return classify(g)
+
+        monkeypatch.setattr(module, "classify_graph", counting)
+        graphs = [SPHERE, T_PAIR, NON_REALIZABLE, SEARCH_ONLY]
+        graphs += [gen_random_gs_graph(seed, size=12) for seed in range(20)]
+        for g in graphs:
+            calls.clear()
+            realize(g, search_bound=3)
+            assert calls == [g]
 
 
 class TestRealize:
