@@ -749,31 +749,6 @@ def passageway_closure(entry: CatalogEntry, max_total_weight: int = 12) -> Closu
     return ClosureResult(frozenset(pairs), complete)
 
 
-_FEASIBLE_CACHE: dict[tuple, bool] = {}
-_COMPLETE_CACHE: dict[tuple, set[tuple[str, str]]] = {}
-
-
-def _target_reachable(entry: CatalogEntry, caps_plus, caps_minus, target) -> bool:
-    """Early-exit reachability of one boundary pair, with dual caching.
-
-    A hit is cached per target; a full miss enumerates the whole capped set,
-    which then answers every later target with these caps directly.
-    """
-    caps_key = (entry.name, caps_plus, caps_minus)
-    complete = _COMPLETE_CACHE.get(caps_key)
-    if complete is not None:
-        return target in complete
-    key = caps_key + (target,)
-    cached = _FEASIBLE_CACHE.get(key)
-    if cached is None:
-        pairs = engine.reachable_pairs_capped(entry.state, caps_plus, caps_minus, target)
-        cached = target in pairs
-        if not cached:
-            _COMPLETE_CACHE[caps_key] = pairs
-        _FEASIBLE_CACHE[key] = cached
-    return cached
-
-
 def _encode_multiset(forms: list[Branched1Manifold]) -> str:
     if not forms:
         return ""
@@ -802,6 +777,6 @@ def boundary_feasible(
         k = tp - p0
         if k < 0 or tm - m0 != k:
             continue
-        if _target_reachable(entry, caps_plus, caps_minus, target):
+        if target in engine.reachable_pairs_capped(entry.state, caps_plus, caps_minus, target):
             return True
     return False

@@ -16,11 +16,15 @@ an exiting component keeps both component counts fixed; this is exactly the
 passageway move, and each application raises the weight of one component on
 each side by one.
 
-Reachable boundary pairs are explored with isomorphism pruning, breadth
-first for closures and depth first with per-component weight caps for
-targeted feasibility queries.  State isomorphism must respect sides, vertex
-kinds, dead arcs and the band pairing, so states are keyed as coloured
-multigraphs with one auxiliary node per band.
+Every reachability query walks one process-wide graph with a node per
+isomorphism class of states, so a state is expanded at most once per
+process.  Closures walk it breadth first and stop at the first move beyond
+the bound; feasibility queries walk it depth first under per-component
+weight caps.  A state and its reversal share one exploration: a query on the
+one with the greater key is answered as the mirrored query on the other.
+State isomorphism must respect sides, vertex kinds, dead arcs and the band
+pairing, so states are keyed as coloured multigraphs with one auxiliary node
+per band.
 """
 
 from __future__ import annotations
@@ -258,69 +262,89 @@ def state_key(state: BlockState) -> tuple:
     return canonical_labelling(colors, edges)[0]
 
 
+class _Node:
+    """One isomorphism class of block states in the state graph."""
+
+    __slots__ = ("key", "state", "weights", "pair", "succ")
+
+    def __init__(self, key: tuple, state: BlockState) -> None:
+        self.key = key
+        self.state = state
+        #: Sorted component weights of the entering and the exiting side.
+        self.weights = (
+            tuple(sorted(side_weights(state.plus_kinds, state.plus_arcs))),
+            tuple(sorted(side_weights(state.minus_kinds, state.minus_arcs))),
+        )
+        #: Encoded form pair, filled when first needed.
+        self.pair: tuple[str, str] | None = None
+        #: Distinct successor nodes, filled the first time the node is expanded.
+        self.succ: tuple[_Node, ...] | None = None
+
+
 class StateSet:
-    """Set of block states up to structure-preserving isomorphism."""
+    """Graph of block states up to structure-preserving isomorphism.
 
-    def __init__(self) -> None:
-        self._keys: set = set()
-
-    def add(self, state: BlockState) -> bool:
-        key = state_key(state)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        return True
-
-
-class Explorer:
-    """Incremental breadth-first reachability from one initial state.
-
-    Levels are extended on demand and shared between queries; level k holds
-    the states first reached after exactly k moves.
+    There is one node per canonical key, so a state is expanded, and its
+    successors canonized, at most once however many queries reach it.
     """
 
-    def __init__(self, initial: BlockState) -> None:
-        self._seen = StateSet()
-        self._seen.add(initial)
-        self._levels: list[list[BlockState]] = [[initial]]
-        self._dead = False
+    def __init__(self) -> None:
+        self._nodes: dict[tuple, _Node] = {}
+        # Query states (catalog block states) seen before, with their roots.
+        self._roots: dict[BlockState, tuple[_Node, bool]] = {}
 
-    def level(self, depth: int) -> list[BlockState]:
-        while len(self._levels) <= depth and not self._dead:
-            frontier: list[BlockState] = []
-            for state in self._levels[-1]:
-                for succ in successors(state):
-                    if self._seen.add(succ):
-                        frontier.append(succ)
-            if not frontier:
-                self._dead = True
-            self._levels.append(frontier)
-        return self._levels[depth] if depth < len(self._levels) else []
+    def add(self, state: BlockState) -> _Node:
+        key = state_key(state)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(key, state)
+        return node
 
-    def exhausted_beyond(self, depth: int) -> bool:
-        return not self.level(depth + 1)
+    def expand(self, node: _Node) -> tuple[_Node, ...]:
+        if node.succ is None:
+            node.succ = tuple(dict.fromkeys(self.add(s) for s in successors(node.state)))
+        return node.succ
+
+    def root(self, state: BlockState) -> tuple[_Node, bool]:
+        """The node to explore from, and whether it is the state's mirror image.
+
+        A state and its reversal get the same exploration: a query on the
+        state with the lesser key, else the mirrored query on its reversal.
+        """
+        found = self._roots.get(state)
+        if found is None:
+            node, mirror = self.add(state), self.add(state.reversed())
+            found = (node, False) if node.key <= mirror.key else (mirror, True)
+            self._roots[state] = found
+        return found
 
 
-_EXPLORERS: dict[BlockState, Explorer] = {}
-
-
-def explorer_for(initial: BlockState) -> Explorer:
-    found = _EXPLORERS.get(initial)
-    if found is None:
-        found = Explorer(initial)
-        _EXPLORERS[initial] = found
-    return found
+#: The process-wide state graph behind every reachability query.
+_GRAPH = StateSet()
 
 
 def _encode_side(m: Branched1Manifold | None) -> str:
     return "" if m is None else m.encode()
 
 
-def _within_caps(kinds, arcs, caps: tuple[int, ...]) -> bool:
+def _pair(node: _Node) -> tuple[str, str]:
+    if node.pair is None:
+        p, q = state_forms(node.state)
+        node.pair = (_encode_side(p), _encode_side(q))
+    return node.pair
+
+
+def _swapped(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    return {(q, p) for p, q in pairs}
+
+
+def _fits(node: _Node, plus_caps: tuple[int, ...], minus_caps: tuple[int, ...]) -> bool:
     # Sorted pointwise comparison decides whether some assignment of state
     # components to target components respects every weight ceiling.
-    weights = sorted(side_weights(kinds, arcs))
-    return len(weights) == len(caps) and all(w <= c for w, c in zip(weights, caps))
+    return all(
+        len(weights) == len(caps) and all(w <= c for w, c in zip(weights, caps))
+        for weights, caps in zip(node.weights, (plus_caps, minus_caps))
+    )
 
 
 def reachable_pairs_capped(
@@ -338,37 +362,32 @@ def reachable_pairs_capped(
     exhaustive; with a `target` the traversal stops at the first hit and
     returns a partial set containing it.
     """
-    depth = sum(plus_caps) - sum(side_weights(initial.plus_kinds, initial.plus_arcs))
-    if depth < 0 or not _within_caps(initial.plus_kinds, initial.plus_arcs, plus_caps):
-        return set()
-    if not _within_caps(initial.minus_kinds, initial.minus_arcs, minus_caps):
-        return set()
-    seen = StateSet()
-    seen.add(initial)
-    found: set[tuple[str, str]] = set()
+    root, mirrored = _GRAPH.root(initial)
+    if not mirrored:
+        return _capped_walk(root, plus_caps, minus_caps, target)
+    target = None if target is None else (target[1], target[0])
+    return _swapped(_capped_walk(root, minus_caps, plus_caps, target))
 
-    def pair_of(state: BlockState) -> tuple[str, str]:
-        p, q = state_forms(state)
-        return (_encode_side(p), _encode_side(q))
 
+def _capped_walk(root: _Node, plus_caps, minus_caps, target) -> set[tuple[str, str]]:
+    depth = sum(plus_caps) - sum(root.weights[0])
+    if depth < 0 or not _fits(root, plus_caps, minus_caps):
+        return set()
     if depth == 0:
-        found.add(pair_of(initial))
-        return found
-
-    stack: list[tuple[BlockState, int]] = [(initial, 0)]
+        return {_pair(root)}
+    found: set[tuple[str, str]] = set()
+    seen = {root}
+    stack = [(root, 0)]
     while stack:
-        state, d = stack.pop()
-        for succ in successors(state):
-            if not _within_caps(succ.plus_kinds, succ.plus_arcs, plus_caps):
+        node, d = stack.pop()
+        for succ in _GRAPH.expand(node):
+            if succ in seen or not _fits(succ, plus_caps, minus_caps):
                 continue
-            if not _within_caps(succ.minus_kinds, succ.minus_arcs, minus_caps):
-                continue
-            if not seen.add(succ):
-                continue
+            seen.add(succ)
             if d + 1 == depth:
-                pair = pair_of(succ)
+                pair = _pair(succ)
                 found.add(pair)
-                if target is not None and pair == target:
+                if pair == target:
                     return found
             else:
                 stack.append((succ, d + 1))
@@ -384,11 +403,12 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[tu
     p0, m0 = state_totals(initial)
     if p0 + m0 > max_combined_weight:
         return set(), False
-    depth = (max_combined_weight - p0 - m0) // 2
-    exp = explorer_for(initial)
-    pairs = {
-        (_encode_side(p), _encode_side(q))
-        for k in range(depth + 1)
-        for p, q in (state_forms(s) for s in exp.level(k))
-    }
-    return pairs, exp.exhausted_beyond(depth)
+    root, mirrored = _GRAPH.root(initial)
+    levels = [[root]]
+    for _ in range((max_combined_weight - p0 - m0) // 2):
+        levels.append(list(dict.fromkeys(s for node in levels[-1] for s in _GRAPH.expand(node))))
+    pairs = {_pair(node) for level in levels for node in level}
+    # Every move adds two to the combined weight, so one successor of the
+    # last level is enough to show that the bound cut the search off.
+    complete = not any(successors(node.state) for node in levels[-1])
+    return (_swapped(pairs) if mirrored else pairs), complete

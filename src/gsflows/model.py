@@ -286,6 +286,8 @@ def validate_graph(g: LyapunovGraph) -> list[str]:
     for i, e in enumerate(g.edges):
         if e.weight < 1:
             report.append(f"edge {i}: weight must be >= 1, got {e.weight}")
+        if e.src is None and e.dst is None:
+            report.append(f"edge {i}: both ends open")
         for end, name in ((e.src, "source"), (e.dst, "target")):
             if end is not None and end not in ids:
                 report.append(f"edge {i}: unknown {name} vertex {end!r}")

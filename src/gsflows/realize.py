@@ -319,12 +319,9 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     necessary conditions, the sufficient-condition dispatch, and finally the
     bounded exhaustive search when a bound is given.
     """
-    report = validate_graph(g)
-    if report:
-        raise ValueError("graph is structurally invalid: " + "; ".join(report))
+    status = classify_graph(g)
     if not g.is_closed():
         raise ValueError("realization is defined for closed graphs")
-    status = classify_graph(g)
     if not status.is_gs:
         bad = tuple(vid for vid, v in status.verdicts.items() if not v.ok)
         reasons = {vid: status.verdicts[vid].reason for vid in bad}

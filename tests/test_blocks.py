@@ -15,7 +15,14 @@ from gsflows.blocks import (
     shape_catalog,
     shape_for,
 )
-from gsflows.branched import family_A, family_B, family_minimal, parse_manifold
+from gsflows.branched import (
+    enumerate_connected,
+    family_A,
+    family_B,
+    family_minimal,
+    manifold,
+    parse_manifold,
+)
 from gsflows.engine import DEAD, BlockState, state_forms, state_key, state_totals, successors
 from gsflows.model import (
     Nature,
@@ -273,6 +280,13 @@ class TestClosures:
                 dm = parse_manifold(minus).total_weight - m0
                 assert dp == dm >= 0
 
+    def test_reversed_block_has_mirrored_closure(self):
+        for entry in minimal_block_catalog():
+            forward = passageway_closure(entry, max_total_weight=7)
+            backward = passageway_closure(entry.reversed(), max_total_weight=7)
+            assert backward.pairs == {(q, p) for p, q in forward.pairs}, entry.name
+            assert backward.complete == forward.complete, entry.name
+
 
 def relabel_state(state: BlockState, rng: random.Random) -> BlockState:
     """The same state with shuffled vertex ids, band ids and arc order."""
@@ -342,3 +356,22 @@ class TestBoundaryFeasible:
 
     def test_shape_mismatch(self):
         assert not boundary_feasible(lab("R", "a"), [family_minimal(1)], [family_minimal(1)])
+
+    def test_states_are_expanded_once(self, monkeypatch):
+        # After one miss with caps (5,) -> (4,), every query with these caps,
+        # and every mirrored query with caps (4,) -> (5,), walks states that
+        # are already expanded.
+        assert not boundary_feasible(lab("W", "s_s"), [family_A(5)], [family_B(4)])
+        calls = []
+
+        def counting(state):
+            calls.append(state)
+            return successors(state)
+
+        monkeypatch.setattr("gsflows.engine.successors", counting)
+        fives = [manifold([c]) for c in enumerate_connected(5)]
+        fours = [manifold([c]) for c in enumerate_connected(4)]
+        for five, four in itertools.product(fives, fours):
+            boundary_feasible(lab("W", "s_s"), [five], [four])
+            boundary_feasible(lab("W", "s_u"), [four], [five])
+        assert calls == []

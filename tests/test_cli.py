@@ -32,6 +32,13 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "oriented cycle" in capsys.readouterr().out
 
 
+def test_validate_rejects_edge_with_both_ends_open(tmp_path, capsys):
+    path = tmp_path / "dangling.gs"
+    path.write_text("gsgraph v1\nvertex v R a\nedge OPEN v 1\nedge OPEN OPEN 1\n")
+    assert main(["validate", str(path)]) == EX_FAIL
+    assert "violation: edge 1: both ends open" in capsys.readouterr().out
+
+
 def test_realize_exit_codes(tmp_path, capsys):
     sphere = tmp_path / "s.gs"
     sphere.write_text(SPHERE)

@@ -108,6 +108,10 @@ class TestValidate:
         g.edges.append(Edge(OPEN, "v", 0))
         assert any("weight" in item for item in validate_graph(g))
 
+    def test_edge_with_both_ends_open(self):
+        g = graph([("v", "R", "a")], [(OPEN, "v", 1), (OPEN, OPEN, 1)])
+        assert validate_graph(g) == ["edge 1: both ends open"]
+
     def test_unknown_endpoint_and_isolated(self):
         g = graph([("v", "R", "a")], [("ghost", "v", 1)])
         assert any("unknown" in item for item in validate_graph(g))

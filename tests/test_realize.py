@@ -254,6 +254,26 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(g)
 
+    def test_cyclic_graph_rejected(self):
+        g = G([("a", "R", "s"), ("b", "R", "s")], [("a", "b", 1), ("b", "a", 1)])
+        with pytest.raises(ValueError, match="structurally invalid: oriented cycle"):
+            realize(g)
+
+    def test_one_validation_per_realize(self, monkeypatch):
+        module = importlib.import_module("gsflows.realize")
+        calls = []
+        validate = module.validate_graph
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        monkeypatch.setattr(module, "validate_graph", counting)
+        for g in (SPHERE, T_PAIR, NON_REALIZABLE, SEARCH_ONLY):
+            calls.clear()
+            realize(g, search_bound=3)
+            assert calls == [g]
+
     def test_non_realizable_instance(self):
         st = classify_graph(NON_REALIZABLE)
         assert st.is_gs
