@@ -7,18 +7,19 @@ multigraph on V vertices is always V + 1.  A manifold is a disjoint union of
 at most four components.
 
 Isomorphism is plain multigraph isomorphism; for these spaces it is
-homeomorphism, and `enumerate_connected` counts classes under it.
+homeomorphism, and `enumerate_connected` counts classes under it.  It grows
+the connected forms weight by weight from the circle by the point
+identification rewrite (`identify_points`), keeping one canonical
+representative of each class, up to `MAX_ENUM_WEIGHT`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 
 MAX_COMPONENTS = 4
-DEFAULT_ENUM_BOUND = 6
-ENUM_BOUND_ENV = "GS_ENUM_BOUND"
+MAX_ENUM_WEIGHT = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -344,60 +345,6 @@ def parse_manifold(text: str) -> Branched1Manifold:
     return manifold(comps)
 
 
-def enum_bound() -> int:
-    value = os.environ.get(ENUM_BOUND_ENV)
-    return int(value) if value else DEFAULT_ENUM_BOUND
-
-
-_ENUM_CACHE: dict[int, list[BranchedComponent]] = {}
-
-
-def enumerate_connected(w: int, bound: int | None = None) -> list[BranchedComponent]:
-    """All pairwise non-isomorphic connected components of weight w.
-
-    Generates 4-regular multigraphs on w - 1 labelled vertices by
-    backtracking over edge-slot multiplicities, then deduplicates by
-    canonical form.  Weight 1 is the circle.
-    """
-    if w < 1:
-        raise ValueError("weight must be >= 1")
-    limit = bound if bound is not None else enum_bound()
-    if w > limit:
-        raise ValueError(f"weight {w} exceeds enumeration bound {limit}")
-    if w in _ENUM_CACHE:
-        return list(_ENUM_CACHE[w])
-    if w == 1:
-        _ENUM_CACHE[1] = [CIRCLE]
-        return [CIRCLE]
-    n = w - 1
-    slots = [(i, j) for i in range(n) for j in range(i, n)]
-    seen: set[str] = set()
-    out: list[BranchedComponent] = []
-
-    def recurse(idx: int, degree: tuple[int, ...], arcs: tuple[tuple[int, int], ...]) -> None:
-        if idx == len(slots):
-            if all(d == 4 for d in degree) and _connected(n, arcs):
-                comp = canonical_component(n, arcs)
-                if comp.encode() not in seen:
-                    seen.add(comp.encode())
-                    out.append(comp)
-            return
-        i, j = slots[idx]
-        step = 2 if i == j else 1
-        room = 4 - degree[i] if i == j else min(4 - degree[i], 4 - degree[j])
-        for mult in range(room // step + 1):
-            d = list(degree)
-            d[i] += mult * step
-            if i != j:
-                d[j] += mult * step
-            recurse(idx + 1, tuple(d), arcs + ((i, j),) * mult)
-
-    recurse(0, (0,) * n, ())
-    out.sort()
-    _ENUM_CACHE[w] = out
-    return list(out)
-
-
 # ---------------------------------------------------------------------------
 # Arc positions and the point-identification rewrite
 
@@ -533,6 +480,37 @@ def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
     rootless = {find(i) for i in range(len(edges))} - set(comp_arcs)
     comps.extend(CIRCLE for _ in rootless)
     return manifold(comps)
+
+
+_FORMS: list[list[BranchedComponent]] = [[CIRCLE]]
+
+
+def enumerate_connected(w: int) -> list[BranchedComponent]:
+    """All pairwise non-isomorphic connected components of weight w, sorted.
+
+    Grown weight by weight from the circle: the forms of weight w are the
+    canonical results of one same-component `identify_points` step on every
+    form of weight w - 1, at both slots of one arc or at slot 0 of two
+    distinct arcs, deduplicated as a set.  Every connected form is reached:
+    splitting a branch point into two interior points undoes the step, and
+    pairing its four arc ends as an Euler tour of the 4-regular component
+    passes through it keeps the component connected, so every connected form
+    has a connected parent one weight lower.
+    """
+    if w < 1:
+        raise ValueError("weight must be >= 1")
+    if w > MAX_ENUM_WEIGHT:
+        raise ValueError(f"weight {w} exceeds enumeration cap {MAX_ENUM_WEIGHT}")
+    while len(_FORMS) < w:
+        grown = set()
+        for form in _FORMS[-1]:
+            m = manifold([form])
+            n = 1 if form.is_circle else len(form.arcs)
+            for i in range(n):
+                for p in [ArcPosition(0, i, 1)] + [ArcPosition(0, j) for j in range(i + 1, n)]:
+                    grown.add(identify_points(m, ArcPosition(0, i), p).components[0])
+        _FORMS.append(sorted(grown))
+    return list(_FORMS[w - 1])
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 """Command-line interface.
 
 Exit codes: 0 success (valid / realizable), 1 invalid or not realizable,
-2 undecided, 64 usage error, 66 unreadable input file.
+2 undecided, 64 usage error, 66 unreadable input file, 70 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import __version__
 from .blocks import catalog_counts, local_realizable, minimal_block_catalog
-from .branched import enum_bound, enumerate_connected
+from .branched import enumerate_connected
 from .documents import (
     ParseError,
+    catalog_document,
     export_dot,
     parse_graph,
     report_document,
@@ -38,6 +40,7 @@ EX_FAIL = 1
 EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
+EX_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,11 +108,6 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    bound = enum_bound()
-    if args.weight > bound:
-        print(f"weight {args.weight} exceeds enumeration bound {bound} "
-              f"(raise GS_ENUM_BOUND to override)", file=sys.stderr)
-        return EX_USAGE
     forms = enumerate_connected(args.weight)
     for comp in forms:
         print(comp.encode())
@@ -119,9 +117,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.json:
-        from .documents import catalog_document
-        import json
-
         sys.stdout.write(json.dumps(catalog_document(), indent=2, sort_keys=True) + "\n")
         return EX_OK
     wanted = parse_type(args.type) if args.type else None
@@ -136,9 +131,7 @@ def _cmd_catalog(args) -> int:
             f"N+={n_plus} N-={n_minus}{flags}"
         )
     counts = catalog_counts()
-    order = [SingularityType.REGULAR, SingularityType.CONE, SingularityType.WHITNEY,
-             SingularityType.DOUBLE, SingularityType.TRIPLE]
-    print(" ".join(str(counts[t]) for t in order) + f" / {sum(counts.values())}")
+    print(" ".join(str(counts[t]) for t in SingularityType) + f" / {sum(counts.values())}")
     return EX_OK
 
 
@@ -210,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_USAGE
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

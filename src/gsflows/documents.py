@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .blocks import minimal_block_catalog
 from .branched import Branched1Manifold, parse_manifold
 from .model import (
     OPEN,
@@ -193,8 +194,6 @@ def catalog_document() -> dict:
     routing lists the (entering, exiting) component pairs joined by a flow
     band.
     """
-    from .blocks import minimal_block_catalog
-
     entries = []
     for e in minimal_block_catalog():
         entries.append(

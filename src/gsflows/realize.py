@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .blocks import LocalVerdict, boundary_feasible, local_realizable
 from .branched import (
+    MAX_ENUM_WEIGHT,
     Branched1Manifold,
     enumerate_connected,
     family_A,
@@ -273,7 +274,7 @@ def _search(g: LyapunovGraph, bound: int) -> RealizationVerdict:
     """Exhaustive per-edge assignment over all forms of each edge weight."""
     candidates: list[list[Branched1Manifold]] = []
     for e in g.edges:
-        forms = [manifold([c]) for c in enumerate_connected(e.weight, bound=max(bound, e.weight))]
+        forms = [manifold([c]) for c in enumerate_connected(e.weight)]
         candidates.append(sorted(forms, key=lambda m: m.encode()))
     vertex_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
     for i, e in enumerate(g.edges):
@@ -317,7 +318,8 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
 
     Pipeline: local verdicts, fold balance and Euler integrality as
     necessary conditions, the sufficient-condition dispatch, and finally the
-    bounded exhaustive search when a bound is given.
+    bounded exhaustive search when a bound is given.  The bound is clamped
+    to `MAX_ENUM_WEIGHT`, the heaviest weight whose forms are enumerated.
     """
     status = classify_graph(g)
     if not g.is_closed():
@@ -339,6 +341,7 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
 
     if search_bound is None:
         return RealizationVerdict(UNKNOWN, searched_bound=0)
-    if any(e.weight > search_bound for e in g.edges):
-        return RealizationVerdict(UNKNOWN, searched_bound=search_bound)
-    return _search(g, search_bound)
+    bound = min(search_bound, MAX_ENUM_WEIGHT)
+    if any(e.weight > bound for e in g.edges):
+        return RealizationVerdict(UNKNOWN, searched_bound=bound)
+    return _search(g, bound)

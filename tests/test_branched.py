@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gsflows.branched import (
     CIRCLE,
+    MAX_ENUM_WEIGHT,
     ArcPosition,
     Branched1Manifold,
     BranchedComponent,
@@ -112,22 +113,22 @@ class TestEnumerate:
         assert [len(enumerate_connected(w)) for w in (1, 2, 3, 4)] == [1, 1, 2, 4]
 
     def test_matches_independent_generator(self):
-        for w, expected in zip(range(1, 6), (1, 1, 2, 4, 10)):
-            ours = {matrix_of_component(c) for c in enumerate_connected(w)}
+        for w, expected in zip(range(1, 7), (1, 1, 2, 4, 10, 28)):
+            forms = enumerate_connected(w)
+            assert forms == sorted(forms)
+            ours = {matrix_of_component(c) for c in forms}
             assert ours == brute_force_components(w)
             assert len(ours) == count_components_burnside(w) == expected
 
+    def test_counts_above_oracle_range(self):
+        # 359 at weight 8 matches a one-off Burnside count, too slow for the suite.
+        assert [len(enumerate_connected(w)) for w in (7, 8)] == [97, 359]
+
     def test_bound(self):
         with pytest.raises(ValueError):
-            enumerate_connected(7, bound=6)
+            enumerate_connected(MAX_ENUM_WEIGHT + 1)
         with pytest.raises(ValueError):
             enumerate_connected(0)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GS_ENUM_BOUND", "3")
-        with pytest.raises(ValueError):
-            enumerate_connected(4)
-        assert len(enumerate_connected(3)) == 2
 
 
 class TestIdentifyPoints:

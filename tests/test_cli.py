@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gsflows.cli import EX_FAIL, EX_NOINPUT, EX_OK, EX_UNKNOWN, EX_USAGE, main
+from gsflows.cli import EX_FAIL, EX_NOINPUT, EX_OK, EX_SOFTWARE, EX_UNKNOWN, EX_USAGE, main
 
 SPHERE = "gsgraph v1\nvertex a R a\nvertex r R r\nedge r a 1\n"
 NON_REALIZABLE = (
@@ -68,13 +68,22 @@ def test_enumerate(capsys):
     assert out[-1] == "count: 4" and len(out) == 5
 
 
-def test_enumerate_bound(capsys, monkeypatch):
-    monkeypatch.setenv("GS_ENUM_BOUND", "4")
-    assert main(["enumerate", "--weight", "5"]) == EX_USAGE
-    monkeypatch.setenv("GS_ENUM_BOUND", "5")
-    assert main(["enumerate", "--weight", "5"]) == EX_OK
+def test_enumerate_bound(capsys):
+    assert main(["enumerate", "--weight", "9"]) == EX_USAGE
+    assert "exceeds enumeration cap 8" in capsys.readouterr().err
+    assert main(["enumerate", "--weight", "7"]) == EX_OK
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[-1] == "count: 10"
+    assert out[-1] == "count: 97"
+
+
+def test_internal_failure_exits_70(sphere_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("gsflows.cli.realize", broken)
+    assert main(["realize", sphere_file]) == EX_SOFTWARE
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_catalog_totals(capsys):

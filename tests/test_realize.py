@@ -1,8 +1,9 @@
 import importlib
+import time
 
 import pytest
 
-from gsflows.branched import family_A, family_B, family_minimal, parse_manifold
+from gsflows.branched import MAX_ENUM_WEIGHT, family_A, family_B, family_minimal, parse_manifold
 from gsflows.generator import gen_random_gs_graph
 from gsflows.model import (
     LyapunovGraph,
@@ -295,6 +296,21 @@ class TestRealize:
     def test_unknown_when_bound_too_small(self):
         verdict = realize(SEARCH_ONLY, search_bound=4)
         assert verdict.status == UNKNOWN and verdict.searched_bound == 4
+
+    def test_bound_clamped_to_enumeration_cap(self):
+        # Undecided: the triple-crossing attractor rules out every condition.
+        labels = [("D", "r"), ("D", "ss_u"), ("D", "sr"), ("D", "ss_u"), ("D", "sr"), ("W", "s_u")]
+        labels += [("W", "s_s")] * 5 + [("T", "a")]
+        weights = [3, 5, 7, 9, 11, 12, 11, 10, 9, 8, 7]
+        g = G(
+            [(f"v{i}", t, n) for i, (t, n) in enumerate(labels)],
+            [(f"v{i}", f"v{i + 1}", w) for i, w in enumerate(weights)],
+        )
+        assert realize(g).status == UNKNOWN
+        start = time.perf_counter()
+        verdict = realize(g, search_bound=20)
+        assert verdict.status == UNKNOWN and verdict.searched_bound == MAX_ENUM_WEIGHT == 8
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVerifyCertificate:
