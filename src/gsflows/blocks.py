@@ -1,7 +1,5 @@
 """Shape catalog, minimal isolating blocks, and local realizability.
 
-The shape catalog lists the admissible semi-graph shapes (label, indegree,
-outdegree) with their boundary-weight relation and their minimal weights.
 The block catalog lists the 33 minimal isolating blocks up to homeomorphism
 and flow reversal, each with its boundary forms and flow-band state; the
 per-type counts are 3, 3, 3, 13 and 11 for the plane, cone, Whitney, double
@@ -9,14 +7,22 @@ and triple crossing charts.  Several double- and triple-crossing boundary
 assignments are reconstructions and carry a provisional flag; the totals and
 the per-shape boundary option sets are the binding data.
 
+The shape catalog is read off the block catalog: the admissible semi-graph
+shapes (label, indegree, outdegree) are those of the blocks and their
+reversals, and the minimal weights of a shape are the sorted component
+weights of its blocks.  The weight-condition table is the blocks' own shapes
+plus the two double-crossing shapes that no block realizes.
+
 Local verdicts follow a fixed cascade: the Poincare-Hopf residual, the
 degree inequalities, the known non-realizable shape exclusions, shape
 catalog membership, and the cone/double/triple weight-splitting constraints.
+Natures the catalog lists only through reversed blocks are decided on the
+time-reversed semi-graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import engine
@@ -27,11 +33,11 @@ from .model import (
     SemiGraph,
     SingularityType,
     VertexLabel,
-    conley_index,
     degree_bounds_ok,
     fold_degrees,
     ph_residual,
     reverse_nature,
+    reverse_semigraph,
 )
 
 _T = SingularityType
@@ -55,75 +61,57 @@ class ShapeEntry:
 
     @property
     def equation(self) -> str:
-        if self.e_minus == 0:
-            return f"B+ = {self.delta}"
-        if self.e_plus == 0:
-            return f"B- = {-self.delta}"
-        if self.delta == 0:
-            return "B+ = B-"
-        if self.delta == 3:
-            # Table convention for the largest offset.
-            return "B+ - 3 = B-"
-        if self.delta == -3:
-            return "B- - 3 = B+"
-        if self.delta > 0:
-            return f"B+ = B- + {self.delta}"
-        return f"B+ = B- - {-self.delta}"
-
-    def reversed(self) -> "ShapeEntry":
-        return ShapeEntry(
-            VertexLabel(self.label.kind, reverse_nature(self.label.nature)),
-            self.e_minus,
-            self.e_plus,
-            self.min_out,
-            self.min_in,
-        )
+        return _equation(self.e_plus, self.e_minus, self.delta)
 
 
-_FORWARD_SHAPES: tuple[ShapeEntry, ...] = tuple(
-    ShapeEntry(VertexLabel(t, n), ep, em, mi, mo)
-    for t, n, ep, em, mi, mo in [
-        (_T.REGULAR, _N.A, 1, 0, (1,), ()),
-        (_T.REGULAR, _N.S, 1, 1, (1,), (1,)),
-        (_T.REGULAR, _N.S, 1, 2, (1,), (1, 1)),
-        (_T.CONE, _N.A, 2, 0, (1, 1), ()),
-        (_T.CONE, _N.S, 1, 1, (1,), (1,)),
-        (_T.CONE, _N.S, 2, 2, (1, 1), (1, 1)),
-        (_T.WHITNEY, _N.A, 1, 0, (2,), ()),
-        (_T.WHITNEY, _N.S_S, 1, 1, (2,), (1,)),
-        (_T.WHITNEY, _N.S_S, 1, 2, (2,), (1, 1)),
-        (_T.DOUBLE, _N.A, 1, 0, (3,), ()),
-        (_T.DOUBLE, _N.SA, 1, 1, (3,), (1,)),
-        (_T.DOUBLE, _N.SA, 1, 2, (3,), (1, 1)),
-        (_T.DOUBLE, _N.SS_S, 1, 1, (3,), (1,)),
-        (_T.DOUBLE, _N.SS_S, 2, 1, (2, 2), (1,)),
-        (_T.DOUBLE, _N.SS_S, 1, 2, (3,), (1, 1)),
-        (_T.DOUBLE, _N.SS_S, 2, 2, (2, 2), (1, 1)),
-        (_T.DOUBLE, _N.SS_S, 1, 3, (3,), (1, 1, 1)),
-        (_T.DOUBLE, _N.SS_S, 1, 4, (3,), (1, 1, 1, 1)),
-        (_T.TRIPLE, _N.A, 1, 0, (7,), ()),
-        (_T.TRIPLE, _N.SSA, 1, 1, (5,), (3,)),
-        (_T.TRIPLE, _N.SSA, 1, 2, (5,), (2, 2)),
-    ]
-)
+def _equation(e_plus: int, e_minus: int, delta: int) -> str:
+    """Text of the relation B+ - B- = delta for a shape of these degrees."""
+    if e_minus == 0:
+        return f"B+ = {delta}"
+    if e_plus == 0:
+        return f"B- = {-delta}"
+    if delta == 0:
+        return "B+ = B-"
+    if delta == 3:
+        # Table convention for the largest offset.
+        return "B+ - 3 = B-"
+    if delta == -3:
+        return "B- - 3 = B+"
+    if delta > 0:
+        return f"B+ = B- + {delta}"
+    return f"B+ = B- - {-delta}"
 
 
 @lru_cache(maxsize=1)
+def _shapes() -> dict[tuple[VertexLabel, int, int], ShapeEntry]:
+    """One shape per (label, e+, e-) of the catalog blocks and their reversals, in catalog order."""
+    shapes: dict[tuple[VertexLabel, int, int], ShapeEntry] = {}
+    for block in minimal_block_catalog():
+        for e in (block, block.reversed()):
+            key = (e.label, e.e_plus, e.e_minus)
+            if key not in shapes:
+                shapes[key] = ShapeEntry(*key, e.min_in, e.min_out)
+    return shapes
+
+
 def shape_catalog() -> tuple[ShapeEntry, ...]:
-    """All admissible shapes: the decreasing-side set plus all reversals."""
-    seen: dict[tuple, ShapeEntry] = {}
-    for entry in _FORWARD_SHAPES:
-        for e in (entry, entry.reversed()):
-            key = (e.label.kind, e.label.nature, e.e_plus, e.e_minus)
-            seen.setdefault(key, e)
-    return tuple(seen.values())
+    """All admissible shapes: those of the catalog blocks and of their reversals."""
+    return tuple(_shapes().values())
 
 
 def shape_for(label: VertexLabel, e_plus: int, e_minus: int) -> ShapeEntry | None:
-    for entry in shape_catalog():
-        if entry.label == label and (entry.e_plus, entry.e_minus) == (e_plus, e_minus):
-            return entry
-    return None
+    return _shapes().get((label, e_plus, e_minus))
+
+
+#: Double-crossing shapes that satisfy the residual relation but admit no
+#: isolating block.
+_EXCLUDED = tuple((VertexLabel(_T.DOUBLE, _N.SS_S), 2, e_minus) for e_minus in (3, 4))
+
+# Table wordings that give component weights instead of a boundary total.
+_WORDINGS = {
+    (VertexLabel(_T.CONE, _N.A), 2, 0): "b1+ = b2+ = 1",
+    (VertexLabel(_T.TRIPLE, _N.A), 1, 0): "b1+ = 7",
+}
 
 
 @dataclass(frozen=True)
@@ -141,54 +129,27 @@ class ConditionRow:
 def ph_condition_rows() -> tuple[ConditionRow, ...]:
     """The 23 decreasing-side semi-graph shapes with their weight relations.
 
-    This includes the two double-crossing shapes with outdegree 3 and 4 that
-    satisfy the residual relation but admit no isolating block.
+    These are the shapes of the catalog blocks, not reversed, and the two
+    excluded double-crossing shapes, ordered by label, then outdegree, then
+    indegree.
     """
-
-    def row(t, n, ep, em, text):
-        fwd = conley_index(t, n).euler_term
-        rev = conley_index(t, reverse_nature(n)).euler_term
-        return ConditionRow(VertexLabel(t, n), ep, em, ep - em - (fwd - rev), text)
-
-    return (
-        row(_T.REGULAR, _N.A, 1, 0, "B+ = 1"),
-        row(_T.REGULAR, _N.S, 1, 1, "B+ = B-"),
-        row(_T.REGULAR, _N.S, 1, 2, "B+ = B- - 1"),
-        row(_T.CONE, _N.A, 2, 0, "b1+ = b2+ = 1"),
-        row(_T.CONE, _N.S, 1, 1, "B+ = B-"),
-        row(_T.CONE, _N.S, 2, 2, "B+ = B-"),
-        row(_T.WHITNEY, _N.A, 1, 0, "B+ = 2"),
-        row(_T.WHITNEY, _N.S_S, 1, 1, "B+ = B- + 1"),
-        row(_T.WHITNEY, _N.S_S, 1, 2, "B+ = B-"),
-        row(_T.DOUBLE, _N.A, 1, 0, "B+ = 3"),
-        row(_T.DOUBLE, _N.SA, 1, 1, "B+ = B- + 2"),
-        row(_T.DOUBLE, _N.SA, 1, 2, "B+ = B- + 1"),
-        row(_T.DOUBLE, _N.SS_S, 1, 1, "B+ = B- + 2"),
-        row(_T.DOUBLE, _N.SS_S, 2, 1, "B+ - 3 = B-"),
-        row(_T.DOUBLE, _N.SS_S, 1, 2, "B+ = B- + 1"),
-        row(_T.DOUBLE, _N.SS_S, 2, 2, "B+ = B- + 2"),
-        row(_T.DOUBLE, _N.SS_S, 1, 3, "B+ = B-"),
-        row(_T.DOUBLE, _N.SS_S, 2, 3, "B+ = B- + 1"),
-        row(_T.DOUBLE, _N.SS_S, 1, 4, "B+ = B- - 1"),
-        row(_T.DOUBLE, _N.SS_S, 2, 4, "B+ = B-"),
-        row(_T.TRIPLE, _N.A, 1, 0, "b1+ = 7"),
-        row(_T.TRIPLE, _N.SSA, 1, 1, "B+ = B- + 2"),
-        row(_T.TRIPLE, _N.SSA, 1, 2, "B+ = B- + 1"),
-    )
+    shapes = [*dict.fromkeys((b.label, b.e_plus, b.e_minus) for b in minimal_block_catalog()), *_EXCLUDED]
+    shapes.sort(key=lambda s: (list(_T).index(s[0].kind), list(_N).index(s[0].nature), s[2], s[1]))
+    rows = []
+    for label, ep, em in shapes:
+        # At unit weights B+ - B- = e+ - e-, so the residual there is the
+        # offset from the forced value of B+ - B-.
+        delta = ep - em - ph_residual(SemiGraph(label, (1,) * ep, (1,) * em))
+        text = _WORDINGS.get((label, ep, em)) or _equation(ep, em, delta)
+        rows.append(ConditionRow(label, ep, em, delta, text))
+    return tuple(rows)
 
 
 def minimal_weights(label: VertexLabel, e_plus: int, e_minus: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal weight vectors for an admissible shape.
-
-    Every weight is 1 plus the branch points assigned to that boundary
-    component; branch-point totals per side equal the fold degrees, split
-    equally when a side has several components.
-    """
+    """Minimal weight vectors of an admissible shape: its blocks' component weights."""
     entry = shape_for(label, e_plus, e_minus)
     if entry is None:
         raise ValueError(f"shape ({label}, {e_plus}, {e_minus}) not in catalog")
-    fin, fout = fold_degrees(label.kind, label.nature)
-    assert sum(entry.min_in) - e_plus == fin and sum(entry.min_out) - e_minus == fout
     return entry.min_in, entry.min_out
 
 
@@ -218,31 +179,27 @@ def _no(reason: str) -> LocalVerdict:
     return LocalVerdict(NO, reason=reason)
 
 
+#: Natures the catalog lists only through reversed blocks.
+_REVERSED = frozenset({_N.R, _N.S_U, _N.SR, _N.SS_U, _N.SSR})
+
+
 def local_realizable(sg: SemiGraph) -> LocalVerdict:
     """Decide whether the semi-graph bounds an isolating block.
 
-    The excluded-shape checks (reason Thm4-exclusion) cover the double
-    crossing with two saddle natures at outdegree 3 or 4 with indegree 2,
-    the unequal splits at minimal totals, and their flow reversals.  The
-    remaining weight constraints (reasons Thm5-*) are the splitting rules
-    for non-minimal weights.
+    Natures the catalog lists only through reversed blocks get the verdict of
+    the time-reversed semi-graph, so each rule below is stated once.  The
+    excluded shapes and the unequal splits at minimal totals give reason
+    Thm4-exclusion; the splitting rules for non-minimal weights give Thm5-*.
     """
+    if sg.label.nature in _REVERSED:
+        return local_realizable(reverse_semigraph(sg))
     kind, nature = sg.label.kind, sg.label.nature
     ins, outs = sg.in_weights, sg.out_weights
     if ph_residual(sg) != 0:
         return _no("PH-violated")
     if not degree_bounds_ok(sg):
         return _no("degree-bound")
-
-    dss_s = kind is _T.DOUBLE and nature is _N.SS_S
-    dss_u = kind is _T.DOUBLE and nature is _N.SS_U
-    tssa = kind is _T.TRIPLE and nature is _N.SSA
-    tssr = kind is _T.TRIPLE and nature is _N.SSR
-
-    # Structurally excluded shapes (indegree 2 with outdegree 3 or 4).
-    if dss_s and sg.e_plus == 2 and sg.e_minus in (3, 4):
-        return _no("Thm4-exclusion")
-    if dss_u and sg.e_minus == 2 and sg.e_plus in (3, 4):
+    if (sg.label, sg.e_plus, sg.e_minus) in _EXCLUDED:
         return _no("Thm4-exclusion")
 
     entry = shape_for(sg.label, sg.e_plus, sg.e_minus)
@@ -254,14 +211,13 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
         # Cannot happen once the residual vanishes, but keep the guard.
         return _no("PH-violated")
 
+    dss_s = kind is _T.DOUBLE and nature is _N.SS_S and sg.e_plus == 2
+    tssa = kind is _T.TRIPLE and nature is _N.SSA and sg.e_minus == 2
+
     # Unequal splits at minimal totals.
-    if dss_s and sg.e_plus == 2 and excess == 0 and ins[0] != ins[1]:
+    if dss_s and excess == 0 and ins[0] != ins[1]:
         return _no("Thm4-exclusion")
-    if dss_u and sg.e_minus == 2 and excess == 0 and outs[0] != outs[1]:
-        return _no("Thm4-exclusion")
-    if tssa and sg.e_minus == 2 and excess == 0 and outs[0] != outs[1]:
-        return _no("Thm4-exclusion")
-    if tssr and sg.e_plus == 2 and excess == 0 and ins[0] != ins[1]:
+    if tssa and excess == 0 and outs[0] != outs[1]:
         return _no("Thm4-exclusion")
 
     # Cone saddle with two components on each side: weights pair up along
@@ -271,13 +227,9 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
             return _no("Thm5-ii")
 
     # Sides holding two fold sheets need every component weight >= 2.
-    if dss_s and sg.e_plus == 2 and min(ins) < 2:
+    if dss_s and min(ins) < 2:
         return _no("Thm5-iii")
-    if dss_u and sg.e_minus == 2 and min(outs) < 2:
-        return _no("Thm5-iii")
-    if tssa and sg.e_minus == 2 and min(outs) < 2:
-        return _no("Thm5-iv")
-    if tssr and sg.e_plus == 2 and min(ins) < 2:
+    if tssa and min(outs) < 2:
         return _no("Thm5-iv")
 
     if sorted(ins) == sorted(entry.min_in) and sorted(outs) == sorted(entry.min_out):
@@ -295,11 +247,21 @@ class CatalogEntry:
 
     name: str
     label: VertexLabel
-    e_plus: int
-    e_minus: int
     state: BlockState
     orientable: bool | None = None
     provisional: bool = False
+    #: Sorted component weights of the entering and exiting boundaries.
+    min_in: tuple[int, ...] = field(init=False)
+    min_out: tuple[int, ...] = field(init=False)
+    e_plus: int = field(init=False)
+    e_minus: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        st = self.state
+        ins = tuple(sorted(engine.side_weights(st.plus_kinds, st.plus_arcs)))
+        outs = tuple(sorted(engine.side_weights(st.minus_kinds, st.minus_arcs)))
+        for name, value in (("min_in", ins), ("min_out", outs), ("e_plus", len(ins)), ("e_minus", len(outs))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_plus(self) -> Branched1Manifold | None:
@@ -334,8 +296,6 @@ class CatalogEntry:
         return CatalogEntry(
             self.name + "~rev",
             VertexLabel(self.label.kind, reverse_nature(self.label.nature)),
-            self.e_minus,
-            self.e_plus,
             self.state.reversed(),
             self.orientable,
             self.provisional,
@@ -647,33 +607,33 @@ def _build_t_ssa(pattern: str, minus: str) -> BlockState:
 def minimal_block_catalog() -> tuple[CatalogEntry, ...]:
     """The 33 minimal isolating blocks up to homeomorphism and flow reversal."""
 
-    def entry(name, t, n, ep, em, state, orientable=None, provisional=False):
-        return CatalogEntry(name, VertexLabel(t, n), ep, em, state, orientable, provisional)
+    def entry(name, t, n, state, orientable=None, provisional=False):
+        return CatalogEntry(name, VertexLabel(t, n), state, orientable, provisional)
 
     items = [
-        entry("R_a", _T.REGULAR, _N.A, 1, 0, _build_r_a(), orientable=True),
-        entry("R_s_11", _T.REGULAR, _N.S, 1, 1, _build_r_s_11(), orientable=False),
-        entry("R_s_12", _T.REGULAR, _N.S, 1, 2, _build_r_s_12(), orientable=True),
-        entry("C_a", _T.CONE, _N.A, 2, 0, _build_c_a()),
-        entry("C_s_11", _T.CONE, _N.S, 1, 1, _build_c_s_11()),
-        entry("C_s_22", _T.CONE, _N.S, 2, 2, _build_c_s_22()),
-        entry("W_a", _T.WHITNEY, _N.A, 1, 0, _build_w_a()),
-        entry("W_ss_11", _T.WHITNEY, _N.S_S, 1, 1, _build_w_ss_11()),
-        entry("W_ss_12", _T.WHITNEY, _N.S_S, 1, 2, _build_w_ss_12()),
-        entry("D_a", _T.DOUBLE, _N.A, 1, 0, _build_d_a()),
-        entry("D_sa_11_or", _T.DOUBLE, _N.SA, 1, 1, _build_d_sa_11_orientable(), orientable=True),
-        entry("D_sa_11_non", _T.DOUBLE, _N.SA, 1, 1, _build_d_sa_11_nonorientable(), orientable=False),
-        entry("D_sa_12", _T.DOUBLE, _N.SA, 1, 2, _build_d_sa_12(), orientable=True),
-        entry("D_sss_11_a", _T.DOUBLE, _N.SS_S, 1, 1, _build_d_sss_11_a()),
-        entry("D_sss_11_b", _T.DOUBLE, _N.SS_S, 1, 1, _build_d_sss_11_b()),
-        entry("D_sss_21", _T.DOUBLE, _N.SS_S, 2, 1, _build_d_sss_21(), provisional=True),
-        entry("D_sss_12_a", _T.DOUBLE, _N.SS_S, 1, 2, _build_d_sss_12_a()),
-        entry("D_sss_12_b", _T.DOUBLE, _N.SS_S, 1, 2, _build_d_sss_12_b()),
-        entry("D_sss_22", _T.DOUBLE, _N.SS_S, 2, 2, _build_d_sss_22(), provisional=True),
-        entry("D_sss_13_a", _T.DOUBLE, _N.SS_S, 1, 3, _build_d_sss_13_a()),
-        entry("D_sss_13_b", _T.DOUBLE, _N.SS_S, 1, 3, _build_d_sss_13_b(), provisional=True),
-        entry("D_sss_14", _T.DOUBLE, _N.SS_S, 1, 4, _build_d_sss_14()),
-        entry("T_a", _T.TRIPLE, _N.A, 1, 0, _build_t_a()),
+        entry("R_a", _T.REGULAR, _N.A, _build_r_a(), orientable=True),
+        entry("R_s_11", _T.REGULAR, _N.S, _build_r_s_11(), orientable=False),
+        entry("R_s_12", _T.REGULAR, _N.S, _build_r_s_12(), orientable=True),
+        entry("C_a", _T.CONE, _N.A, _build_c_a()),
+        entry("C_s_11", _T.CONE, _N.S, _build_c_s_11()),
+        entry("C_s_22", _T.CONE, _N.S, _build_c_s_22()),
+        entry("W_a", _T.WHITNEY, _N.A, _build_w_a()),
+        entry("W_ss_11", _T.WHITNEY, _N.S_S, _build_w_ss_11()),
+        entry("W_ss_12", _T.WHITNEY, _N.S_S, _build_w_ss_12()),
+        entry("D_a", _T.DOUBLE, _N.A, _build_d_a()),
+        entry("D_sa_11_or", _T.DOUBLE, _N.SA, _build_d_sa_11_orientable(), orientable=True),
+        entry("D_sa_11_non", _T.DOUBLE, _N.SA, _build_d_sa_11_nonorientable(), orientable=False),
+        entry("D_sa_12", _T.DOUBLE, _N.SA, _build_d_sa_12(), orientable=True),
+        entry("D_sss_11_a", _T.DOUBLE, _N.SS_S, _build_d_sss_11_a()),
+        entry("D_sss_11_b", _T.DOUBLE, _N.SS_S, _build_d_sss_11_b()),
+        entry("D_sss_21", _T.DOUBLE, _N.SS_S, _build_d_sss_21(), provisional=True),
+        entry("D_sss_12_a", _T.DOUBLE, _N.SS_S, _build_d_sss_12_a()),
+        entry("D_sss_12_b", _T.DOUBLE, _N.SS_S, _build_d_sss_12_b()),
+        entry("D_sss_22", _T.DOUBLE, _N.SS_S, _build_d_sss_22(), provisional=True),
+        entry("D_sss_13_a", _T.DOUBLE, _N.SS_S, _build_d_sss_13_a()),
+        entry("D_sss_13_b", _T.DOUBLE, _N.SS_S, _build_d_sss_13_b(), provisional=True),
+        entry("D_sss_14", _T.DOUBLE, _N.SS_S, _build_d_sss_14()),
+        entry("T_a", _T.TRIPLE, _N.A, _build_t_a()),
     ]
     t_variants = [
         ("C4L", "3a"),
@@ -688,17 +648,8 @@ def minimal_block_catalog() -> tuple[CatalogEntry, ...]:
         ("SS-cross", "f8f8"),
     ]
     for pattern, minus in t_variants:
-        em = 2 if minus == "f8f8" else 1
         items.append(
-            entry(
-                f"T_ssa_{pattern}_{minus}",
-                _T.TRIPLE,
-                _N.SSA,
-                1,
-                em,
-                _build_t_ssa(pattern, minus),
-                provisional=True,
-            )
+            entry(f"T_ssa_{pattern}_{minus}", _T.TRIPLE, _N.SSA, _build_t_ssa(pattern, minus), provisional=True)
         )
     return tuple(items)
 
@@ -773,9 +724,8 @@ def boundary_feasible(
     for entry in entries_for(label):
         if entry.e_plus != len(in_forms) or entry.e_minus != len(out_forms):
             continue
-        p0, m0 = engine.state_totals(entry.state)
-        k = tp - p0
-        if k < 0 or tm - m0 != k:
+        k = tp - sum(entry.min_in)
+        if k < 0 or tm - sum(entry.min_out) != k:
             continue
         if target in engine.reachable_pairs_capped(entry.state, caps_plus, caps_minus, target):
             return True

@@ -7,7 +7,8 @@ Graph documents are line-oriented:
     edge <src|OPEN> <dst|OPEN> <weight>
 
 Blank lines and '#' comments are skipped.  Enum names are matched case
-insensitively; everything else is rejected with a line/column diagnostic.
+insensitively, and no vertex id may read as OPEN in any case; everything
+else is rejected with a line/column diagnostic.
 Serialization emits vertices sorted by id and edges sorted by endpoints, so
 serialize(parse(d)) is the canonical form of d and a fixed point of the
 round trip.
@@ -76,6 +77,8 @@ def parse_graph(text: str) -> LyapunovGraph:
             if len(toks) != 4:
                 raise ParseError(lineno, col, "vertex takes: id type nature")
             vid = toks[1][0]
+            if vid.upper() == "OPEN":
+                raise ParseError(lineno, toks[1][1], f"vertex id {vid!r} is reserved for dangling edge ends")
             if vid in g.vertices:
                 raise ParseError(lineno, toks[1][1], f"duplicate vertex id {vid!r}")
             try:

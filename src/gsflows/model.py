@@ -7,8 +7,9 @@ whose edges carry positive integer weights (first Betti numbers of level-set
 components).  Edges may dangle on either end, which turns the graph into a
 semi-graph.
 
-This module holds the numerical Conley index table for the admissible
-(type, nature) labels and the arithmetic built on top of it: the
+This module holds the one label table: a row per admissible (type, nature)
+label with its numerical Conley index, its nature counts and its entering
+folds; the admissible natures are its key set.  On top of it sit the
 Poincare-Hopf residual of a single vertex, the degree inequalities, the fold
 bookkeeping, and the two Euler characteristic formulas whose agreement on
 fold-balanced closed graphs is the main global cross-check.
@@ -57,14 +58,6 @@ class Nature(Enum):
 _T = SingularityType
 _N = Nature
 
-ADMISSIBLE_NATURES: dict[SingularityType, frozenset[Nature]] = {
-    _T.REGULAR: frozenset({_N.A, _N.S, _N.R}),
-    _T.CONE: frozenset({_N.A, _N.S, _N.R}),
-    _T.WHITNEY: frozenset({_N.A, _N.S_S, _N.S_U, _N.R}),
-    _T.DOUBLE: frozenset({_N.A, _N.SA, _N.SS_S, _N.SS_U, _N.SR, _N.R}),
-    _T.TRIPLE: frozenset({_N.A, _N.SSA, _N.SSR, _N.R}),
-}
-
 _REVERSE = {
     _N.A: _N.R,
     _N.R: _N.A,
@@ -79,79 +72,40 @@ _REVERSE = {
     _N.SSR: _N.SSA,
 }
 
-# Numerical Conley indices (h0, h1, h2) per admissible label.  The repelling
-# Whitney index carries h2 = 2: this is what the boundary-count identity for
-# the Whitney attractor (entering weight 2) and the Euler-sum coefficients
-# both force, even though it is sometimes quoted as (0, 0, 1).
-_CONLEY: dict[tuple[SingularityType, Nature], tuple[int, int, int]] = {
-    (_T.REGULAR, _N.A): (1, 0, 0),
-    (_T.REGULAR, _N.S): (0, 1, 0),
-    (_T.REGULAR, _N.R): (0, 0, 1),
-    (_T.CONE, _N.A): (1, 0, 0),
-    (_T.CONE, _N.S): (0, 1, 0),
-    (_T.CONE, _N.R): (0, 1, 2),
-    (_T.WHITNEY, _N.A): (1, 0, 0),
-    (_T.WHITNEY, _N.S_S): (0, 1, 0),
-    (_T.WHITNEY, _N.S_U): (0, 0, 0),
-    (_T.WHITNEY, _N.R): (0, 0, 2),
-    (_T.DOUBLE, _N.A): (1, 0, 0),
-    (_T.DOUBLE, _N.SA): (0, 1, 0),
-    (_T.DOUBLE, _N.SS_S): (0, 3, 0),
-    (_T.DOUBLE, _N.SS_U): (0, 1, 0),
-    (_T.DOUBLE, _N.SR): (0, 0, 1),
-    (_T.DOUBLE, _N.R): (0, 0, 3),
-    (_T.TRIPLE, _N.A): (1, 0, 0),
-    (_T.TRIPLE, _N.SSA): (0, 1, 0),
-    (_T.TRIPLE, _N.SSR): (0, 1, 2),
-    (_T.TRIPLE, _N.R): (0, 0, 7),
+# One row per admissible label: the numerical Conley index (h0, h1, h2); the
+# number of attracting / saddle / repelling natures packed into the label
+# (double crossings carry two, triple crossings three); and the folds whose
+# omega-limit is the singularity, i.e. folds entering the minimal isolating
+# block through its entering boundary.  Folds exiting the block are the
+# mirror image under nature reversal.  The repelling Whitney index carries
+# h2 = 2: this is what the boundary-count identity for the Whitney attractor
+# (entering weight 2) and the Euler-sum coefficients both force, even though
+# it is sometimes quoted as (0, 0, 1).
+_LABELS: dict[tuple[SingularityType, Nature], tuple[tuple[int, int, int], tuple[int, int, int], int]] = {
+    (_T.REGULAR, _N.A): ((1, 0, 0), (1, 0, 0), 0),
+    (_T.REGULAR, _N.S): ((0, 1, 0), (0, 1, 0), 0),
+    (_T.REGULAR, _N.R): ((0, 0, 1), (0, 0, 1), 0),
+    (_T.CONE, _N.A): ((1, 0, 0), (1, 0, 0), 0),
+    (_T.CONE, _N.S): ((0, 1, 0), (0, 1, 0), 0),
+    (_T.CONE, _N.R): ((0, 1, 2), (0, 0, 1), 0),
+    (_T.WHITNEY, _N.A): ((1, 0, 0), (1, 0, 0), 1),
+    (_T.WHITNEY, _N.S_S): ((0, 1, 0), (0, 1, 0), 1),
+    (_T.WHITNEY, _N.S_U): ((0, 0, 0), (0, 1, 0), 0),
+    (_T.WHITNEY, _N.R): ((0, 0, 2), (0, 0, 1), 0),
+    (_T.DOUBLE, _N.A): ((1, 0, 0), (2, 0, 0), 2),
+    (_T.DOUBLE, _N.SA): ((0, 1, 0), (1, 1, 0), 2),
+    (_T.DOUBLE, _N.SS_S): ((0, 3, 0), (0, 2, 0), 2),
+    (_T.DOUBLE, _N.SS_U): ((0, 1, 0), (0, 2, 0), 0),
+    (_T.DOUBLE, _N.SR): ((0, 0, 1), (0, 1, 1), 0),
+    (_T.DOUBLE, _N.R): ((0, 0, 3), (0, 0, 2), 0),
+    (_T.TRIPLE, _N.A): ((1, 0, 0), (3, 0, 0), 6),
+    (_T.TRIPLE, _N.SSA): ((0, 1, 0), (1, 2, 0), 4),
+    (_T.TRIPLE, _N.SSR): ((0, 1, 2), (0, 2, 1), 2),
+    (_T.TRIPLE, _N.R): ((0, 0, 7), (0, 0, 3), 0),
 }
 
-# Number of attracting / saddle / repelling natures packed into one label.
-# Double crossings carry two natures, triple crossings three.
-_NATURE_ASR: dict[tuple[SingularityType, Nature], tuple[int, int, int]] = {
-    (_T.REGULAR, _N.A): (1, 0, 0),
-    (_T.REGULAR, _N.S): (0, 1, 0),
-    (_T.REGULAR, _N.R): (0, 0, 1),
-    (_T.CONE, _N.A): (1, 0, 0),
-    (_T.CONE, _N.S): (0, 1, 0),
-    (_T.CONE, _N.R): (0, 0, 1),
-    (_T.WHITNEY, _N.A): (1, 0, 0),
-    (_T.WHITNEY, _N.S_S): (0, 1, 0),
-    (_T.WHITNEY, _N.S_U): (0, 1, 0),
-    (_T.WHITNEY, _N.R): (0, 0, 1),
-    (_T.DOUBLE, _N.A): (2, 0, 0),
-    (_T.DOUBLE, _N.SA): (1, 1, 0),
-    (_T.DOUBLE, _N.SS_S): (0, 2, 0),
-    (_T.DOUBLE, _N.SS_U): (0, 2, 0),
-    (_T.DOUBLE, _N.SR): (0, 1, 1),
-    (_T.DOUBLE, _N.R): (0, 0, 2),
-    (_T.TRIPLE, _N.A): (3, 0, 0),
-    (_T.TRIPLE, _N.SSA): (1, 2, 0),
-    (_T.TRIPLE, _N.SSR): (0, 2, 1),
-    (_T.TRIPLE, _N.R): (0, 0, 3),
-}
-
-# Folds whose omega-limit is the singularity, i.e. folds entering the minimal
-# isolating block through its entering boundary.  Folds exiting the block are
-# the mirror image under nature reversal.
-_FOLDS_IN: dict[tuple[SingularityType, Nature], int] = {
-    (_T.WHITNEY, _N.A): 1,
-    (_T.WHITNEY, _N.S_S): 1,
-    (_T.DOUBLE, _N.A): 2,
-    (_T.DOUBLE, _N.SA): 2,
-    (_T.DOUBLE, _N.SS_S): 2,
-    (_T.TRIPLE, _N.A): 6,
-    (_T.TRIPLE, _N.SSA): 4,
-    (_T.TRIPLE, _N.SSR): 2,
-}
-
-# Total folds meeting the minimal block of each chart type.
-_TOTAL_FOLDS: dict[SingularityType, int] = {
-    _T.REGULAR: 0,
-    _T.CONE: 0,
-    _T.WHITNEY: 1,
-    _T.DOUBLE: 2,
-    _T.TRIPLE: 6,
+ADMISSIBLE_NATURES: dict[SingularityType, frozenset[Nature]] = {
+    t: frozenset(n for k, n in _LABELS if k is t) for t in SingularityType
 }
 
 
@@ -268,7 +222,7 @@ def reverse_nature(n: Nature) -> Nature:
 def conley_index(kind: SingularityType, nature: Nature) -> ConleyIndex:
     """Numerical Conley index of an admissible (type, nature) label."""
     try:
-        return ConleyIndex(*_CONLEY[(kind, nature)])
+        return ConleyIndex(*_LABELS[(kind, nature)][0])
     except KeyError:
         raise ValueError(f"inadmissible label ({kind}, {nature})") from None
 
@@ -348,14 +302,12 @@ def fold_degrees(kind: SingularityType, nature: Nature) -> tuple[int, int]:
     """(folds entering, folds exiting) the minimal block of this label."""
     if nature not in ADMISSIBLE_NATURES[kind]:
         raise ValueError(f"inadmissible label ({kind}, {nature})")
-    fin = _FOLDS_IN.get((kind, nature), 0)
-    fout = _FOLDS_IN.get((kind, reverse_nature(nature)), 0)
-    return fin, fout
+    return _LABELS[(kind, nature)][2], _LABELS[(kind, reverse_nature(nature))][2]
 
 
 def total_folds(kind: SingularityType) -> int:
-    """Total number of folds meeting a minimal block of this chart type."""
-    return _TOTAL_FOLDS[kind]
+    """Total folds meeting a minimal block of this chart type, whatever its nature."""
+    return sum(fold_degrees(kind, _N.A))
 
 
 def _require_closed(g: LyapunovGraph, op: str) -> None:
@@ -384,7 +336,7 @@ def nature_totals(g: LyapunovGraph) -> tuple[int, int, int]:
     """Total (attracting, saddle, repelling) nature counts over all vertices."""
     a = s = r = 0
     for label in g.vertices.values():
-        da, ds, dr = _NATURE_ASR[(label.kind, label.nature)]
+        da, ds, dr = _LABELS[(label.kind, label.nature)][1]
         a, s, r = a + da, s + ds, r + dr
     return a, s, r
 

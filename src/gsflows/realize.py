@@ -321,6 +321,8 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     bounded exhaustive search when a bound is given.  The bound is clamped
     to `MAX_ENUM_WEIGHT`, the heaviest weight whose forms are enumerated.
     """
+    if search_bound is not None and search_bound < 1:
+        raise ValueError(f"search bound must be >= 1, got {search_bound}")
     status = classify_graph(g)
     if not g.is_closed():
         raise ValueError("realization is defined for closed graphs")

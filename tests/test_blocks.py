@@ -29,9 +29,11 @@ from gsflows.model import (
     SemiGraph,
     SingularityType,
     VertexLabel,
+    fold_degrees,
     parse_nature,
     parse_type,
     ph_residual,
+    reverse_semigraph,
 )
 
 T = SingularityType
@@ -103,6 +105,35 @@ class TestConditionRows:
         for expected in ("B+ = 1", "b1+ = b2+ = 1", "B+ = 2", "B+ - 3 = B-", "b1+ = 7"):
             assert expected in texts
 
+    def test_rows_in_table_order(self):
+        # The weight-condition table, column by column, in its order.
+        got = [f"{r.label} {r.e_plus}{r.e_minus}: {r.text}" for r in ph_condition_rows()]
+        assert got == [
+            "R,a 10: B+ = 1",
+            "R,s 11: B+ = B-",
+            "R,s 12: B+ = B- - 1",
+            "C,a 20: b1+ = b2+ = 1",
+            "C,s 11: B+ = B-",
+            "C,s 22: B+ = B-",
+            "W,a 10: B+ = 2",
+            "W,s_s 11: B+ = B- + 1",
+            "W,s_s 12: B+ = B-",
+            "D,a 10: B+ = 3",
+            "D,sa 11: B+ = B- + 2",
+            "D,sa 12: B+ = B- + 1",
+            "D,ss_s 11: B+ = B- + 2",
+            "D,ss_s 21: B+ - 3 = B-",
+            "D,ss_s 12: B+ = B- + 1",
+            "D,ss_s 22: B+ = B- + 2",
+            "D,ss_s 13: B+ = B-",
+            "D,ss_s 23: B+ = B- + 1",
+            "D,ss_s 14: B+ = B- - 1",
+            "D,ss_s 24: B+ = B-",
+            "T,a 10: b1+ = 7",
+            "T,ssa 11: B+ = B- + 2",
+            "T,ssa 12: B+ = B- + 1",
+        ]
+
     def test_rows_match_residual(self):
         for row in ph_condition_rows():
             for b_in in itertools.product(range(1, 6), repeat=row.e_plus):
@@ -111,7 +142,37 @@ class TestConditionRows:
                     assert (ph_residual(s) == 0) == (sum(b_in) - sum(b_out) == row.delta)
 
 
+class TestMirrorRule:
+    def test_reversal_keeps_verdict(self):
+        cases = 0
+        for entry in shape_catalog():
+            for b_in in itertools.product(range(1, 7), repeat=entry.e_plus):
+                for b_out in itertools.product(range(1, 7), repeat=entry.e_minus):
+                    s = SemiGraph(entry.label, b_in, b_out)
+                    assert local_realizable(s) == local_realizable(reverse_semigraph(s))
+                    cases += 1
+        assert cases == 25104
+
+    def test_excluded_rows_rejected(self):
+        excluded = [r for r in ph_condition_rows() if shape_for(r.label, r.e_plus, r.e_minus) is None]
+        assert [(str(r.label), r.e_plus, r.e_minus) for r in excluded] == [("D,ss_s", 2, 3), ("D,ss_s", 2, 4)]
+        for row in excluded:
+            for b_in in itertools.product(range(1, 7), repeat=row.e_plus):
+                for b_out in itertools.product(range(1, 7), repeat=row.e_minus):
+                    s = SemiGraph(row.label, b_in, b_out)
+                    if ph_residual(s) == 0:
+                        assert local_realizable(s).reason == "Thm4-exclusion"
+                        assert local_realizable(reverse_semigraph(s)).reason == "Thm4-exclusion"
+
+
 class TestMinimalWeights:
+    def test_folds_match_model(self):
+        # Shapes come from the block catalog, folds from the model's table.
+        for entry in shape_catalog():
+            mi, mo = minimal_weights(entry.label, entry.e_plus, entry.e_minus)
+            folds = (sum(mi) - entry.e_plus, sum(mo) - entry.e_minus)
+            assert folds == fold_degrees(entry.label.kind, entry.label.nature)
+
     def test_examples(self):
         assert minimal_weights(lab("T", "ssa"), 1, 1) == ((5,), (3,))
         assert minimal_weights(lab("C", "a"), 2, 0) == ((1, 1), ())

@@ -55,6 +55,13 @@ def test_realize_exit_codes(tmp_path, capsys):
     assert report["status"] == "not-realizable"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_realize_rejects_bound_below_one(sphere_file, capsys, bound):
+    assert main(["realize", sphere_file, "--search-bound", bound]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "search bound must be >= 1" in captured.err
+
+
 def test_euler(sphere_file, capsys):
     assert main(["euler", sphere_file]) == EX_OK
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,13 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown vertex"):
             parse_graph("gsgraph v1\nvertex v R a\nedge w v 1\n")
 
+    @pytest.mark.parametrize("vid", ["open", "OPEN", "oPeN"])
+    def test_vertex_id_reads_as_open(self, vid):
+        # An edge end spelled like the id would be read as a dangling end.
+        with pytest.raises(ParseError, match="reserved") as err:
+            parse_graph(f"gsgraph v1\nvertex {vid} R r\nedge {vid} OPEN 1\n")
+        assert err.value.line == 2 and err.value.col == 8
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity_on_canonical(self):
@@ -87,6 +95,20 @@ class TestRoundTrip:
             again = parse_graph(doc)
             assert serialize_graph(again) == doc
             assert again.vertices == g.vertices
+
+
+class TestGenerator:
+    def test_pinned_documents(self):
+        # The shape order feeds the generator's moves, so this pins it too.
+        expected = {
+            False: "484c2267b713daea9be6aa7c553bf106889f6da41fd8a66dae25a85c09cf2a51",
+            True: "229fc7e000f5d92f3b9f1e9949f3b7ede7513ab38e26a62f3b95652188d42644",
+        }
+        for minimal, digest in expected.items():
+            docs = "".join(
+                serialize_graph(gen_random_gs_graph(s, size=4 + s % 40, minimal=minimal)) for s in range(200)
+            )
+            assert hashlib.sha256(docs.encode()).hexdigest() == digest
 
 
 class TestDot:

@@ -297,6 +297,11 @@ class TestRealize:
         verdict = realize(SEARCH_ONLY, search_bound=4)
         assert verdict.status == UNKNOWN and verdict.searched_bound == 4
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="search bound must be >= 1"):
+            realize(SEARCH_ONLY, search_bound=bound)
+
     def test_bound_clamped_to_enumeration_cap(self):
         # Undecided: the triple-crossing attractor rules out every condition.
         labels = [("D", "r"), ("D", "ss_u"), ("D", "sr"), ("D", "ss_u"), ("D", "sr"), ("W", "s_u")]
