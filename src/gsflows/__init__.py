@@ -33,6 +33,7 @@ from .model import (
     reverse_nature,
     reverse_semigraph,
     semigraph,
+    semigraphs,
     total_folds,
     validate_graph,
 )
@@ -68,6 +69,7 @@ from .blocks import (
 )
 from .realize import (
     GSGraphStatus,
+    InvalidGraphError,
     RealizationVerdict,
     CONDITIONS,
     check_condition,

@@ -2,11 +2,17 @@
 
 Exit codes: 0 success (valid / realizable), 1 invalid or not realizable,
 2 undecided, 64 usage error, 66 unreadable input file, 70 internal failure.
+
+The argument parser is built once per process and reused by every `main`
+call; each call parses into a fresh namespace, so the exit codes and output
+of a call do not depend on the calls before it.  `realize` validates the
+graph itself, and the CLI maps its `InvalidGraphError` to exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,10 +36,10 @@ from .model import (
     fold_balance,
     parse_type,
     ph_residual,
-    semigraph,
+    semigraphs,
     validate_graph,
 )
-from .realize import NOT_REALIZABLE, REALIZABLE, realize
+from .realize import NOT_REALIZABLE, REALIZABLE, InvalidGraphError, realize
 
 EX_OK = 0
 EX_FAIL = 1
@@ -72,8 +78,7 @@ def _cmd_validate(args) -> int:
         return EX_FAIL
     print(f"structure: ok ({len(g.vertices)} vertices, {len(g.edges)} edges)")
     all_ok = True
-    for vid in sorted(g.vertices):
-        sg = semigraph(g, vid)
+    for vid, sg in sorted(semigraphs(g).items()):
         verdict = local_realizable(sg)
         status = verdict.status if verdict.ok else f"no ({verdict.reason})"
         print(f"vertex {vid} ({sg.label}): residual={ph_residual(sg)} verdict={status}")
@@ -83,10 +88,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_realize(args) -> int:
     g = _load(args.file)
-    if validate_graph(g) or not g.is_closed():
+    try:
+        verdict = realize(g, search_bound=args.search_bound)
+    except InvalidGraphError:
         print("realize requires a structurally valid closed graph", file=sys.stderr)
         return EX_FAIL
-    verdict = realize(g, search_bound=args.search_bound)
     sys.stdout.write(report_to_json(report_document(g, verdict)))
     if verdict.status == REALIZABLE:
         return EX_OK
@@ -149,6 +155,7 @@ def _cmd_gen_random(args) -> int:
     return EX_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gsflows", description="Lyapunov graph realizability toolkit")
     parser.add_argument("--version", action="version", version=f"gsflows {__version__}")

@@ -19,7 +19,7 @@ from .model import (
     Nature,
     SingularityType,
     fold_balance,
-    semigraph,
+    semigraphs,
     validate_graph,
 )
 
@@ -195,7 +195,7 @@ def gen_random_gs_graph(
         grower.close_one()
     g = grower.g
     assert not validate_graph(g)
-    assert all(local_realizable(semigraph(g, vid)).ok for vid in g.vertices)
+    assert all(local_realizable(sg).ok for sg in semigraphs(g).values())
     if fold_balanced:
         assert fold_balance(g)
     return g

@@ -130,6 +130,10 @@ class ConleyIndex:
         return self.h0 - self.h1 + self.h2
 
 
+# The Conley index of each label, built once from the label table.
+_INDICES = {key: ConleyIndex(*row[0]) for key, row in _LABELS.items()}
+
+
 @dataclass(frozen=True)
 class VertexLabel:
     """Pair (chart type, nature) attached to a graph vertex."""
@@ -222,7 +226,7 @@ def reverse_nature(n: Nature) -> Nature:
 def conley_index(kind: SingularityType, nature: Nature) -> ConleyIndex:
     """Numerical Conley index of an admissible (type, nature) label."""
     try:
-        return ConleyIndex(*_LABELS[(kind, nature)][0])
+        return _INDICES[(kind, nature)]
     except KeyError:
         raise ValueError(f"inadmissible label ({kind}, {nature})") from None
 
@@ -277,6 +281,27 @@ def semigraph(g: LyapunovGraph, vid: str) -> SemiGraph:
     if not ins and not outs:
         raise ValueError(f"vertex {vid!r} has degree 0")
     return SemiGraph(g.vertices[vid], ins, outs)
+
+
+def semigraphs(g: LyapunovGraph) -> dict[str, SemiGraph]:
+    """Every vertex's semi-graph, from one pass over the edges.
+
+    Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``, with the
+    weights in edge order and the same error for a vertex of degree 0.
+    """
+    ins: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    outs: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    for e in g.edges:
+        if e.dst in ins:
+            ins[e.dst].append(e.weight)
+        if e.src in outs:
+            outs[e.src].append(e.weight)
+    result = {}
+    for vid, label in g.vertices.items():
+        if not ins[vid] and not outs[vid]:
+            raise ValueError(f"vertex {vid!r} has degree 0")
+        result[vid] = SemiGraph(label, tuple(ins[vid]), tuple(outs[vid]))
+    return result
 
 
 def ph_residual(sg: SemiGraph) -> int:

@@ -14,7 +14,6 @@ non-realizability within the bound, or reports the question as open.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .blocks import LocalVerdict, boundary_feasible, local_realizable
@@ -35,7 +34,8 @@ from .model import (
     SingularityType,
     fold_balance,
     euler_gs,
-    semigraph,
+    reverse_nature,
+    semigraphs,
     validate_graph,
 )
 
@@ -47,6 +47,10 @@ NOT_REALIZABLE = "not-realizable"
 UNKNOWN = "unknown"
 
 Certificate = dict[int, Branched1Manifold]
+
+
+class InvalidGraphError(ValueError):
+    """The graph is structurally invalid, or open where a closed one is needed."""
 
 
 @dataclass(frozen=True)
@@ -68,74 +72,83 @@ class GSGraphStatus:
     is_gs: bool
     is_minimal_gs: bool
     verdicts: dict[str, LocalVerdict] = field(default_factory=dict)
+    semigraphs: dict[str, SemiGraph] = field(default_factory=dict)
 
 
 def classify_graph(g: LyapunovGraph) -> GSGraphStatus:
-    """Aggregate the local verdicts of every vertex."""
+    """Aggregate the local verdicts of every vertex.
+
+    Raises `InvalidGraphError` when `validate_graph` reports a violation.
+    """
     report = validate_graph(g)
     if report:
-        raise ValueError("graph is structurally invalid: " + "; ".join(report))
-    verdicts = {vid: local_realizable(semigraph(g, vid)) for vid in g.vertices}
+        raise InvalidGraphError("graph is structurally invalid: " + "; ".join(report))
+    sgs = semigraphs(g)
+    verdicts = {vid: local_realizable(sg) for vid, sg in sgs.items()}
     is_gs = all(v.ok for v in verdicts.values())
     is_minimal = is_gs and all(v.is_minimal for v in verdicts.values())
-    return GSGraphStatus(is_gs, is_minimal, verdicts)
+    return GSGraphStatus(is_gs, is_minimal, verdicts, sgs)
 
 
 def lemma_firstfamily_ok(sg: SemiGraph) -> bool:
-    """Whether the vertex admits a block with loop-chain boundaries."""
+    """Whether the vertex admits a block with loop-chain boundaries.
+
+    A vertex with more entering than exiting edges is decided as its time
+    reversal (`reverse_semigraph`): the sides swap and the nature reverses.
+    So each splitting rule is stated for e+ <= e- only.
+    """
     kind, nature = sg.label.kind, sg.label.nature
+    ins, outs = sg.in_weights, sg.out_weights
+    if len(ins) > len(outs):
+        ins, outs, nature = outs, ins, reverse_nature(nature)
     if kind is _T.TRIPLE:
         return False
-    degree = sg.e_plus + sg.e_minus
-    if degree == 1:
-        w = (sg.in_weights + sg.out_weights)[0]
-        if w not in (1, 2):
-            return False
+    ep, em = len(ins), len(outs)
+    degree = ep + em
+    if degree == 1 and (ins + outs)[0] not in (1, 2):
+        return False
     if kind is _T.DOUBLE and nature in (_N.SA, _N.SR) and degree != 2:
         return False
     if degree > 4:
         return False
-    if kind is _T.DOUBLE and nature is _N.SS_S and (sg.e_plus, sg.e_minus) == (1, 2):
-        if sorted(sg.out_weights) != sorted((1, sg.b_plus - 2)):
+    if kind is _T.DOUBLE and nature is _N.SS_S and (ep, em) == (1, 2):
+        if sorted(outs) != sorted((1, sum(ins) - 2)):
             return False
-    if kind is _T.DOUBLE and nature is _N.SS_U and (sg.e_plus, sg.e_minus) == (2, 1):
-        if sorted(sg.in_weights) != sorted((1, sg.b_minus - 2)):
-            return False
-    if sg.e_minus == 3 and sorted(sg.out_weights) != sorted((1, 1, sg.b_minus - 2)):
-        return False
-    if sg.e_plus == 3 and sorted(sg.in_weights) != sorted((1, 1, sg.b_plus - 2)):
+    if em == 3 and sorted(outs) != sorted((1, 1, sum(outs) - 2)):
         return False
     return True
 
 
 def lemma_familyB_ok(sg: SemiGraph) -> bool:
-    """Whether the vertex admits a block with circle-chain boundaries."""
+    """Whether the vertex admits a block with circle-chain boundaries.
+
+    The rules read the chart type and the weights only.  A vertex with more
+    entering than exiting edges is decided as its time reversal, which swaps
+    the sides, so each splitting rule is stated for e+ <= e- only.
+    """
     kind = sg.label.kind
     if kind is _T.TRIPLE:
         return False
-    ep, em = sg.e_plus, sg.e_minus
-    bp, bm = sg.b_plus, sg.b_minus
+    ins, outs = sg.in_weights, sg.out_weights
+    if len(ins) > len(outs):
+        ins, outs = outs, ins
+    ep, em = len(ins), len(outs)
+    bp, bm = sum(ins), sum(outs)
 
     def odd(values):
         return all(v % 2 == 1 for v in values)
 
     # Plane or double crossing splitting a flow in two.
     if kind in (_T.REGULAR, _T.DOUBLE) and abs(bp - bm) == 1:
-        if (ep, em) == (1, 2) and bp % 2 == 1 and not odd(sg.out_weights):
+        if (ep, em) == (1, 2) and bp % 2 == 1 and not odd(outs):
             return False
-        if (ep, em) == (2, 1) and bm % 2 == 1 and not odd(sg.in_weights):
+    # Whitney with two exiting components.
+    if kind is _T.WHITNEY and (ep, em) == (1, 2):
+        if bp % 2 == 1 or sorted(outs) != sorted((1, bp - 1)):
             return False
-    # Whitney with two components on one side.
-    if kind is _T.WHITNEY:
-        if (ep, em) == (1, 2):
-            if bp % 2 == 1 or sorted(sg.out_weights) != sorted((1, bp - 1)):
-                return False
-        if (ep, em) == (2, 1):
-            if bm % 2 == 1 or sorted(sg.in_weights) != sorted((1, bm - 1)):
-                return False
     # Double crossing with two components on each side.
     if kind is _T.DOUBLE and (ep, em) == (2, 2) and bp != bm:
-        big, small = (sg.in_weights, sg.out_weights) if bp > bm else (sg.out_weights, sg.in_weights)
+        big, small = (ins, outs) if bp > bm else (outs, ins)
         if any(v % 2 == 1 for v in big):
             return False
         options = (
@@ -146,7 +159,7 @@ def lemma_familyB_ok(sg: SemiGraph) -> bool:
             return False
     # Double crossing with three or four components on one side.
     if kind is _T.DOUBLE:
-        for side, other_total in ((sg.out_weights, bp), (sg.in_weights, bm)):
+        for side, other_total in ((outs, bp), (ins, bm)):
             if len(side) == 3:
                 if side.count(1) < 1:
                     return False
@@ -164,13 +177,9 @@ def _kinds(g: LyapunovGraph) -> set[SingularityType]:
     return {label.kind for label in g.vertices.values()}
 
 
-def _degrees(g: LyapunovGraph) -> Counter[str]:
-    return Counter(vid for e in g.edges for vid in (e.src, e.dst))
-
-
 def _linear(g: LyapunovGraph, st: GSGraphStatus) -> bool:
     """No bifurcation vertices, no triple crossings."""
-    return _T.TRIPLE not in _kinds(g) and all(d <= 2 for d in _degrees(g).values())
+    return _T.TRIPLE not in _kinds(g) and all(sg.e_plus + sg.e_minus <= 2 for sg in st.semigraphs.values())
 
 
 def _blend(g: LyapunovGraph, st: GSGraphStatus) -> bool:
@@ -182,7 +191,9 @@ def _blend(g: LyapunovGraph, st: GSGraphStatus) -> bool:
     """
     if _T.TRIPLE in _kinds(g):
         return False
-    return all(d < 3 or st.verdicts[vid].is_minimal for vid, d in _degrees(g).items())
+    return all(
+        sg.e_plus + sg.e_minus < 3 or st.verdicts[vid].is_minimal for vid, sg in st.semigraphs.items()
+    )
 
 
 def _rcw(g: LyapunovGraph, st: GSGraphStatus) -> bool:
@@ -191,11 +202,11 @@ def _rcw(g: LyapunovGraph, st: GSGraphStatus) -> bool:
 
 
 def _first_family(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    return all(lemma_firstfamily_ok(semigraph(g, vid)) for vid in g.vertices)
+    return all(lemma_firstfamily_ok(sg) for sg in st.semigraphs.values())
 
 
 def _second_family(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    return all(lemma_familyB_ok(semigraph(g, vid)) for vid in g.vertices)
+    return all(lemma_familyB_ok(sg) for sg in st.semigraphs.values())
 
 
 # The sufficient conditions in dispatch order: (theorem, edge family,
@@ -320,12 +331,14 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     necessary conditions, the sufficient-condition dispatch, and finally the
     bounded exhaustive search when a bound is given.  The bound is clamped
     to `MAX_ENUM_WEIGHT`, the heaviest weight whose forms are enumerated.
+    An invalid or open graph raises `InvalidGraphError`, before a bound
+    below 1 raises `ValueError`.
     """
-    if search_bound is not None and search_bound < 1:
-        raise ValueError(f"search bound must be >= 1, got {search_bound}")
     status = classify_graph(g)
     if not g.is_closed():
-        raise ValueError("realization is defined for closed graphs")
+        raise InvalidGraphError("realization is defined for closed graphs")
+    if search_bound is not None and search_bound < 1:
+        raise ValueError(f"search bound must be >= 1, got {search_bound}")
     if not status.is_gs:
         bad = tuple(vid for vid, v in status.verdicts.items() if not v.ok)
         reasons = {vid: status.verdicts[vid].reason for vid in bad}

@@ -35,6 +35,7 @@ from gsflows.model import (
     ph_residual,
     reverse_semigraph,
 )
+from gsflows.realize import lemma_familyB_ok, lemma_firstfamily_ok
 
 T = SingularityType
 N = Nature
@@ -149,7 +150,9 @@ class TestMirrorRule:
             for b_in in itertools.product(range(1, 7), repeat=entry.e_plus):
                 for b_out in itertools.product(range(1, 7), repeat=entry.e_minus):
                     s = SemiGraph(entry.label, b_in, b_out)
-                    assert local_realizable(s) == local_realizable(reverse_semigraph(s))
+                    r = reverse_semigraph(s)
+                    for predicate in (local_realizable, lemma_firstfamily_ok, lemma_familyB_ok):
+                        assert predicate(s) == predicate(r), (predicate.__name__, s)
                     cases += 1
         assert cases == 25104
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -165,3 +166,62 @@ def test_realize_symmetric_chain(tmp_path, capsys):
     assert report["status"] == "realizable" and report["theorem"] == "Thm7"
     forms = [parse_manifold(form) for form in report["certificate"].values()]
     assert max(m.total_weight for m in forms) == 20
+
+
+CYCLIC = "gsgraph v1\nvertex a R s\nvertex b R s\nedge a b 1\nedge b a 1\n"
+OPEN_GRAPH = "gsgraph v1\nvertex v R a\nedge OPEN v 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [(CYCLIC, []), (OPEN_GRAPH, []), (CYCLIC, ["--search-bound", "0"])],
+    ids=["cyclic", "open", "cyclic-bound-0"],
+)
+def test_realize_rejects_invalid_graph(tmp_path, capsys, text, extra):
+    path = tmp_path / "bad.gs"
+    path.write_text(text)
+    assert main(["realize", str(path), *extra]) == EX_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "realize requires a structurally valid closed graph\n"
+
+
+def test_realize_validates_once(sphere_file, capsys, monkeypatch):
+    modules = [importlib.import_module(f"gsflows.{name}") for name in ("cli", "realize")]
+    validate = modules[1].validate_graph
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return validate(g)
+
+    for module in modules:
+        monkeypatch.setattr(module, "validate_graph", counting)
+    assert main(["realize", sphere_file]) == EX_OK
+    assert len(calls) == 1
+
+
+def test_parser_reused_across_calls(tmp_path, sphere_file, capsys):
+    from gsflows.cli import build_parser
+
+    assert build_parser() is build_parser()
+    nr = tmp_path / "nr.gs"
+    nr.write_text(NON_REALIZABLE)
+    assert main(["realize", str(nr), "--search-bound", "3"]) == EX_FAIL
+    assert json.loads(capsys.readouterr().out)["searched_bound"] == 3
+    assert main(["realize", str(nr)]) == EX_UNKNOWN
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "unknown" and report["searched_bound"] == 0
+
+    assert main(["catalog", "--json"]) == EX_OK
+    assert len(json.loads(capsys.readouterr().out)["entries"]) == 33
+    assert main(["catalog", "--type", "D"]) == EX_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 14 and all("(D," in line for line in lines[:-1])
+
+    assert main(["realize", sphere_file, "--frobnicate"]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --frobnicate" in captured.err
+    assert main(["realize", sphere_file]) == EX_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["status"] == "realizable"

@@ -20,6 +20,7 @@ from gsflows.realize import (
     REALIZABLE,
     UNKNOWN,
     CONDITIONS,
+    InvalidGraphError,
     check_condition,
     classify_graph,
     lemma_familyB_ok,
@@ -301,6 +302,19 @@ class TestRealize:
     def test_bound_below_one_rejected(self, bound):
         with pytest.raises(ValueError, match="search bound must be >= 1"):
             realize(SEARCH_ONLY, search_bound=bound)
+
+    def test_invalid_graph_error_precedes_bound_check(self):
+        cyclic = G([("a", "R", "s"), ("b", "R", "s")], [("a", "b", 1), ("b", "a", 1)])
+        open_graph = G([("a", "R", "a")], [(None, "a", 1)])
+        for g in (cyclic, open_graph):
+            for bound in (None, 0, 3):
+                with pytest.raises(InvalidGraphError):
+                    realize(g, search_bound=bound)
+        with pytest.raises(InvalidGraphError):
+            classify_graph(cyclic)
+        with pytest.raises(ValueError) as err:
+            realize(SEARCH_ONLY, search_bound=0)
+        assert not isinstance(err.value, InvalidGraphError)
 
     def test_bound_clamped_to_enumeration_cap(self):
         # Undecided: the triple-crossing attractor rules out every condition.
