@@ -11,6 +11,11 @@ homeomorphism, and `enumerate_connected` counts classes under it.  It grows
 the connected forms weight by weight from the circle by the point
 identification rewrite (`identify_points`), keeping one canonical
 representative of each class, up to `MAX_ENUM_WEIGHT`.
+
+`split_off` inverts a same-component identification: it splits a branch
+point into two interior points, one per pairing of its four arc ends.  The
+down-set of a component (`down_set`), its closure under `split_off`, holds
+every connected form that identifications can grow into it.
 """
 
 from __future__ import annotations
@@ -492,10 +497,10 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
     canonical results of one same-component `identify_points` step on every
     form of weight w - 1, at both slots of one arc or at slot 0 of two
     distinct arcs, deduplicated as a set.  Every connected form is reached:
-    splitting a branch point into two interior points undoes the step, and
-    pairing its four arc ends as an Euler tour of the 4-regular component
-    passes through it keeps the component connected, so every connected form
-    has a connected parent one weight lower.
+    `split_off` undoes the step, and pairing a branch point's four arc ends
+    as an Euler tour of the 4-regular component passes through it keeps the
+    component connected, so every connected form has a connected parent one
+    weight lower.
     """
     if w < 1:
         raise ValueError("weight must be >= 1")
@@ -511,6 +516,45 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
                     grown.add(identify_points(m, ArcPosition(0, i), p).components[0])
         _FORMS.append(sorted(grown))
     return list(_FORMS[w - 1])
+
+
+def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:
+    """Connected results of splitting branch point v into two interior points.
+
+    The four arc ends at v are paired in each of the three ways, and each
+    pair is joined at a new interior point.  This is the inverse of a
+    same-component `identify_points`: every result weighs one less than c,
+    and identifying its two new points gives c back.  Disconnected results
+    are dropped; the rest are returned distinct and sorted.
+    """
+    if c.is_circle or not 0 <= v < c.order:
+        raise ValueError(f"component has no branch point {v}")
+    ends = [(i, k) for i, arc in enumerate(c.arcs) for k in (0, 1) if arc[k] == v]
+    x, y = c.order, c.order + 1
+    out = set()
+    for partner in (1, 2, 3):
+        edges = [list(arc) for arc in c.arcs]
+        for n, (i, k) in enumerate(ends):
+            edges[i][k] = x if n in (0, partner) else y
+        m = manifold_from_arcs(edges)
+        if len(m.components) == 1:
+            out.add(m.components[0])
+    return sorted(out)
+
+
+_DOWN_SETS: dict[BranchedComponent, frozenset[BranchedComponent]] = {}
+
+
+def down_set(c: BranchedComponent) -> frozenset[BranchedComponent]:
+    """Every connected form that same-component identifications grow into c.
+
+    The closure of c under `split_off`, c included, memoised per component.
+    """
+    found = _DOWN_SETS.get(c)
+    if found is None:
+        found = frozenset([c]).union(*(down_set(p) for v in range(c.order) for p in split_off(c, v)))
+        _DOWN_SETS[c] = found
+    return found
 
 
 @dataclass(frozen=True)

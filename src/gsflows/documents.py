@@ -159,7 +159,9 @@ def report_document(g: LyapunovGraph, verdict: RealizationVerdict) -> dict:
     cert = None
     if verdict.certificate is not None:
         cert = {str(i): m.encode() for i, m in sorted(verdict.certificate.items())}
-    chi = euler_gs(g)
+    # `realize` fills both in; a verdict built elsewhere may leave them out.
+    chi = euler_gs(g) if verdict.euler is None else verdict.euler
+    balanced = fold_balance(g) if verdict.fold_balance is None else verdict.fold_balance
     return {
         "version": REPORT_VERSION,
         "status": verdict.status,
@@ -173,7 +175,7 @@ def report_document(g: LyapunovGraph, verdict: RealizationVerdict) -> dict:
             "nature_formula": _fraction_str(chi),
             "integer": chi.denominator == 1,
         },
-        "fold_balance": fold_balance(g),
+        "fold_balance": balanced,
     }
 
 

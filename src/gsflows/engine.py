@@ -25,13 +25,31 @@ one with the greater key is answered as the mirrored query on the other.
 State isomorphism must respect sides, vertex kinds, dead arcs and the band
 pairing, so states are keyed as coloured multigraphs with one auxiliary node
 per band.
+
+A feasibility query with a target prunes its walk to states that can still
+grow into that target.  Each move identifies two points of one component on
+each side, so components never merge and each grows by same-component point
+identifications.  A state can therefore reach the target pair only if, on
+each side, its components lie in the down-sets (`branched.down_set`, the
+closure under `branched.split_off`) of distinct target components.  The
+test is necessary, so the prune never loses a reachable target; a node is
+tested only before its first expansion, the one step that canonizes new
+states.  Walks without a target, and closures, are not pruned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
-from .branched import Branched1Manifold, canonical_labelling, manifold_from_arcs
+from .branched import (
+    Branched1Manifold,
+    BranchedComponent,
+    canonical_labelling,
+    down_set,
+    manifold_from_arcs,
+    parse_manifold,
+)
 
 BRANCH = "b"
 MARKER = "k"
@@ -265,7 +283,7 @@ def state_key(state: BlockState) -> tuple:
 class _Node:
     """One isomorphism class of block states in the state graph."""
 
-    __slots__ = ("key", "state", "weights", "pair", "succ")
+    __slots__ = ("key", "state", "weights", "pair", "comps", "succ")
 
     def __init__(self, key: tuple, state: BlockState) -> None:
         self.key = key
@@ -275,8 +293,10 @@ class _Node:
             tuple(sorted(side_weights(state.plus_kinds, state.plus_arcs))),
             tuple(sorted(side_weights(state.minus_kinds, state.minus_arcs))),
         )
-        #: Encoded form pair, filled when first needed.
+        #: Encoded form pair and the components of each side, filled
+        #: together when first needed.
         self.pair: tuple[str, str] | None = None
+        self.comps: tuple[tuple[BranchedComponent, ...], ...] | None = None
         #: Distinct successor nodes, filled the first time the node is expanded.
         self.succ: tuple[_Node, ...] | None = None
 
@@ -327,11 +347,38 @@ def _encode_side(m: Branched1Manifold | None) -> str:
     return "" if m is None else m.encode()
 
 
+def _read_forms(node: _Node) -> None:
+    p, q = state_forms(node.state)
+    node.pair = (_encode_side(p), _encode_side(q))
+    node.comps = tuple(() if m is None else m.components for m in (p, q))
+
+
 def _pair(node: _Node) -> tuple[str, str]:
     if node.pair is None:
-        p, q = state_forms(node.state)
-        node.pair = (_encode_side(p), _encode_side(q))
+        _read_forms(node)
     return node.pair
+
+
+#: Per encoded side of a target, the down-set of each of its components.
+_SIDE_DOWN_SETS: dict[str, tuple[frozenset[BranchedComponent], ...]] = {}
+
+
+def _side_down_sets(text: str) -> tuple[frozenset[BranchedComponent], ...]:
+    found = _SIDE_DOWN_SETS.get(text)
+    if found is None:
+        comps = parse_manifold(text).components if text else ()
+        found = _SIDE_DOWN_SETS[text] = tuple(down_set(c) for c in comps)
+    return found
+
+
+def _can_grow_into(node: _Node, downs) -> bool:
+    """Whether each side's components lie in the down-sets of distinct target components."""
+    if node.comps is None:
+        _read_forms(node)
+    return all(
+        any(all(c in d for c, d in zip(comps, order)) for order in permutations(sets))
+        for comps, sets in zip(node.comps, downs)
+    )
 
 
 def _swapped(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -359,8 +406,10 @@ def reachable_pairs_capped(
     weights only grow, so any state already exceeding the sorted target
     weights on either side is a dead end.  Every state's depth is fixed by
     its weights, so depth-first traversal with a plain visited set is
-    exhaustive; with a `target` the traversal stops at the first hit and
-    returns a partial set containing it.
+    exhaustive.  With a `target`, a state is expanded only if it can still
+    grow into the target, and the traversal stops at the first hit: the
+    returned set contains the target exactly when it is reachable, and is
+    otherwise partial.
     """
     root, mirrored = _GRAPH.root(initial)
     if not mirrored:
@@ -378,8 +427,16 @@ def _capped_walk(root: _Node, plus_caps, minus_caps, target) -> set[tuple[str, s
     found: set[tuple[str, str]] = set()
     seen = {root}
     stack = [(root, 0)]
+    downs = None
     while stack:
         node, d = stack.pop()
+        if node.succ is None and d and target is not None:
+            # Only a first expansion costs canonizations, so only an
+            # unexpanded node is tested against the target's down-sets.
+            if downs is None:
+                downs = tuple(map(_side_down_sets, target))
+            if not _can_grow_into(node, downs):
+                continue
         for succ in _GRAPH.expand(node):
             if succ in seen or not _fits(succ, plus_caps, minus_caps):
                 continue

@@ -14,7 +14,8 @@ non-realizability within the bound, or reports the question as open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 from .blocks import LocalVerdict, boundary_feasible, local_realizable
 from .branched import (
@@ -61,6 +62,9 @@ class RealizationVerdict:
     witness: tuple = ()
     reason: str | None = None
     searched_bound: int = 0
+    #: The graph's `euler_gs` and `fold_balance`, which every report shows.
+    euler: Fraction | None = None
+    fold_balance: bool | None = None
 
     @property
     def realizable(self) -> bool:
@@ -273,12 +277,25 @@ def verify_certificate(g: LyapunovGraph, cert) -> bool:
         for form in (src_form, dst_form):
             if len(form.components) != 1 or form.total_weight != e.weight:
                 return False
+    in_edges, out_edges = _incidence(g)
     for vid, label in g.vertices.items():
-        ins = [_edge_form(cert, i, "dst") for i, e in enumerate(g.edges) if e.dst == vid]
-        outs = [_edge_form(cert, i, "src") for i, e in enumerate(g.edges) if e.src == vid]
+        ins = [_edge_form(cert, i, "dst") for i in in_edges[vid]]
+        outs = [_edge_form(cert, i, "src") for i in out_edges[vid]]
         if not boundary_feasible(label, ins, outs):
             return False
     return True
+
+
+def _incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Indices of each vertex's entering and exiting edges, in edge order."""
+    in_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    out_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    for i, e in enumerate(g.edges):
+        if e.dst in in_edges:
+            in_edges[e.dst].append(i)
+        if e.src in out_edges:
+            out_edges[e.src].append(i)
+    return in_edges, out_edges
 
 
 def _search(g: LyapunovGraph, bound: int) -> RealizationVerdict:
@@ -287,19 +304,16 @@ def _search(g: LyapunovGraph, bound: int) -> RealizationVerdict:
     for e in g.edges:
         forms = [manifold([c]) for c in enumerate_connected(e.weight)]
         candidates.append(sorted(forms, key=lambda m: m.encode()))
-    vertex_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    for i, e in enumerate(g.edges):
-        vertex_edges[e.src].append(i)
-        vertex_edges[e.dst].append(i)
+    in_edges, out_edges = _incidence(g)
     check_after: dict[int, list[str]] = {i: [] for i in range(len(g.edges))}
-    for vid, idxs in vertex_edges.items():
-        check_after[max(idxs)].append(vid)
+    for vid in g.vertices:
+        check_after[max(in_edges[vid] + out_edges[vid])].append(vid)
 
     assignment: Certificate = {}
 
     def feasible_at(vid: str) -> bool:
-        ins = [assignment[i] for i, e in enumerate(g.edges) if e.dst == vid]
-        outs = [assignment[i] for i, e in enumerate(g.edges) if e.src == vid]
+        ins = [assignment[i] for i in in_edges[vid]]
+        outs = [assignment[i] for i in out_edges[vid]]
         return boundary_feasible(g.vertices[vid], ins, outs)
 
     def backtrack(idx: int) -> bool:
@@ -339,24 +353,28 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
         raise InvalidGraphError("realization is defined for closed graphs")
     if search_bound is not None and search_bound < 1:
         raise ValueError(f"search bound must be >= 1, got {search_bound}")
+    chi, balanced = euler_gs(g), fold_balance(g)
+
+    def verdict(status: str, **fields) -> RealizationVerdict:
+        return RealizationVerdict(status, euler=chi, fold_balance=balanced, **fields)
+
     if not status.is_gs:
         bad = tuple(vid for vid, v in status.verdicts.items() if not v.ok)
         reasons = {vid: status.verdicts[vid].reason for vid in bad}
-        return RealizationVerdict(
-            NOT_REALIZABLE, witness=bad, reason="local: " + ", ".join(f"{v}={r}" for v, r in reasons.items())
-        )
-    if not fold_balance(g):
-        return RealizationVerdict(NOT_REALIZABLE, reason="fold-imbalance")
-    if euler_gs(g).denominator != 1:
-        return RealizationVerdict(NOT_REALIZABLE, reason="fractional-euler-characteristic")
+        reason = "local: " + ", ".join(f"{v}={r}" for v, r in reasons.items())
+        return verdict(NOT_REALIZABLE, witness=bad, reason=reason)
+    if not balanced:
+        return verdict(NOT_REALIZABLE, reason="fold-imbalance")
+    if chi.denominator != 1:
+        return verdict(NOT_REALIZABLE, reason="fractional-euler-characteristic")
 
     for theorem, family, applies in CONDITIONS:
         if applies(g, status):
-            return RealizationVerdict(REALIZABLE, theorem=theorem, certificate=_uniform(g, family))
+            return verdict(REALIZABLE, theorem=theorem, certificate=_uniform(g, family))
 
     if search_bound is None:
-        return RealizationVerdict(UNKNOWN, searched_bound=0)
+        return verdict(UNKNOWN, searched_bound=0)
     bound = min(search_bound, MAX_ENUM_WEIGHT)
     if any(e.weight > bound for e in g.edges):
-        return RealizationVerdict(UNKNOWN, searched_bound=bound)
-    return _search(g, bound)
+        return verdict(UNKNOWN, searched_bound=bound)
+    return replace(_search(g, bound), euler=chi, fold_balance=balanced)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,8 @@ from gsflows.blocks import (
     shape_for,
 )
 from gsflows.branched import (
+    CIRCLE,
+    down_set,
     enumerate_connected,
     family_A,
     family_B,
@@ -23,7 +26,16 @@ from gsflows.branched import (
     manifold,
     parse_manifold,
 )
-from gsflows.engine import DEAD, BlockState, state_forms, state_key, state_totals, successors
+from gsflows import engine
+from gsflows.engine import (
+    DEAD,
+    BlockState,
+    reachable_pairs_capped,
+    state_forms,
+    state_key,
+    state_totals,
+    successors,
+)
 from gsflows.model import (
     Nature,
     SemiGraph,
@@ -422,10 +434,10 @@ class TestBoundaryFeasible:
         assert not boundary_feasible(lab("R", "a"), [family_minimal(1)], [family_minimal(1)])
 
     def test_states_are_expanded_once(self, monkeypatch):
-        # After one miss with caps (5,) -> (4,), every query with these caps,
-        # and every mirrored query with caps (4,) -> (5,), walks states that
-        # are already expanded.
-        assert not boundary_feasible(lab("W", "s_s"), [family_A(5)], [family_B(4)])
+        # On a fresh state graph, the queries with caps (5,) -> (4,) and their
+        # mirrors with caps (4,) -> (5,) expand no state twice, and a second
+        # pass over the same queries expands nothing.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         calls = []
 
         def counting(state):
@@ -435,7 +447,69 @@ class TestBoundaryFeasible:
         monkeypatch.setattr("gsflows.engine.successors", counting)
         fives = [manifold([c]) for c in enumerate_connected(5)]
         fours = [manifold([c]) for c in enumerate_connected(4)]
-        for five, four in itertools.product(fives, fours):
-            boundary_feasible(lab("W", "s_s"), [five], [four])
-            boundary_feasible(lab("W", "s_u"), [four], [five])
+
+        def run():
+            for five, four in itertools.product(fives, fours):
+                boundary_feasible(lab("W", "s_s"), [five], [four])
+                boundary_feasible(lab("W", "s_u"), [four], [five])
+
+        run()
+        keys = [state_key(s) for s in calls]
+        assert keys and len(set(keys)) == len(keys)
+        calls.clear()
+        run()
         assert calls == []
+
+    def test_prune_matches_components_in_any_order(self):
+        # Sorted targets rarely need it at catalog sizes, but a state's
+        # components may match the target's in any order.
+        three_a, three_b = family_minimal(3).components[0], family_A(3).components[0]
+        node = SimpleNamespace(comps=((CIRCLE, three_a), ()))
+        assert engine._can_grow_into(node, ((down_set(three_a), down_set(three_b)), ()))
+        assert not engine._can_grow_into(node, ((down_set(three_b), down_set(three_b)), ()))
+
+    def test_targeted_walk_agrees_with_unpruned_walk(self, monkeypatch):
+        # Every catalog block and its reversal, per-side cap totals up to 6,
+        # depth up to 2, every target pair of the cap weights: the pruned
+        # walk reaches the target exactly when the walk without a target
+        # does.  Each side runs on a fresh state graph.
+        queries = []
+        for block in minimal_block_catalog():
+            for entry in (block, block.reversed()):
+                for k in range(3):
+                    tp, tm = sum(entry.min_in) + k, sum(entry.min_out) + k
+                    if tp > 6 or tm > 6:
+                        continue
+                    for caps_p in _partitions(tp, entry.e_plus):
+                        for caps_m in _partitions(tm, entry.e_minus):
+                            for target in itertools.product(_side_targets(caps_p), _side_targets(caps_m)):
+                                queries.append((entry.state, caps_p, caps_m, target))
+
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        pruned = [t in reachable_pairs_capped(s, p, m, t) for s, p, m, t in queries]
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        walks = {}
+        for s, p, m, _ in queries:
+            if (s, p, m) not in walks:
+                walks[s, p, m] = reachable_pairs_capped(s, p, m)
+        unpruned = [t in walks[s, p, m] for s, p, m, t in queries]
+        assert len(queries) > 1000 and 0 < sum(unpruned) < len(queries)
+        assert pruned == unpruned
+
+
+def _partitions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Sorted tuples of `parts` positive weights summing to `total`."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [
+        caps
+        for caps in itertools.combinations_with_replacement(range(1, total + 1), parts)
+        if sum(caps) == total
+    ]
+
+
+def _side_targets(caps: tuple[int, ...]) -> set[str]:
+    """Encodings of every disjoint union of connected forms with these weights."""
+    if not caps:
+        return {""}
+    return {manifold(comps).encode() for comps in itertools.product(*(enumerate_connected(w) for w in caps))}

@@ -14,6 +14,7 @@ from gsflows.branched import (
     canonical_component,
     canonical_labelling,
     circle_manifold,
+    down_set,
     enumerate_connected,
     family_A,
     family_B,
@@ -24,6 +25,7 @@ from gsflows.branched import (
     manifold,
     parse_manifold,
     puncture,
+    split_off,
     weight,
 )
 
@@ -167,6 +169,56 @@ class TestIdentifyPoints:
             else:
                 assert result.total_weight == m.total_weight
                 assert len(result.components) == len(m.components) - 1
+
+
+def _grown(form: BranchedComponent) -> set[BranchedComponent]:
+    """Results of one same-component identification, as in the growth step."""
+    m = manifold([form])
+    n = 1 if form.is_circle else len(form.arcs)
+    return {
+        identify_points(m, ArcPosition(0, i), p).components[0]
+        for i in range(n)
+        for p in [ArcPosition(0, i, 1)] + [ArcPosition(0, j) for j in range(i + 1, n)]
+    }
+
+
+class TestSplitOff:
+    def test_inverts_growth(self):
+        # The connected split-offs of a form, over all its branch points, are
+        # exactly the forms one weight lower whose growth step yields it.
+        for w in range(2, 8):
+            parents: dict[BranchedComponent, set[BranchedComponent]] = {}
+            for form in enumerate_connected(w - 1):
+                for child in _grown(form):
+                    parents.setdefault(child, set()).add(form)
+            for form in enumerate_connected(w):
+                results = [p for v in range(form.order) for p in split_off(form, v)]
+                assert set(results) == parents[form], form
+                assert all(p.weight == w - 1 for p in results)
+
+    def test_figure_eight(self):
+        assert split_off(figure_eight(), 0) == [CIRCLE]
+        assert down_set(figure_eight()) == {figure_eight(), CIRCLE}
+
+    def test_circle(self):
+        with pytest.raises(ValueError):
+            split_off(CIRCLE, 0)
+        assert down_set(CIRCLE) == {CIRCLE}
+
+    def test_bad_vertex(self):
+        with pytest.raises(ValueError):
+            split_off(THREE_A, 2)
+
+    def test_down_set_is_growth_ancestry(self):
+        # Every form from which repeated growth reaches the form, itself included.
+        below: dict[BranchedComponent, set[BranchedComponent]] = {CIRCLE: {CIRCLE}}
+        for w in range(1, 6):
+            for form in enumerate_connected(w):
+                for child in _grown(form):
+                    below.setdefault(child, {child}).update(below[form])
+        for w in range(1, 7):
+            for form in enumerate_connected(w):
+                assert down_set(form) == below[form], form
 
 
 class TestPuncture:

@@ -201,6 +201,28 @@ def test_realize_validates_once(sphere_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_realize_reads_euler_and_fold_balance_once(sphere_file, tmp_path, capsys, monkeypatch):
+    modules = [importlib.import_module(f"gsflows.{name}") for name in ("cli", "realize", "documents")]
+    calls = []
+    for name in ("euler_gs", "fold_balance"):
+        fn = getattr(modules[1], name)
+
+        def counting(g, name=name, fn=fn):
+            calls.append(name)
+            return fn(g)
+
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    nr = tmp_path / "nr.gs"
+    nr.write_text(NON_REALIZABLE)
+    for path, code in ((sphere_file, EX_OK), (str(nr), EX_UNKNOWN)):
+        calls.clear()
+        assert main(["realize", path]) == code
+        assert sorted(calls) == ["euler_gs", "fold_balance"]
+    capsys.readouterr()
+
+
 def test_parser_reused_across_calls(tmp_path, sphere_file, capsys):
     from gsflows.cli import build_parser
 
