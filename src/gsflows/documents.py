@@ -27,8 +27,6 @@ from .model import (
     LyapunovGraph,
     VertexLabel,
     euler_conley,
-    euler_gs,
-    fold_balance,
     parse_nature,
     parse_type,
 )
@@ -159,9 +157,7 @@ def report_document(g: LyapunovGraph, verdict: RealizationVerdict) -> dict:
     cert = None
     if verdict.certificate is not None:
         cert = {str(i): m.encode() for i, m in sorted(verdict.certificate.items())}
-    # `realize` fills both in; a verdict built elsewhere may leave them out.
-    chi = euler_gs(g) if verdict.euler is None else verdict.euler
-    balanced = fold_balance(g) if verdict.fold_balance is None else verdict.fold_balance
+    chi = verdict.euler
     return {
         "version": REPORT_VERSION,
         "status": verdict.status,
@@ -175,7 +171,7 @@ def report_document(g: LyapunovGraph, verdict: RealizationVerdict) -> dict:
             "nature_formula": _fraction_str(chi),
             "integer": chi.denominator == 1,
         },
-        "fold_balance": balanced,
+        "fold_balance": verdict.fold_balance,
     }
 
 

@@ -14,7 +14,7 @@ non-realizability within the bound, or reports the question as open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blocks import LocalVerdict, boundary_feasible, local_realizable
@@ -63,8 +63,8 @@ class RealizationVerdict:
     reason: str | None = None
     searched_bound: int = 0
     #: The graph's `euler_gs` and `fold_balance`, which every report shows.
-    euler: Fraction | None = None
-    fold_balance: bool | None = None
+    euler: Fraction = field(kw_only=True)
+    fold_balance: bool = field(kw_only=True)
 
     @property
     def realizable(self) -> bool:
@@ -298,8 +298,11 @@ def _incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[i
     return in_edges, out_edges
 
 
-def _search(g: LyapunovGraph, bound: int) -> RealizationVerdict:
-    """Exhaustive per-edge assignment over all forms of each edge weight."""
+def _search(g: LyapunovGraph, bound: int) -> Certificate | None:
+    """Exhaustive per-edge assignment over all forms of each edge weight.
+
+    Returns the first block-feasible assignment found, or None.
+    """
     candidates: list[list[Branched1Manifold]] = []
     for e in g.edges:
         forms = [manifold([c]) for c in enumerate_connected(e.weight)]
@@ -326,16 +329,7 @@ def _search(g: LyapunovGraph, bound: int) -> RealizationVerdict:
             del assignment[idx]
         return False
 
-    if backtrack(0):
-        return RealizationVerdict(
-            REALIZABLE, theorem="Search", certificate=dict(assignment), searched_bound=bound
-        )
-    return RealizationVerdict(
-        NOT_REALIZABLE,
-        reason="search-exhausted",
-        witness=tuple(range(len(g.edges))),
-        searched_bound=bound,
-    )
+    return dict(assignment) if backtrack(0) else None
 
 
 def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVerdict:
@@ -377,4 +371,12 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     bound = min(search_bound, MAX_ENUM_WEIGHT)
     if any(e.weight > bound for e in g.edges):
         return verdict(UNKNOWN, searched_bound=bound)
-    return replace(_search(g, bound), euler=chi, fold_balance=balanced)
+    cert = _search(g, bound)
+    if cert is not None:
+        return verdict(REALIZABLE, theorem="Search", certificate=cert, searched_bound=bound)
+    return verdict(
+        NOT_REALIZABLE,
+        reason="search-exhausted",
+        witness=tuple(range(len(g.edges))),
+        searched_bound=bound,
+    )

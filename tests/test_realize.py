@@ -358,9 +358,9 @@ class TestSearchAgreement:
             g = gen_random_gs_graph(seed, size=4 + seed % 4, minimal=True)
             by_theorem = realize(g)
             assert by_theorem.theorem == "Thm6"
-            by_search = realize_search_only(g)
-            assert by_search.realizable and by_search.theorem == "Search"
-            assert verify_certificate(g, by_search.certificate)
+            by_search = search_only(g)
+            assert by_search is not None
+            assert verify_certificate(g, by_search)
 
     def test_realizable_graphs_pass_necessary_checks(self):
         for seed in range(50):
@@ -371,7 +371,7 @@ class TestSearchAgreement:
                 assert euler_gs(g).denominator == 1
 
 
-def realize_search_only(g):
+def search_only(g):
     from gsflows.realize import _search
 
     return _search(g, 7)
