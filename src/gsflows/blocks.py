@@ -5,7 +5,11 @@ and flow reversal, each with its boundary forms and flow-band state; the
 per-type counts are 3, 3, 3, 13 and 11 for the plane, cone, Whitney, double
 and triple crossing charts.  Several double- and triple-crossing boundary
 assignments are reconstructions and carry a provisional flag; the totals and
-the per-shape boundary option sets are the binding data.
+the per-shape boundary option sets are the binding data.  The catalog is the
+table `_CATALOG`, one row per block: name, singularity type and nature, the
+entering and exiting vertex kinds, the dead entering arcs, the flow bands as
+(entering arc, exiting arc) vertex pairs, and the orientable and provisional
+flags.  `_block_state` turns a row into its `BlockState`.
 
 The shape catalog is read off the block catalog: the admissible semi-graph
 shapes (label, indegree, outdegree) are those of the blocks and their
@@ -27,7 +31,7 @@ from functools import lru_cache
 
 from . import engine
 from .branched import Branched1Manifold
-from .engine import BlockState, StateBuilder
+from .engine import BlockState
 from .model import (
     Nature,
     SemiGraph,
@@ -309,356 +313,102 @@ class CatalogEntry:
         )
 
 
-def _bare_plus_form(b: StateBuilder, arcs: list[tuple[int, int]], order: int) -> list[int]:
-    verts = [b.branch("+") for _ in range(order)]
-    for u, v in arcs:
-        b.dead("+", verts[u], verts[v])
-    return verts
+# Triple-crossing saddle blocks: four branch points on the attractor-sheet
+# circle (its four dead arcs), and the saddle sheets' live entering arcs in
+# one of five patterns, each joined in band order to one of three exits.
+_TSSA_DEAD = ((0, 1), (1, 2), (2, 3), (3, 0))
+_TSSA_IN = {
+    "C4L": ((0, 0), (1, 1), (2, 2), (3, 3)),
+    "LL-adj": ((0, 0), (1, 1), (2, 3), (3, 2)),
+    "LL-opp": ((0, 0), (2, 2), (1, 3), (3, 1)),
+    "SS-adj": ((0, 1), (1, 0), (2, 3), (3, 2)),
+    "SS-cross": ((0, 2), (2, 0), (1, 3), (3, 1)),
+}
+_TSSA_OUT = {
+    "3a": ((0, 1), (1, 0), (0, 1), (1, 0)),
+    # Bands 0/1 run along the two-sheet circle, bands 2/3 are the loops.
+    "3b": ((0, 1), (1, 0), (0, 0), (1, 1)),
+    "f8f8": ((0, 0), (1, 1), (0, 0), (1, 1)),
+}
+_TSSA = (("C4L", "3a"), ("LL-adj", "3a"), ("SS-adj", "3a"), ("SS-cross", "3a"), ("LL-adj", "3b"),
+         ("LL-opp", "3b"), ("SS-adj", "3b"), ("SS-cross", "3b"), ("SS-adj", "f8f8"), ("SS-cross", "f8f8"))
 
-
-def _circle_with_markers(b: StateBuilder, side: str, k: int) -> list[int]:
-    return [b.marker(side) for _ in range(k)]
-
-
-def _build_r_a() -> BlockState:
-    b = StateBuilder()
-    b.bare_circle("+")
-    return b.build()
-
-
-def _build_r_s_11() -> BlockState:
-    b = StateBuilder()
-    q1, q2 = _circle_with_markers(b, "+", 2)
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    b.band(q1, q2, u1, u2)
-    b.band(q2, q1, u2, u1)
-    return b.build()
-
-
-def _build_r_s_12() -> BlockState:
-    b = StateBuilder()
-    q1, q2 = _circle_with_markers(b, "+", 2)
-    u1 = b.marker("-")
-    u2 = b.marker("-")
-    b.band(q1, q2, u1, u1)
-    b.band(q2, q1, u2, u2)
-    return b.build()
-
-
-def _build_c_a() -> BlockState:
-    b = StateBuilder()
-    b.bare_circle("+")
-    b.bare_circle("+")
-    return b.build()
-
-
-def _build_c_s_11() -> BlockState:
-    b = StateBuilder()
-    p = [b.marker("+") for _ in range(6)]
-    m = [b.marker("-") for _ in range(6)]
-    for i in range(6):
-        b.band(p[i], p[(i + 1) % 6], m[i], m[(i + 1) % 6])
-    return b.build()
-
-
-def _build_c_s_22() -> BlockState:
-    b = StateBuilder()
-    for _ in range(2):
-        s = b.marker("+")
-        u = b.marker("-")
-        b.band(s, s, u, u)
-    return b.build()
-
-
-def _build_w_a() -> BlockState:
-    b = StateBuilder()
-    v = b.branch("+")
-    b.dead("+", v, v)
-    b.dead("+", v, v)
-    return b.build()
-
-
-def _build_w_ss_11() -> BlockState:
-    b = StateBuilder()
-    v = b.branch("+")
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    b.band(v, v, u1, u2)
-    b.band(v, v, u2, u1)
-    return b.build()
-
-
-def _build_w_ss_12() -> BlockState:
-    b = StateBuilder()
-    v = b.branch("+")
-    u1 = b.marker("-")
-    u2 = b.marker("-")
-    b.band(v, v, u1, u1)
-    b.band(v, v, u2, u2)
-    return b.build()
-
-
-def _build_d_a() -> BlockState:
-    b = StateBuilder()
-    _bare_plus_form(b, [(0, 1)] * 4, 2)
-    return b.build()
-
-
-def _build_d_sa_11_orientable() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    b.dead("+", v1, v2)
-    b.dead("+", v1, v2)
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    b.band(v1, v1, u1, u2)
-    b.band(v2, v2, u2, u1)
-    return b.build()
-
-
-def _build_d_sa_11_nonorientable() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    b.dead("+", v1, v2)
-    b.dead("+", v1, v2)
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    b.band(v1, v2, u1, u2)
-    b.band(v2, v1, u2, u1)
-    return b.build()
-
-
-def _build_d_sa_12() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    b.dead("+", v1, v2)
-    b.dead("+", v1, v2)
-    u1 = b.marker("-")
-    u2 = b.marker("-")
-    b.band(v1, v2, u1, u1)
-    b.band(v2, v1, u2, u2)
-    return b.build()
-
-
-def _build_d_sss_11_a() -> BlockState:
+#: The minimal block catalog, one row per block: name, type, nature,
+#: entering and exiting vertex kinds (b branch point, k marker), dead
+#: entering arcs, bands (pu, pv, mu, mv) joining entering arc (pu, pv) to
+#: exiting arc (mu, mv), orientable, provisional.
+_CATALOG = (
+    ("R_a", _T.REGULAR, _N.A, "k", "", ((0, 0),), (), True, False),
+    ("R_s_11", _T.REGULAR, _N.S, "kk", "kk", (), ((0, 1, 0, 1), (1, 0, 1, 0)), False, False),
+    ("R_s_12", _T.REGULAR, _N.S, "kk", "kk", (), ((0, 1, 0, 0), (1, 0, 1, 1)), True, False),
+    ("C_a", _T.CONE, _N.A, "kk", "", ((0, 0), (1, 1)), (), None, False),
+    ("C_s_11", _T.CONE, _N.S, "kkkkkk", "kkkkkk", (),
+     ((0, 1, 0, 1), (1, 2, 1, 2), (2, 3, 2, 3), (3, 4, 3, 4), (4, 5, 4, 5), (5, 0, 5, 0)), None, False),
+    ("C_s_22", _T.CONE, _N.S, "kk", "kk", (), ((0, 0, 0, 0), (1, 1, 1, 1)), None, False),
+    ("W_a", _T.WHITNEY, _N.A, "b", "", ((0, 0), (0, 0)), (), None, False),
+    ("W_ss_11", _T.WHITNEY, _N.S_S, "b", "kk", (), ((0, 0, 0, 1), (0, 0, 1, 0)), None, False),
+    ("W_ss_12", _T.WHITNEY, _N.S_S, "b", "kk", (), ((0, 0, 0, 0), (0, 0, 1, 1)), None, False),
+    ("D_a", _T.DOUBLE, _N.A, "bb", "", ((0, 1),) * 4, (), None, False),
+    ("D_sa_11_or", _T.DOUBLE, _N.SA, "bb", "kk", ((0, 1),) * 2, ((0, 0, 0, 1), (1, 1, 1, 0)), True, False),
+    ("D_sa_11_non", _T.DOUBLE, _N.SA, "bb", "kk", ((0, 1),) * 2, ((0, 1, 0, 1), (1, 0, 1, 0)), False, False),
+    ("D_sa_12", _T.DOUBLE, _N.SA, "bb", "kk", ((0, 1),) * 2, ((0, 1, 0, 0), (1, 0, 1, 1)), True, False),
     # Crossed stable merge: four parallel arcs; exit circle with four sheets.
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    m = [b.marker("-") for _ in range(4)]
-    b.band(v1, v2, m[0], m[1])
-    b.band(v2, v1, m[1], m[2])
-    b.band(v1, v2, m[2], m[3])
-    b.band(v2, v1, m[3], m[0])
-    return b.build()
-
-
-def _build_d_sss_11_b() -> BlockState:
+    ("D_sss_11_a", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 1, 0, 1), (1, 0, 1, 2), (0, 1, 2, 3), (1, 0, 3, 0)), None, False),
     # Nested stable merge: loop, double arc, loop.
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    m = [b.marker("-") for _ in range(4)]
-    b.band(v1, v2, m[0], m[1])
-    b.band(v2, v2, m[1], m[2])
-    b.band(v2, v1, m[2], m[3])
-    b.band(v1, v1, m[3], m[0])
-    return b.build()
-
-
-def _build_d_sss_21() -> BlockState:
+    ("D_sss_11_b", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 1, 0, 1), (1, 1, 1, 2), (1, 0, 2, 3), (0, 0, 3, 0)), None, False),
     # Each petal of an entering figure eight runs between stable points of
     # the two different saddles, so the four exit points must alternate
     # between the saddle sheets around the exit circle.
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    m = [b.marker("-") for _ in range(4)]
-    b.band(v1, v1, m[0], m[1])
-    b.band(v2, v2, m[1], m[2])
-    b.band(v1, v1, m[2], m[3])
-    b.band(v2, v2, m[3], m[0])
-    return b.build()
+    ("D_sss_21", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 0, 0, 1), (1, 1, 1, 2), (0, 0, 2, 3), (1, 1, 3, 0)), None, True),
+    ("D_sss_12_a", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 2, 3), (1, 0, 3, 2)), None, False),
+    ("D_sss_12_b", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 0, 0, 1), (1, 1, 1, 0), (0, 1, 2, 3), (1, 0, 3, 2)), None, False),
+    ("D_sss_22", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 0, 0, 1), (0, 0, 2, 3), (1, 1, 1, 0), (1, 1, 3, 2)), None, True),
+    ("D_sss_13_a", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 1, 0, 0), (1, 0, 1, 1), (0, 1, 2, 3), (1, 0, 3, 2)), None, False),
+    ("D_sss_13_b", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 0, 0, 1), (1, 1, 1, 0), (0, 1, 2, 2), (1, 0, 3, 3)), None, True),
+    ("D_sss_14", _T.DOUBLE, _N.SS_S, "bb", "kkkk", (),
+     ((0, 1, 0, 0), (1, 0, 1, 1), (0, 1, 2, 2), (1, 0, 3, 3)), None, False),
+    # Every pair of six branch points but {0, 1}, {2, 3} and {4, 5}.
+    ("T_a", _T.TRIPLE, _N.A, "bbbbbb", "",
+     ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)),
+     (), None, False),
+    *(
+        (f"T_ssa_{p}_{m}", _T.TRIPLE, _N.SSA, "bbbb", "bb", _TSSA_DEAD,
+         tuple(a + b for a, b in zip(_TSSA_IN[p], _TSSA_OUT[m])), None, True)
+        for p, m in _TSSA
+    ),
+)
 
 
-def _build_d_sss_12_a() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    w1, w2 = _circle_with_markers(b, "-", 2)
-    b.band(v1, v2, u1, u2)
-    b.band(v2, v1, u2, u1)
-    b.band(v1, v2, w1, w2)
-    b.band(v2, v1, w2, w1)
-    return b.build()
+def _block_state(plus: str, minus: str, dead, bands) -> BlockState:
+    """Block state of one catalog row.
 
-
-def _build_d_sss_12_b() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    w1, w2 = _circle_with_markers(b, "-", 2)
-    b.band(v1, v1, u1, u2)
-    b.band(v2, v2, u2, u1)
-    b.band(v1, v2, w1, w2)
-    b.band(v2, v1, w2, w1)
-    return b.build()
-
-
-def _build_d_sss_22() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    w1, w2 = _circle_with_markers(b, "-", 2)
-    b.band(v1, v1, u1, u2)
-    b.band(v1, v1, w1, w2)
-    b.band(v2, v2, u2, u1)
-    b.band(v2, v2, w2, w1)
-    return b.build()
-
-
-def _build_d_sss_13_a() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    u1 = b.marker("-")
-    u2 = b.marker("-")
-    w1, w2 = _circle_with_markers(b, "-", 2)
-    b.band(v1, v2, u1, u1)
-    b.band(v2, v1, u2, u2)
-    b.band(v1, v2, w1, w2)
-    b.band(v2, v1, w2, w1)
-    return b.build()
-
-
-def _build_d_sss_13_b() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    u1, u2 = _circle_with_markers(b, "-", 2)
-    w1 = b.marker("-")
-    w2 = b.marker("-")
-    b.band(v1, v1, u1, u2)
-    b.band(v2, v2, u2, u1)
-    b.band(v1, v2, w1, w1)
-    b.band(v2, v1, w2, w2)
-    return b.build()
-
-
-def _build_d_sss_14() -> BlockState:
-    b = StateBuilder()
-    v1, v2 = b.branch("+"), b.branch("+")
-    ms = [b.marker("-") for _ in range(4)]
-    b.band(v1, v2, ms[0], ms[0])
-    b.band(v2, v1, ms[1], ms[1])
-    b.band(v1, v2, ms[2], ms[2])
-    b.band(v2, v1, ms[3], ms[3])
-    return b.build()
-
-
-def _build_t_a() -> BlockState:
-    b = StateBuilder()
-    arcs = [
-        (i, j)
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if {i, j} not in ({0, 1}, {2, 3}, {4, 5})
-    ]
-    _bare_plus_form(b, arcs, 6)
-    return b.build()
-
-
-def _t_plus(b: StateBuilder, pattern: str) -> list[tuple[int, int, int, int]]:
-    """Entering side of a triple-crossing saddle block.
-
-    Four branch points sit on the attractor-sheet circle (dead arcs); the
-    saddle sheets contribute the live arcs in one of five patterns.  Returns
-    the live arc stubs as (tail, head) pairs annotated with the saddle they
-    belong to, in band-allocation order.
+    The entering arcs are the dead arcs, then band i's entering arc with id
+    i; the exiting arcs are band i's exiting arc with id i.
     """
-    v = [b.branch("+") for _ in range(4)]
-    for i in range(4):
-        b.dead("+", v[i], v[(i + 1) % 4])
-    stubs = {
-        "C4L": [(0, 0), (1, 1), (2, 2), (3, 3)],
-        "LL-adj": [(0, 0), (1, 1), (2, 3), (3, 2)],
-        "LL-opp": [(0, 0), (2, 2), (1, 3), (3, 1)],
-        "SS-adj": [(0, 1), (1, 0), (2, 3), (3, 2)],
-        "SS-cross": [(0, 2), (2, 0), (1, 3), (3, 1)],
-    }[pattern]
-    return [(v[a], v[c]) for a, c in stubs]
-
-
-def _t_minus_3a(b: StateBuilder, live: list) -> None:
-    w1, w2 = b.branch("-"), b.branch("-")
-    ends = [(w1, w2), (w2, w1), (w1, w2), (w2, w1)]
-    for (pu, pv), (mu, mv) in zip(live, ends):
-        b.band(pu, pv, mu, mv)
-
-
-def _t_minus_3b(b: StateBuilder, live: list) -> None:
-    # Bands 0/1 run along the two-sheet circle, bands 2/3 are the loops.
-    w1, w2 = b.branch("-"), b.branch("-")
-    ends = [(w1, w2), (w2, w1), (w1, w1), (w2, w2)]
-    for (pu, pv), (mu, mv) in zip(live, ends):
-        b.band(pu, pv, mu, mv)
-
-
-def _t_minus_f8f8(b: StateBuilder, live: list) -> None:
-    w1, w2 = b.branch("-"), b.branch("-")
-    ends = [(w1, w1), (w2, w2), (w1, w1), (w2, w2)]
-    for (pu, pv), (mu, mv) in zip(live, ends):
-        b.band(pu, pv, mu, mv)
-
-
-def _build_t_ssa(pattern: str, minus: str) -> BlockState:
-    b = StateBuilder()
-    live = _t_plus(b, pattern)
-    {"3a": _t_minus_3a, "3b": _t_minus_3b, "f8f8": _t_minus_f8f8}[minus](b, live)
-    return b.build()
+    return BlockState(
+        tuple(plus),
+        tuple((u, v, engine.DEAD) for u, v in dead)
+        + tuple((pu, pv, i) for i, (pu, pv, _, _) in enumerate(bands)),
+        tuple(minus),
+        tuple((mu, mv, i) for i, (_, _, mu, mv) in enumerate(bands)),
+    )
 
 
 @lru_cache(maxsize=1)
 def minimal_block_catalog() -> tuple[CatalogEntry, ...]:
     """The 33 minimal isolating blocks up to homeomorphism and flow reversal."""
-
-    def entry(name, t, n, state, orientable=None, provisional=False):
-        return CatalogEntry(name, VertexLabel(t, n), state, orientable, provisional)
-
-    items = [
-        entry("R_a", _T.REGULAR, _N.A, _build_r_a(), orientable=True),
-        entry("R_s_11", _T.REGULAR, _N.S, _build_r_s_11(), orientable=False),
-        entry("R_s_12", _T.REGULAR, _N.S, _build_r_s_12(), orientable=True),
-        entry("C_a", _T.CONE, _N.A, _build_c_a()),
-        entry("C_s_11", _T.CONE, _N.S, _build_c_s_11()),
-        entry("C_s_22", _T.CONE, _N.S, _build_c_s_22()),
-        entry("W_a", _T.WHITNEY, _N.A, _build_w_a()),
-        entry("W_ss_11", _T.WHITNEY, _N.S_S, _build_w_ss_11()),
-        entry("W_ss_12", _T.WHITNEY, _N.S_S, _build_w_ss_12()),
-        entry("D_a", _T.DOUBLE, _N.A, _build_d_a()),
-        entry("D_sa_11_or", _T.DOUBLE, _N.SA, _build_d_sa_11_orientable(), orientable=True),
-        entry("D_sa_11_non", _T.DOUBLE, _N.SA, _build_d_sa_11_nonorientable(), orientable=False),
-        entry("D_sa_12", _T.DOUBLE, _N.SA, _build_d_sa_12(), orientable=True),
-        entry("D_sss_11_a", _T.DOUBLE, _N.SS_S, _build_d_sss_11_a()),
-        entry("D_sss_11_b", _T.DOUBLE, _N.SS_S, _build_d_sss_11_b()),
-        entry("D_sss_21", _T.DOUBLE, _N.SS_S, _build_d_sss_21(), provisional=True),
-        entry("D_sss_12_a", _T.DOUBLE, _N.SS_S, _build_d_sss_12_a()),
-        entry("D_sss_12_b", _T.DOUBLE, _N.SS_S, _build_d_sss_12_b()),
-        entry("D_sss_22", _T.DOUBLE, _N.SS_S, _build_d_sss_22(), provisional=True),
-        entry("D_sss_13_a", _T.DOUBLE, _N.SS_S, _build_d_sss_13_a()),
-        entry("D_sss_13_b", _T.DOUBLE, _N.SS_S, _build_d_sss_13_b(), provisional=True),
-        entry("D_sss_14", _T.DOUBLE, _N.SS_S, _build_d_sss_14()),
-        entry("T_a", _T.TRIPLE, _N.A, _build_t_a()),
-    ]
-    t_variants = [
-        ("C4L", "3a"),
-        ("LL-adj", "3a"),
-        ("SS-adj", "3a"),
-        ("SS-cross", "3a"),
-        ("LL-adj", "3b"),
-        ("LL-opp", "3b"),
-        ("SS-adj", "3b"),
-        ("SS-cross", "3b"),
-        ("SS-adj", "f8f8"),
-        ("SS-cross", "f8f8"),
-    ]
-    for pattern, minus in t_variants:
-        items.append(
-            entry(f"T_ssa_{pattern}_{minus}", _T.TRIPLE, _N.SSA, _build_t_ssa(pattern, minus), provisional=True)
-        )
-    return tuple(items)
+    return tuple(
+        CatalogEntry(name, VertexLabel(t, n), _block_state(plus, minus, dead, bands), orientable, provisional)
+        for name, t, n, plus, minus, dead, bands, orientable, provisional in _CATALOG
+    )
 
 
 def catalog_counts() -> dict[SingularityType, int]:

@@ -72,47 +72,6 @@ class BlockState:
         return BlockState(self.minus_kinds, self.minus_arcs, self.plus_kinds, self.plus_arcs)
 
 
-class StateBuilder:
-    """Assemble an initial block boundary state band by band."""
-
-    def __init__(self) -> None:
-        self._kinds = {"+": [], "-": []}
-        self._arcs = {"+": [], "-": []}
-        self._next_band = 0
-
-    def vertex(self, side: str, kind: str = MARKER) -> int:
-        self._kinds[side].append(kind)
-        return len(self._kinds[side]) - 1
-
-    def branch(self, side: str) -> int:
-        return self.vertex(side, BRANCH)
-
-    def marker(self, side: str) -> int:
-        return self.vertex(side, MARKER)
-
-    def dead(self, side: str, u: int, v: int) -> None:
-        self._arcs[side].append((u, v, DEAD))
-
-    def band(self, pu: int, pv: int, mu: int, mv: int) -> int:
-        bid = self._next_band
-        self._next_band += 1
-        self._arcs["+"].append((pu, pv, bid))
-        self._arcs["-"].append((mu, mv, bid))
-        return bid
-
-    def bare_circle(self, side: str) -> None:
-        m = self.marker(side)
-        self.dead(side, m, m)
-
-    def build(self) -> BlockState:
-        return BlockState(
-            tuple(self._kinds["+"]),
-            tuple(self._arcs["+"]),
-            tuple(self._kinds["-"]),
-            tuple(self._arcs["-"]),
-        )
-
-
 def _component_of(kinds: tuple[str, ...], arcs: tuple[Arc, ...]) -> list[int]:
     parent = list(range(len(kinds)))
 

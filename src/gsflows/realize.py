@@ -177,58 +177,31 @@ def lemma_familyB_ok(sg: SemiGraph) -> bool:
     return True
 
 
-def _kinds(g: LyapunovGraph) -> set[SingularityType]:
-    return {label.kind for label in g.vertices.values()}
-
-
-def _linear(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    """No bifurcation vertices, no triple crossings."""
-    return _T.TRIPLE not in _kinds(g) and all(sg.e_plus + sg.e_minus <= 2 for sg in st.semigraphs.values())
-
-
-def _blend(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    """Bifurcation vertices allowed if all their incident weights are minimal.
-
-    Minimal weights at plane/cone/Whitney/double-crossing vertices are at
-    most 3, where the circle-chain family coincides with the minimal-weight
-    forms, so one uniform assignment covers both parts of the decomposition.
-    """
-    if _T.TRIPLE in _kinds(g):
-        return False
-    return all(
-        sg.e_plus + sg.e_minus < 3 or st.verdicts[vid].is_minimal for vid, sg in st.semigraphs.items()
-    )
-
-
-def _rcw(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    """Plane, cone and Whitney labels only."""
-    return _kinds(g) <= {_T.REGULAR, _T.CONE, _T.WHITNEY}
-
-
-def _first_family(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    return all(lemma_firstfamily_ok(sg) for sg in st.semigraphs.values())
-
-
-def _second_family(g: LyapunovGraph, st: GSGraphStatus) -> bool:
-    return all(lemma_familyB_ok(sg) for sg in st.semigraphs.values())
-
-
 # The sufficient conditions in dispatch order: (theorem, edge family,
-# applies(graph, status)).  Each predicate is evaluated on a closed,
-# fold-balanced GS graph; when it holds, the family's form of every edge
-# weight is a certificate.  Both lemma predicates reject triple crossings.
+# holds(semi-graph, local verdict)).  A row applies to a closed,
+# fold-balanced GS graph when its predicate holds at every vertex; then the
+# family's form of every edge weight is a certificate.  Every row but Thm6
+# rejects triple crossings.
 CONDITIONS = (
-    ("Thm6", family_minimal, lambda g, st: st.is_minimal_gs),
-    ("Thm7", family_B, _linear),
-    ("Thm8", family_B, _blend),
-    ("Thm9", family_A, _rcw),
-    ("Thm10-i", family_A, _first_family),
-    ("Thm10-ii", family_B, _second_family),
+    ("Thm6", family_minimal, lambda sg, v: v.is_minimal),
+    # No bifurcation vertices.
+    ("Thm7", family_B, lambda sg, v: sg.label.kind is not _T.TRIPLE and sg.e_plus + sg.e_minus <= 2),
+    # Bifurcation vertices only at minimal weights.  Minimal weights at
+    # plane/cone/Whitney/double-crossing vertices are at most 3, where the
+    # circle-chain family coincides with the minimal-weight forms, so one
+    # uniform assignment covers both parts of the decomposition.
+    ("Thm8", family_B,
+     lambda sg, v: sg.label.kind is not _T.TRIPLE and (sg.e_plus + sg.e_minus < 3 or v.is_minimal)),
+    ("Thm9", family_A, lambda sg, v: sg.label.kind in (_T.REGULAR, _T.CONE, _T.WHITNEY)),
+    ("Thm10-i", family_A, lambda sg, v: lemma_firstfamily_ok(sg)),
+    ("Thm10-ii", family_B, lambda sg, v: lemma_familyB_ok(sg)),
 )
 
 
 def _uniform(g: LyapunovGraph, family) -> Certificate:
-    return {i: family(e.weight) for i, e in enumerate(g.edges)}
+    """The family's form of each edge weight, built once per distinct weight."""
+    forms = {w: family(w) for w in {e.weight for e in g.edges}}
+    return {i: forms[e.weight] for i, e in enumerate(g.edges)}
 
 
 def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:
@@ -244,8 +217,10 @@ def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:
     status = classify_graph(g)
     if not status.is_gs or not fold_balance(g):
         return None
-    _, family, applies = row
-    return _uniform(g, family) if applies(g, status) else None
+    _, family, holds = row
+    if not all(holds(sg, status.verdicts[vid]) for vid, sg in status.semigraphs.items()):
+        return None
+    return _uniform(g, family)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +337,8 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     if chi.denominator != 1:
         return verdict(NOT_REALIZABLE, reason="fractional-euler-characteristic")
 
-    for theorem, family, applies in CONDITIONS:
-        if applies(g, status):
+    for theorem, family, holds in CONDITIONS:
+        if all(holds(sg, status.verdicts[vid]) for vid, sg in status.semigraphs.items()):
             return verdict(REALIZABLE, theorem=theorem, certificate=_uniform(g, family))
 
     if search_bound is None:

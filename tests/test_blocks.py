@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -324,6 +326,66 @@ class TestCatalog:
         label = lab("T", "ssr")
         assert entries_for(label) is entries_for(label)
         assert isinstance(entries_for(label), tuple) and len(entries_for(label)) == 10
+
+
+#: Per catalog entry, in catalog order, a sha256 prefix of
+#: (name, label, orientable, provisional, state), so a mistyped row fails by
+#: name; the exact states keep closure pairs and routing unchanged.
+CATALOG_DIGESTS = (
+    ("R_a", "9c986feee175"),
+    ("R_s_11", "3434fdd263e0"),
+    ("R_s_12", "0be10b8bdb54"),
+    ("C_a", "87a29e7edeb6"),
+    ("C_s_11", "0a443467d5d4"),
+    ("C_s_22", "ae1a8efe7819"),
+    ("W_a", "8dfb87f5b405"),
+    ("W_ss_11", "972eb59951e7"),
+    ("W_ss_12", "d1da5e3c6818"),
+    ("D_a", "dc5600fd06cd"),
+    ("D_sa_11_or", "ccbbbed44117"),
+    ("D_sa_11_non", "e6a7e3918968"),
+    ("D_sa_12", "c8ddc5fce295"),
+    ("D_sss_11_a", "61c6ab45b30d"),
+    ("D_sss_11_b", "f1163e749dcf"),
+    ("D_sss_21", "71a690ee396b"),
+    ("D_sss_12_a", "ce7358bc8426"),
+    ("D_sss_12_b", "6e78a883a5a0"),
+    ("D_sss_22", "a74833ca3b95"),
+    ("D_sss_13_a", "14b0d2dc7976"),
+    ("D_sss_13_b", "c1712cf1d794"),
+    ("D_sss_14", "9189fb7a9af3"),
+    ("T_a", "468ebd08c936"),
+    ("T_ssa_C4L_3a", "aca909f9e6c5"),
+    ("T_ssa_LL-adj_3a", "15135bf3310a"),
+    ("T_ssa_SS-adj_3a", "63c57d4380af"),
+    ("T_ssa_SS-cross_3a", "cb895bfcf93d"),
+    ("T_ssa_LL-adj_3b", "269c95b978b3"),
+    ("T_ssa_LL-opp_3b", "c4fb1b31bc57"),
+    ("T_ssa_SS-adj_3b", "f6fcacc5073a"),
+    ("T_ssa_SS-cross_3b", "36f1c1c4d810"),
+    ("T_ssa_SS-adj_f8f8", "08e3eccd18cf"),
+    ("T_ssa_SS-cross_f8f8", "483463cbe2f9"),
+)
+
+
+class TestCatalogPin:
+    def test_entries_match_digests(self):
+        got = []
+        for e in minimal_block_catalog():
+            key = repr((e.name, e.label, e.orientable, e.provisional, e.state))
+            got.append((e.name, hashlib.sha256(key.encode()).hexdigest()[:12]))
+        assert got == list(CATALOG_DIGESTS)
+
+    @pytest.mark.parametrize("entry", minimal_block_catalog(), ids=lambda e: e.name)
+    def test_vertex_degrees_and_band_ids(self, entry):
+        st = entry.state
+        bands = {b for _, _, b in st.plus_arcs + st.minus_arcs if b != DEAD}
+        for kinds, arcs in ((st.plus_kinds, st.plus_arcs), (st.minus_kinds, st.minus_arcs)):
+            degree = Counter(v for u, w, _ in arcs for v in (u, w))
+            assert [degree[v] for v in range(len(kinds))] == [
+                {engine.MARKER: 2, engine.BRANCH: 4}[k] for k in kinds
+            ]
+            assert sorted(b for _, _, b in arcs if b != DEAD) == sorted(bands)
 
 
 class TestClosures:
