@@ -183,9 +183,6 @@ def _no(reason: str) -> LocalVerdict:
     return LocalVerdict(NO, reason=reason)
 
 
-#: Natures the catalog lists only through reversed blocks.
-_REVERSED = frozenset({_N.R, _N.S_U, _N.SR, _N.SS_U, _N.SSR})
-
 #: Distinct semi-graphs whose verdicts are kept.  Graphs repeat a few vertex
 #: shapes many times: 600 seeded generated graphs of 4 to 48 vertices hold
 #: 16 574 vertices but only 261 distinct semi-graphs.
@@ -386,6 +383,9 @@ _CATALOG = (
     ),
 )
 
+#: Natures the catalog lists only through reversed blocks.
+_REVERSED = frozenset(_N) - {row[2] for row in _CATALOG}
+
 
 def _block_state(plus: str, minus: str, dead, bands) -> BlockState:
     """Block state of one catalog row.
@@ -454,14 +454,8 @@ def passageway_closure(entry: CatalogEntry, max_total_weight: int = 12) -> Closu
     stopped the search early.
     """
     pairs, complete = engine.closure_pairs(entry.state, max_total_weight)
-    return ClosureResult(frozenset(pairs), complete)
-
-
-def _encode_multiset(forms: list[Branched1Manifold]) -> str:
-    if not forms:
-        return ""
-    comps = [c for m in forms for c in m.components]
-    return Branched1Manifold(tuple(sorted(comps))).encode()
+    encoded = (tuple("|".join(c.encode() for c in side) for side in pair) for pair in pairs)
+    return ClosureResult(frozenset(encoded), complete)
 
 
 def boundary_feasible(
@@ -474,7 +468,7 @@ def boundary_feasible(
     The entering (exiting) boundary is the disjoint union of the given
     connected forms, one per incident edge.
     """
-    target = (_encode_multiset(in_forms), _encode_multiset(out_forms))
+    target = tuple(tuple(sorted(c for m in forms for c in m.components)) for forms in (in_forms, out_forms))
     caps_plus = tuple(sorted(m.total_weight for m in in_forms))
     caps_minus = tuple(sorted(m.total_weight for m in out_forms))
     tp, tm = sum(caps_plus), sum(caps_minus)

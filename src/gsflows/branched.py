@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 MAX_COMPONENTS = 4
 MAX_ENUM_WEIGHT = 8
@@ -270,7 +271,8 @@ def canonical_labelling(colors: list, edges: list[tuple]) -> tuple[tuple, list[i
     return (head, best[0]), list(best[1])
 
 
-def _find(parent: list[int], x: int) -> int:
+def _find(parent, x):
+    """Union-find root of x in a list or dict parent map, halving the path."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -441,16 +443,9 @@ def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
         half_edges[v].append((idx, 0))
 
     parent = list(range(len(edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for incid in half_edges.values():
         for (i, _), (j, _) in zip(incid, incid[1:]):
-            parent[find(i)] = find(j)
+            parent[_find(parent, i)] = _find(parent, j)
 
     used = [False] * len(edges)
     comp_arcs: dict[int, list[tuple[int, int]]] = {}
@@ -468,11 +463,11 @@ def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
                 cur, far = step[0]
                 used[cur] = True
                 node = edges[cur][far]
-            comp_arcs.setdefault(find(idx), []).append((v, node))
+            comp_arcs.setdefault(_find(parent, idx), []).append((v, node))
 
     comp_branch: dict[int, list[int]] = {}
     for v in branch:
-        root = find(half_edges[v][0][0])
+        root = _find(parent, half_edges[v][0][0])
         comp_branch.setdefault(root, []).append(v)
 
     comps: list[BranchedComponent] = []
@@ -482,7 +477,7 @@ def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
         comps.append(
             canonical_component(len(verts), [(relabel[u], relabel[v]) for u, v in arcs])
         )
-    rootless = {find(i) for i in range(len(edges))} - set(comp_arcs)
+    rootless = {_find(parent, i) for i in range(len(edges))} - set(comp_arcs)
     comps.extend(CIRCLE for _ in rootless)
     return manifold(comps)
 
@@ -576,23 +571,16 @@ def puncture(c: BranchedComponent, v: int) -> list[PuncturePiece]:
     items: list[str] = [f"v{u}" for u in range(c.order) if u != v]
     items += [f"a{i}" for i in range(len(c.arcs))]
     parent: dict[str, str] = {x: x for x in items}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, (a, b) in enumerate(c.arcs):
         for end in (a, b):
             if end != v:
-                parent[find(f"a{i}")] = find(f"v{end}")
+                parent[_find(parent, f"a{i}")] = _find(parent, f"v{end}")
     groups: dict[str, list[int]] = {}
     for i in range(len(c.arcs)):
-        groups.setdefault(find(f"a{i}"), [0, 0])[1] += 1
+        groups.setdefault(_find(parent, f"a{i}"), [0, 0])[1] += 1
     for u in range(c.order):
         if u != v:
-            groups.setdefault(find(f"v{u}"), [0, 0])[0] += 1
+            groups.setdefault(_find(parent, f"v{u}"), [0, 0])[0] += 1
     pieces = [PuncturePiece(bp, arcs) for bp, arcs in groups.values()]
     pieces.sort(key=lambda p: (p.branch_points, p.arcs))
     return pieces
@@ -600,8 +588,12 @@ def puncture(c: BranchedComponent, v: int) -> list[PuncturePiece]:
 
 # ---------------------------------------------------------------------------
 # Named families used as realization certificates
+#
+# The forms are frozen, so each family builds a weight's form once per
+# process and hands out the same object after that.
 
 
+@cache
 def family_minimal(w: int) -> Branched1Manifold:
     """Boundary forms occurring at minimal weights: w in {1, 2, 3, 5, 7}.
 
@@ -628,6 +620,7 @@ def family_minimal(w: int) -> Branched1Manifold:
     raise ValueError(f"no minimal-weight form for weight {w}")
 
 
+@cache
 def family_A(w: int) -> Branched1Manifold:
     """Loop-chain family: figure eight with extra loop-carrying branch points
     strung along one petal.
@@ -648,6 +641,7 @@ def family_A(w: int) -> Branched1Manifold:
     return manifold([canonical_component(n, arcs)])
 
 
+@cache
 def family_B(w: int) -> Branched1Manifold:
     """Circle-chain family: odd weights are chains of circles crossing twice;
     even weights add one loop-carrying branch point on a terminal arc."""

@@ -148,9 +148,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_gen_random(args) -> int:
-    g = gen_random_gs_graph(
-        args.seed, size=args.vertices, minimal=args.minimal, fold_balanced=args.fold_balanced
-    )
+    g = gen_random_gs_graph(args.seed, size=args.vertices, minimal=args.minimal)
     sys.stdout.write(serialize_graph(g))
     return EX_OK
 
@@ -191,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--vertices", type=int, default=8)
     p.add_argument("--minimal", action="store_true")
-    p.add_argument("--fold-balanced", action="store_true")
     p.set_defaults(func=_cmd_gen_random)
 
     return parser

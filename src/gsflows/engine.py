@@ -26,15 +26,23 @@ State isomorphism must respect sides, vertex kinds, dead arcs and the band
 pairing, so states are keyed as coloured multigraphs with one auxiliary node
 per band.
 
-A feasibility query with a target prunes its walk to states that can still
-grow into that target.  Each move identifies two points of one component on
-each side, so components never merge and each grows by same-component point
-identifications.  A state can therefore reach the target pair only if, on
-each side, its components lie in the down-sets (`branched.down_set`, the
-closure under `branched.split_off`) of distinct target components.  The
-test is necessary, so the prune never loses a reachable target; a node is
-tested only before its first expansion, the one step that canonizes new
-states.  Walks without a target, and closures, are not pruned.
+Boundary pairs are compared as tuples of canonical components, one sorted
+tuple per side, () for an empty side; text encodings are made only at the
+API edge (`blocks.passageway_closure`).
+
+Every feasibility query has a target pair, and its walk is pruned to states
+that can still grow into it.  Each move identifies two points of one
+component on each side, so components never merge and each grows by
+same-component point identifications.  A state can therefore reach the
+target pair only if, on each side, its components lie in the down-sets
+(`branched.down_set`, the closure under `branched.split_off`) of distinct
+target components.  The test is necessary, so the prune never loses a
+reachable target; a node is tested only before its first expansion, the one
+step that canonizes new states.  Closures are not pruned and serve as the
+unpruned reference: weights only grow, so every state on a path to the
+target already fits the target's component weights, and capped
+reachability of a target is membership in the closure at its combined
+weight.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ from .branched import (
     BranchedComponent,
     canonical_labelling,
     down_set,
+    _find,
     manifold_from_arcs,
-    parse_manifold,
 )
 
 BRANCH = "b"
@@ -57,6 +65,10 @@ DEAD = -1
 
 #: Arc of one side: (tail vertex, head vertex, band id or DEAD).
 Arc = tuple[int, int, int]
+
+#: Boundary pair: the sorted canonical components of the entering side and
+#: of the exiting side, () for an empty side.
+Pair = tuple[tuple[BranchedComponent, ...], tuple[BranchedComponent, ...]]
 
 
 @dataclass(frozen=True)
@@ -74,21 +86,10 @@ class BlockState:
 
 def _component_of(kinds: tuple[str, ...], arcs: tuple[Arc, ...]) -> list[int]:
     parent = list(range(len(kinds)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v, _ in arcs:
-        parent[find(u)] = find(v)
+        parent[_find(parent, u)] = _find(parent, v)
     roots: dict[int, int] = {}
-    out = []
-    for v in range(len(kinds)):
-        r = find(v)
-        out.append(roots.setdefault(r, len(roots)))
-    return out
+    return [roots.setdefault(_find(parent, v), len(roots)) for v in range(len(kinds))]
 
 
 def side_weights(kinds: tuple[str, ...], arcs: tuple[Arc, ...]) -> list[int]:
@@ -242,7 +243,7 @@ def state_key(state: BlockState) -> tuple:
 class _Node:
     """One isomorphism class of block states in the state graph."""
 
-    __slots__ = ("key", "state", "weights", "pair", "comps", "succ")
+    __slots__ = ("key", "state", "weights", "comps", "succ")
 
     def __init__(self, key: tuple, state: BlockState) -> None:
         self.key = key
@@ -252,10 +253,8 @@ class _Node:
             tuple(sorted(side_weights(state.plus_kinds, state.plus_arcs))),
             tuple(sorted(side_weights(state.minus_kinds, state.minus_arcs))),
         )
-        #: Encoded form pair and the components of each side, filled
-        #: together when first needed.
-        self.pair: tuple[str, str] | None = None
-        self.comps: tuple[tuple[BranchedComponent, ...], ...] | None = None
+        #: Boundary pair, filled when first needed.
+        self.comps: Pair | None = None
         #: Distinct successor nodes, filled the first time the node is expanded.
         self.succ: tuple[_Node, ...] | None = None
 
@@ -302,46 +301,19 @@ class StateSet:
 _GRAPH = StateSet()
 
 
-def _encode_side(m: Branched1Manifold | None) -> str:
-    return "" if m is None else m.encode()
-
-
-def _read_forms(node: _Node) -> None:
-    p, q = state_forms(node.state)
-    node.pair = (_encode_side(p), _encode_side(q))
-    node.comps = tuple(() if m is None else m.components for m in (p, q))
-
-
-def _pair(node: _Node) -> tuple[str, str]:
-    if node.pair is None:
-        _read_forms(node)
-    return node.pair
-
-
-#: Per encoded side of a target, the down-set of each of its components.
-_SIDE_DOWN_SETS: dict[str, tuple[frozenset[BranchedComponent], ...]] = {}
-
-
-def _side_down_sets(text: str) -> tuple[frozenset[BranchedComponent], ...]:
-    found = _SIDE_DOWN_SETS.get(text)
-    if found is None:
-        comps = parse_manifold(text).components if text else ()
-        found = _SIDE_DOWN_SETS[text] = tuple(down_set(c) for c in comps)
-    return found
+def _comps(node: _Node) -> Pair:
+    """The node's boundary pair, read off its state the first time it is needed."""
+    if node.comps is None:
+        node.comps = tuple(() if m is None else m.components for m in state_forms(node.state))
+    return node.comps
 
 
 def _can_grow_into(node: _Node, downs) -> bool:
     """Whether each side's components lie in the down-sets of distinct target components."""
-    if node.comps is None:
-        _read_forms(node)
     return all(
         any(all(c in d for c, d in zip(comps, order)) for order in permutations(sets))
-        for comps, sets in zip(node.comps, downs)
+        for comps, sets in zip(_comps(node), downs)
     )
-
-
-def _swapped(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    return {(q, p) for p, q in pairs}
 
 
 def _fits(node: _Node, plus_caps: tuple[int, ...], minus_caps: tuple[int, ...]) -> bool:
@@ -357,61 +329,56 @@ def reachable_pairs_capped(
     initial: BlockState,
     plus_caps: tuple[int, ...],
     minus_caps: tuple[int, ...],
-    target: tuple[str, str] | None = None,
-) -> set[tuple[str, str]]:
-    """Form pairs at exactly the cap totals, pruning by component weights.
+    target: Pair,
+) -> set[Pair]:
+    """{target} when the state grows into the target pair, else the empty set.
 
     Components never merge under the shape-preserving move and their
     weights only grow, so any state already exceeding the sorted target
     weights on either side is a dead end.  Every state's depth is fixed by
     its weights, so depth-first traversal with a plain visited set is
-    exhaustive.  With a `target`, a state is expanded only if it can still
-    grow into the target, and the traversal stops at the first hit: the
-    returned set contains the target exactly when it is reachable, and is
-    otherwise partial.
+    exhaustive.  A state is expanded only if it can still grow into the
+    target, and the traversal stops at the first hit.
     """
     root, mirrored = _GRAPH.root(initial)
-    if not mirrored:
-        return _capped_walk(root, plus_caps, minus_caps, target)
-    target = None if target is None else (target[1], target[0])
-    return _swapped(_capped_walk(root, minus_caps, plus_caps, target))
+    if mirrored:
+        hit = _capped_walk(root, minus_caps, plus_caps, (target[1], target[0]))
+    else:
+        hit = _capped_walk(root, plus_caps, minus_caps, target)
+    return {target} if hit else set()
 
 
-def _capped_walk(root: _Node, plus_caps, minus_caps, target) -> set[tuple[str, str]]:
+def _capped_walk(root: _Node, plus_caps, minus_caps, target: Pair) -> bool:
     depth = sum(plus_caps) - sum(root.weights[0])
     if depth < 0 or not _fits(root, plus_caps, minus_caps):
-        return set()
+        return False
     if depth == 0:
-        return {_pair(root)}
-    found: set[tuple[str, str]] = set()
+        return _comps(root) == target
     seen = {root}
     stack = [(root, 0)]
     downs = None
     while stack:
         node, d = stack.pop()
-        if node.succ is None and d and target is not None:
+        if node.succ is None and d:
             # Only a first expansion costs canonizations, so only an
             # unexpanded node is tested against the target's down-sets.
             if downs is None:
-                downs = tuple(map(_side_down_sets, target))
+                downs = tuple(tuple(map(down_set, side)) for side in target)
             if not _can_grow_into(node, downs):
                 continue
         for succ in _GRAPH.expand(node):
             if succ in seen or not _fits(succ, plus_caps, minus_caps):
                 continue
             seen.add(succ)
-            if d + 1 == depth:
-                pair = _pair(succ)
-                found.add(pair)
-                if pair == target:
-                    return found
-            else:
+            if d + 1 < depth:
                 stack.append((succ, d + 1))
-    return found
+            elif _comps(succ) == target:
+                return True
+    return False
 
 
-def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[tuple[str, str]], bool]:
-    """All form pairs with combined weight within the bound.
+def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pair], bool]:
+    """All boundary pairs with combined weight within the bound.
 
     Returns (pairs, complete); complete is False when the bound cut the
     search off while further moves were still available.
@@ -423,8 +390,10 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[tu
     levels = [[root]]
     for _ in range((max_combined_weight - p0 - m0) // 2):
         levels.append(list(dict.fromkeys(s for node in levels[-1] for s in _GRAPH.expand(node))))
-    pairs = {_pair(node) for level in levels for node in level}
+    pairs = {_comps(node) for level in levels for node in level}
     # Every move adds two to the combined weight, so one successor of the
     # last level is enough to show that the bound cut the search off.
     complete = not any(successors(node.state) for node in levels[-1])
-    return (_swapped(pairs) if mirrored else pairs), complete
+    if mirrored:
+        pairs = {(q, p) for p, q in pairs}
+    return pairs, complete

@@ -167,18 +167,12 @@ class _Grower:
             self.stubs.append((vid, w - 1))
 
 
-def gen_random_gs_graph(
-    seed: int,
-    size: int = 8,
-    minimal: bool = False,
-    fold_balanced: bool = True,
-) -> LyapunovGraph:
+def gen_random_gs_graph(seed: int, size: int = 8, minimal: bool = False) -> LyapunovGraph:
     """Deterministic random closed graph with locally realizable vertices.
 
     `size` is the approximate vertex count; components are grown until it is
     reached, then every dangling stub is closed.  Local realizability at
-    every vertex of a closed graph forces fold balance, so the
-    `fold_balanced` flag only selects the verifying assertion.
+    every vertex of a closed graph forces fold balance, which is asserted.
     """
     if size < 2:
         raise ValueError("size must be >= 2")
@@ -196,6 +190,5 @@ def gen_random_gs_graph(
     g = grower.g
     assert not validate_graph(g)
     assert all(local_realizable(sg).ok for sg in semigraphs(g).values())
-    if fold_balanced:
-        assert fold_balance(g)
+    assert fold_balance(g)
     return g

@@ -199,9 +199,8 @@ CONDITIONS = (
 
 
 def _uniform(g: LyapunovGraph, family) -> Certificate:
-    """The family's form of each edge weight, built once per distinct weight."""
-    forms = {w: family(w) for w in {e.weight for e in g.edges}}
-    return {i: forms[e.weight] for i, e in enumerate(g.edges)}
+    """The family's form of each edge weight."""
+    return {i: family(e.weight) for i, e in enumerate(g.edges)}
 
 
 def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:

@@ -20,6 +20,7 @@ from gsflows.blocks import (
 )
 from gsflows.branched import (
     CIRCLE,
+    BranchedComponent,
     down_set,
     enumerate_connected,
     family_A,
@@ -388,6 +389,90 @@ class TestCatalogPin:
             assert sorted(b for _, _, b in arcs if b != DEAD) == sorted(bands)
 
 
+#: Per catalog entry and its reversal, a sha256 prefix of the sorted closure
+#: pairs and the complete flag at combined weight 7, so a change to the
+#: closures or their text encoding fails by name.
+CLOSURE_DIGESTS = (
+    ("R_a", "2b2df1c60086"),
+    ("R_a~rev", "7a30b977f3a4"),
+    ("R_s_11", "2a03c20bcbd8"),
+    ("R_s_11~rev", "2a03c20bcbd8"),
+    ("R_s_12", "0024d5e6d343"),
+    ("R_s_12~rev", "f86c0e9b179d"),
+    ("C_a", "96ff0aad6ff1"),
+    ("C_a~rev", "1992e134da61"),
+    ("C_s_11", "2a03c20bcbd8"),
+    ("C_s_11~rev", "2a03c20bcbd8"),
+    ("C_s_22", "ae9c2208ddc4"),
+    ("C_s_22~rev", "ae9c2208ddc4"),
+    ("W_a", "cdf9b66d0885"),
+    ("W_a~rev", "971741a54104"),
+    ("W_ss_11", "8510fd05ca9f"),
+    ("W_ss_11~rev", "06c8859b4c25"),
+    ("W_ss_12", "7c0d6adcc6c4"),
+    ("W_ss_12~rev", "204a70503c07"),
+    ("D_a", "dd01813e7d3f"),
+    ("D_a~rev", "02b11362bbd1"),
+    ("D_sa_11_or", "b1729b794df8"),
+    ("D_sa_11_or~rev", "77dcb628c09f"),
+    ("D_sa_11_non", "9e389eb1ad90"),
+    ("D_sa_11_non~rev", "79105dbf1f29"),
+    ("D_sa_12", "21e65343fc72"),
+    ("D_sa_12~rev", "c2b88d9aca74"),
+    ("D_sss_11_a", "9e389eb1ad90"),
+    ("D_sss_11_a~rev", "79105dbf1f29"),
+    ("D_sss_11_b", "9dac2878bbf6"),
+    ("D_sss_11_b~rev", "5420b3e1a079"),
+    ("D_sss_21", "9781ace260f4"),
+    ("D_sss_21~rev", "1eea13b19a97"),
+    ("D_sss_12_a", "e042752757a6"),
+    ("D_sss_12_a~rev", "48d4edcaed76"),
+    ("D_sss_12_b", "0727b8bf0107"),
+    ("D_sss_12_b~rev", "4f63b7ae2c7f"),
+    ("D_sss_22", "b2e3da6f14c6"),
+    ("D_sss_22~rev", "cb8b6e8e0eb6"),
+    ("D_sss_13_a", "a45ae452b1a9"),
+    ("D_sss_13_a~rev", "b36e460dc7a5"),
+    ("D_sss_13_b", "dcc9f1a48091"),
+    ("D_sss_13_b~rev", "feca5e711279"),
+    ("D_sss_14", "6b59f9980f4e"),
+    ("D_sss_14~rev", "dc3e0c8c75a1"),
+    ("T_a", "a4b17af578ad"),
+    ("T_a~rev", "1d2a99c71417"),
+    ("T_ssa_C4L_3a", "e6e251545cb4"),
+    ("T_ssa_C4L_3a~rev", "e6e251545cb4"),
+    ("T_ssa_LL-adj_3a", "e6e251545cb4"),
+    ("T_ssa_LL-adj_3a~rev", "e6e251545cb4"),
+    ("T_ssa_SS-adj_3a", "e6e251545cb4"),
+    ("T_ssa_SS-adj_3a~rev", "e6e251545cb4"),
+    ("T_ssa_SS-cross_3a", "e6e251545cb4"),
+    ("T_ssa_SS-cross_3a~rev", "e6e251545cb4"),
+    ("T_ssa_LL-adj_3b", "e6e251545cb4"),
+    ("T_ssa_LL-adj_3b~rev", "e6e251545cb4"),
+    ("T_ssa_LL-opp_3b", "e6e251545cb4"),
+    ("T_ssa_LL-opp_3b~rev", "e6e251545cb4"),
+    ("T_ssa_SS-adj_3b", "e6e251545cb4"),
+    ("T_ssa_SS-adj_3b~rev", "e6e251545cb4"),
+    ("T_ssa_SS-cross_3b", "e6e251545cb4"),
+    ("T_ssa_SS-cross_3b~rev", "e6e251545cb4"),
+    ("T_ssa_SS-adj_f8f8", "e6e251545cb4"),
+    ("T_ssa_SS-adj_f8f8~rev", "e6e251545cb4"),
+    ("T_ssa_SS-cross_f8f8", "e6e251545cb4"),
+    ("T_ssa_SS-cross_f8f8~rev", "e6e251545cb4"),
+)
+
+
+class TestClosurePin:
+    def test_closures_match_digests(self):
+        got = []
+        for block in minimal_block_catalog():
+            for e in (block, block.reversed()):
+                closure = passageway_closure(e, max_total_weight=7)
+                key = repr((sorted(closure.pairs), closure.complete))
+                got.append((e.name, hashlib.sha256(key.encode()).hexdigest()[:12]))
+        assert got == list(CLOSURE_DIGESTS)
+
+
 class TestClosures:
     def test_regular_attractor_closure(self):
         entry = next(e for e in minimal_block_catalog() if e.name == "R_a")
@@ -533,8 +618,9 @@ class TestBoundaryFeasible:
     def test_targeted_walk_agrees_with_unpruned_walk(self, monkeypatch):
         # Every catalog block and its reversal, per-side cap totals up to 6,
         # depth up to 2, every target pair of the cap weights: the pruned
-        # walk reaches the target exactly when the walk without a target
-        # does.  Each side runs on a fresh state graph.
+        # walk reaches the target exactly when the target is in the unpruned
+        # closure at its combined weight.  Each side runs on a fresh state
+        # graph.
         queries = []
         for block in minimal_block_catalog():
             for entry in (block, block.reversed()):
@@ -550,11 +636,11 @@ class TestBoundaryFeasible:
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         pruned = [t in reachable_pairs_capped(s, p, m, t) for s, p, m, t in queries]
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
-        walks = {}
+        closures = {}
         for s, p, m, _ in queries:
-            if (s, p, m) not in walks:
-                walks[s, p, m] = reachable_pairs_capped(s, p, m)
-        unpruned = [t in walks[s, p, m] for s, p, m, t in queries]
+            if (s, sum(p) + sum(m)) not in closures:
+                closures[s, sum(p) + sum(m)] = engine.closure_pairs(s, sum(p) + sum(m))[0]
+        unpruned = [t in closures[s, sum(p) + sum(m)] for s, p, m, t in queries]
         assert len(queries) > 1000 and 0 < sum(unpruned) < len(queries)
         assert pruned == unpruned
 
@@ -570,8 +656,6 @@ def _partitions(total: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _side_targets(caps: tuple[int, ...]) -> set[str]:
-    """Encodings of every disjoint union of connected forms with these weights."""
-    if not caps:
-        return {""}
-    return {manifold(comps).encode() for comps in itertools.product(*(enumerate_connected(w) for w in caps))}
+def _side_targets(caps: tuple[int, ...]) -> set[tuple[BranchedComponent, ...]]:
+    """Sorted component tuples of every disjoint union of connected forms with these weights."""
+    return {tuple(sorted(comps)) for comps in itertools.product(*(enumerate_connected(w) for w in caps))}
