@@ -22,6 +22,37 @@ degree inequalities, the known non-realizable shape exclusions, shape
 catalog membership, and the cone/double/triple weight-splitting constraints.
 Natures the catalog lists only through reversed blocks are decided on the
 time-reversed semi-graph.
+
+Boundary feasibility asks whether some block for a label grows, by the
+engine's passageway moves, into a given pair of branched 1-manifolds.  Most
+blocks answer by a capped walk of the engine's state graph.  A *diagonal*
+block answers in closed form: one with no dead arcs, only circles on its
+boundary, and a kind-preserving bijection sigma of entering onto exiting
+vertices that carries every band's entering arc onto that band's exiting
+arc, end to end (`CatalogEntry.diagonal`; a reversal is diagonal through
+sigma's inverse).  Such a block grows into exactly the pairs whose exiting
+side equals its entering side, component for component:
+
+* a move keeps the state diagonal.  `engine._apply` splits the band's two
+  arcs at matching places, so sigma extended by the two new branch points
+  still carries every band's entering arc onto its exiting arc.  Hence every
+  reachable pair is (X, sigma X), with equal sides;
+* conversely, under sigma two entering points share a component exactly
+  when their exit points do, so every same-component identification on the
+  entering side is a legal move.  Each entering circle can therefore follow
+  any growth path of `branched.enumerate_connected`, independently of the
+  others, and every connected form grows from the circle.
+
+So a diagonal block is feasible for a target exactly when both sides hold
+the same components and each side's component weights are its caps.  The
+cone and regular saddle blocks `C_s_11`, `R_s_11` and `C_s_22` are the
+diagonal ones.
+
+Each distinct query (label, target components, per-side caps) is answered
+once per process and kept in `_feasible`'s table, process-wide like the
+engine's state graph: search backtracking and certificate audits ask the
+same vertex questions again and again.  The caps stay in the key, since
+forms given as disjoint unions give the same target with other caps.
 """
 
 from __future__ import annotations
@@ -263,12 +294,16 @@ class CatalogEntry:
     min_out: tuple[int, ...] = field(init=False)
     e_plus: int = field(init=False)
     e_minus: int = field(init=False)
+    #: Whether the block grows into exactly the pairs with equal sides (see
+    #: the module docstring).
+    diagonal: bool = field(init=False)
 
     def __post_init__(self) -> None:
         st = self.state
         ins = tuple(sorted(engine.side_weights(st.plus_kinds, st.plus_arcs)))
         outs = tuple(sorted(engine.side_weights(st.minus_kinds, st.minus_arcs)))
-        for name, value in (("min_in", ins), ("min_out", outs), ("e_plus", len(ins)), ("e_minus", len(outs))):
+        for name, value in (("min_in", ins), ("min_out", outs), ("e_plus", len(ins)), ("e_minus", len(outs)),
+                            ("diagonal", _is_diagonal(st))):
             object.__setattr__(self, name, value)
 
     @property
@@ -308,6 +343,26 @@ class CatalogEntry:
             self.orientable,
             self.provisional,
         )
+
+
+def _is_diagonal(st: BlockState) -> bool:
+    """Whether the state has no dead arcs, only circles, and a band-aligned sigma.
+
+    sigma maps each band's entering arc ends onto its exiting arc ends; it
+    must be a well-defined, kind-preserving bijection of the vertices.
+    """
+    if engine.BRANCH in st.plus_kinds or any(b == engine.DEAD for _, _, b in st.plus_arcs + st.minus_arcs):
+        return False
+    exiting = {b: (mu, mv) for mu, mv, b in st.minus_arcs}
+    sigma: dict[int, int] = {}
+    for pu, pv, b in st.plus_arcs:
+        for p, m in zip((pu, pv), exiting[b]):
+            if sigma.setdefault(p, m) != m:
+                return False
+    return (
+        len(sigma) == len(set(sigma.values())) == len(st.plus_kinds) == len(st.minus_kinds)
+        and all(st.plus_kinds[p] == st.minus_kinds[m] for p, m in sigma.items())
+    )
 
 
 # Triple-crossing saddle blocks: four branch points on the attractor-sheet
@@ -471,13 +526,32 @@ def boundary_feasible(
     target = tuple(tuple(sorted(c for m in forms for c in m.components)) for forms in (in_forms, out_forms))
     caps_plus = tuple(sorted(m.total_weight for m in in_forms))
     caps_minus = tuple(sorted(m.total_weight for m in out_forms))
-    tp, tm = sum(caps_plus), sum(caps_minus)
-    for entry in entries_for(label):
-        if entry.e_plus != len(in_forms) or entry.e_minus != len(out_forms):
-            continue
-        k = tp - sum(entry.min_in)
-        if k < 0 or tm - sum(entry.min_out) != k:
-            continue
-        if target in engine.reachable_pairs_capped(entry.state, caps_plus, caps_minus, target):
-            return True
-    return False
+    return _feasible(label, target, caps_plus, caps_minus)
+
+
+#: Distinct feasibility queries whose answers are kept.  One cold round of
+#: the benchmark's `deep` workload asks 3 138 queries of 89 distinct vertex
+#: boundaries, and without the table walks the engine 3 512 times for 107
+#: distinct targets.
+_FEASIBLE_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_FEASIBLE_CACHE_SIZE)
+def _feasible(label: VertexLabel, target: engine.Pair, caps_plus: tuple[int, ...],
+              caps_minus: tuple[int, ...]) -> bool:
+    """`boundary_feasible` on its target pair and per-side weight caps, once per process."""
+    return any(_entry_feasible(e, target, caps_plus, caps_minus) for e in entries_for(label))
+
+
+def _entry_feasible(entry: CatalogEntry, target: engine.Pair, caps_plus: tuple[int, ...],
+                    caps_minus: tuple[int, ...]) -> bool:
+    """Whether the block grows into the target pair within the per-side caps."""
+    if entry.e_plus != len(caps_plus) or entry.e_minus != len(caps_minus):
+        return False
+    k = sum(caps_plus) - sum(entry.min_in)
+    if k < 0 or sum(caps_minus) - sum(entry.min_out) != k:
+        return False
+    if entry.diagonal:
+        weights = tuple(sorted(c.weight for c in target[0]))
+        return target[0] == target[1] and caps_plus == caps_minus == weights
+    return target in engine.reachable_pairs_capped(entry.state, caps_plus, caps_minus, target)

@@ -43,6 +43,19 @@ unpruned reference: weights only grow, so every state on a path to the
 target already fits the target's component weights, and capped
 reachability of a target is membership in the closure at its combined
 weight.
+
+Blocks whose bands carry the entering boundary onto the exiting one need no
+walk (`blocks.CatalogEntry.diagonal`: no dead arcs, only circles, and a
+kind-preserving bijection sigma of entering onto exiting vertices that
+aligns every band's two arcs).  In one direction, `_apply` splits a band's
+two arcs at matching places, so sigma extended by the two new branch points
+keeps the state diagonal, and every reachable pair has equal sides.  In the
+other, under sigma two entering points share a component exactly when their
+exit points do, so each entering circle can follow any growth path of
+`branched.enumerate_connected`, and every pair with equal sides is reached.
+`blocks.boundary_feasible` answers those blocks in closed form, and keeps
+each distinct query's answer for the life of the process, a table beside
+`_GRAPH`, so this module sees every other query once.
 """
 
 from __future__ import annotations

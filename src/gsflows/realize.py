@@ -277,10 +277,11 @@ def _search(g: LyapunovGraph, bound: int) -> Certificate | None:
 
     Returns the first block-feasible assignment found, or None.
     """
-    candidates: list[list[Branched1Manifold]] = []
-    for e in g.edges:
-        forms = [manifold([c]) for c in enumerate_connected(e.weight)]
-        candidates.append(sorted(forms, key=lambda m: m.encode()))
+    by_weight = {
+        w: sorted((manifold([c]) for c in enumerate_connected(w)), key=lambda m: m.encode())
+        for w in {e.weight for e in g.edges}
+    }
+    candidates = [by_weight[e.weight] for e in g.edges]
     in_edges, out_edges = _incidence(g)
     check_after: dict[int, list[str]] = {i: [] for i in range(len(g.edges))}
     for vid in g.vertices:

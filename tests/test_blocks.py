@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from gsflows import blocks
 from gsflows.blocks import (
     boundary_feasible,
     catalog_counts,
@@ -323,6 +324,12 @@ class TestCatalog:
         names = {e.name for e in entries_for(lab("D", "r"))}
         assert names == {"D_a~rev"}
 
+    def test_diagonal_entries(self):
+        # The cone and regular saddles whose bands carry each entering arc
+        # straight onto an exiting arc, and their reversals, and no others.
+        diagonal = {e.name for b in minimal_block_catalog() for e in (b, b.reversed()) if e.diagonal}
+        assert diagonal == {f"{n}{r}" for n in ("C_s_11", "R_s_11", "C_s_22") for r in ("", "~rev")}
+
     def test_entries_for_is_built_once(self):
         label = lab("T", "ssr")
         assert entries_for(label) is entries_for(label)
@@ -585,6 +592,7 @@ class TestBoundaryFeasible:
         # mirrors with caps (4,) -> (5,) expand no state twice, and a second
         # pass over the same queries expands nothing.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        blocks._feasible.cache_clear()
         calls = []
 
         def counting(state):
@@ -606,6 +614,81 @@ class TestBoundaryFeasible:
         calls.clear()
         run()
         assert calls == []
+
+    def test_closed_form_agrees_with_engine(self, monkeypatch):
+        # Every diagonal entry and its reversal, every pair of per-side cap
+        # tuples with caps up to 4, every target pair of the cap weights: the
+        # closed form answers as the targeted engine walk on a fresh state
+        # graph does.  Cap pairs of unequal totals are left out, since the
+        # weight check rejects them before either answer.  C_s_11 also
+        # reaches every diagonal target at (5,)/(5,); its 90 off-diagonal
+        # targets there take half a minute of walking, so they are not run.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        queries = []
+        for block in minimal_block_catalog():
+            for entry in (block, block.reversed()):
+                if not entry.diagonal:
+                    continue
+                caps = list(itertools.combinations_with_replacement(range(1, 5), entry.e_plus))
+                for caps_p, caps_m in itertools.product(caps, caps):
+                    if sum(caps_p) == sum(caps_m):
+                        for target in itertools.product(_side_targets(caps_p), _side_targets(caps_m)):
+                            queries.append((entry, caps_p, caps_m, target))
+                if block.name == "C_s_11":
+                    queries += [(entry, (5,), (5,), ((c,), (c,))) for c in enumerate_connected(5)]
+        hits = 0
+        for entry, caps_p, caps_m, target in queries:
+            closed = blocks._entry_feasible(entry, target, caps_p, caps_m)
+            walked = target in reachable_pairs_capped(entry.state, caps_p, caps_m, target)
+            assert closed == walked, (entry.name, caps_p, caps_m, target)
+            hits += closed
+        assert len(queries) > 600 and 0 < hits < len(queries)
+
+    def test_diagonal_queries_never_walk(self, monkeypatch):
+        # Cone saddles with one component per side are decided by C_s_11
+        # alone, in closed form: feasible exactly on equal forms.
+        def no_walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        monkeypatch.setattr(engine, "successors", no_walk)
+        monkeypatch.setattr(engine, "reachable_pairs_capped", no_walk)
+        blocks._feasible.cache_clear()
+        fives = [manifold([c]) for c in enumerate_connected(5)]
+        for a, b in itertools.product(fives, fives):
+            assert boundary_feasible(lab("C", "s"), [a], [b]) == (a == b)
+
+    def test_repeated_query_walks_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return reachable_pairs_capped(*args)
+
+        monkeypatch.setattr(engine, "reachable_pairs_capped", counting)
+        blocks._feasible.cache_clear()
+        f8, circle = family_minimal(2), family_minimal(1)
+        assert boundary_feasible(lab("W", "s_s"), [family_A(3)], [f8, circle])
+        first = len(calls)
+        assert first > 0
+        assert boundary_feasible(lab("W", "s_s"), [family_A(3)], [circle, f8])
+        assert len(calls) == first
+
+    def test_mirror_queries_are_separate_keys(self):
+        # A query and its mirror with sides swapped are two keys, each with
+        # its own answer; the label and the caps are part of the key.
+        blocks._feasible.cache_clear()
+        f8, circle, a3, m3 = family_minimal(2), family_minimal(1), family_A(3), family_minimal(3)
+        assert boundary_feasible(lab("W", "s_s"), [a3], [f8, circle])
+        assert boundary_feasible(lab("W", "s_u"), [f8, circle], [a3])
+        assert not boundary_feasible(lab("W", "s_s"), [m3], [f8, circle])
+        assert not boundary_feasible(lab("W", "s_u"), [f8, circle], [m3])
+        assert not boundary_feasible(lab("W", "s_u"), [a3], [f8, circle])
+        assert blocks._feasible.cache_info().currsize == 5
+        # Two circles as one form or as two: the same target, other caps.
+        two = parse_manifold("O|O")
+        assert boundary_feasible(lab("C", "s"), [circle, circle], [circle, circle])
+        assert not boundary_feasible(lab("C", "s"), [two], [two])
 
     def test_prune_matches_components_in_any_order(self):
         # Sorted targets rarely need it at catalog sizes, but a state's
