@@ -1,9 +1,15 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gsflows.cli import EX_FAIL, EX_NOINPUT, EX_OK, EX_SOFTWARE, EX_UNKNOWN, EX_USAGE, main
+from gsflows.documents import serialize_graph
+from gsflows.generator import gen_random_gs_graph
 
 SPHERE = "gsgraph v1\nvertex a R a\nvertex r R r\nedge r a 1\n"
 NON_REALIZABLE = (
@@ -247,3 +253,32 @@ def test_parser_reused_across_calls(tmp_path, sphere_file, capsys):
     assert main(["realize", sphere_file]) == EX_OK
     captured = capsys.readouterr()
     assert captured.err == "" and json.loads(captured.out)["status"] == "realizable"
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    # Labels are dict, set and cache keys throughout; no output may follow
+    # the order the hash seed gives them.
+    docs = {
+        "realizable": serialize_graph(gen_random_gs_graph(4, size=10)),  # by Thm10-ii
+        "unknown": serialize_graph(gen_random_gs_graph(3, size=12)),
+        "not-realizable": "gsgraph v1\nvertex a R a\nvertex r R r\nedge r a 2\n",
+    }
+    commands = [["gen-random", "--seed", "3", "--vertices", "12"]]
+    for name, text in docs.items():
+        path = tmp_path / f"{name}.gs"
+        path.write_text(text)
+        commands.append(["realize", str(path)])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = []
+        for args in commands:
+            proc = subprocess.run([sys.executable, "-m", "gsflows.cli", *args], env=env, capture_output=True)
+            out.append((proc.returncode, proc.stdout))
+        return out
+
+    first = run("0")
+    assert [code for code, _ in first] == [EX_OK, EX_OK, EX_UNKNOWN, EX_FAIL]
+    assert [json.loads(out)["status"] for _, out in first[1:]] == list(docs)
+    assert run("1") == first

@@ -79,6 +79,46 @@ class TestParse:
         assert err.value.line == 2 and err.value.col == 8
 
 
+H = "gsgraph v1\n"
+V = H + "vertex v R a\n"
+
+# One row per ParseError branch: (document, line, col, message).  Runs of
+# spaces and trailing comments move the columns away from the word index.
+PARSE_ERRORS = {
+    "empty": ("", 1, 1, "empty document"),
+    "only-comments": ("\n  \n# note\n", 1, 1, "expected header 'gsgraph v1'"),
+    "missing-header": ("vertex v R a\n", 1, 1, "expected header 'gsgraph v1'"),
+    "wrong-header": ("  gsgraph   v2  # old\n", 1, 3, "expected header 'gsgraph v1'"),
+    "vertex-arity-short": (H + "vertex  v  R\n", 2, 1, "vertex takes: id type nature"),
+    "vertex-arity-long": (H + "  vertex v R a extra # x\n", 2, 3, "vertex takes: id type nature"),
+    "reserved-id": (H + "vertex   Open R r\n", 2, 10, "vertex id 'Open' is reserved for dangling edge ends"),
+    "duplicate-id": (V + "vertex  v   R r   # again\n", 3, 9, "duplicate vertex id 'v'"),
+    "unknown-type": (H + "vertex v  Q a\n", 2, 11, "unknown singularity type 'Q'"),
+    "unknown-nature": (H + "vertex v R   zz # note\n", 2, 14, "unknown nature 'zz'"),
+    "inadmissible-label": (H + "vertex v  R  sa\n", 2, 14, "nature sa not admissible for type R"),
+    "edge-arity": (V + " edge OPEN v\n", 3, 2, "edge takes: src dst weight"),
+    "weight-word": (V + "edge OPEN  v   x # w\n", 3, 16, "weight must be an integer, got 'x'"),
+    "weight-fraction": (V + "edge OPEN v 1.5\n", 3, 13, "weight must be an integer, got '1.5'"),
+    "weight-zero": (V + "edge  OPEN v  0\n", 3, 15, "weight must be >= 1"),
+    "weight-negative": (V + "edge OPEN v -1\n", 3, 13, "weight must be >= 1"),
+    "unknown-directive": (V + "   node v R a\n", 3, 4, "unknown directive 'node'"),
+    "unknown-reference": (V + "edge w v 1\n\n# tail\n", 5, 1, "edge 0 references unknown vertex 'w'"),
+    "unknown-reference-later": (
+        V + "edge v  OPEN 1\nedge OPEN  u 2   # x\n",
+        4,
+        1,
+        "edge 1 references unknown vertex 'u'",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, line, col, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+def test_parse_diagnostics(doc, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(doc)
+    assert (err.value.line, err.value.col, str(err.value)) == (line, col, f"line {line}, col {col}: {message}")
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity_on_canonical(self):
         doc = serialize_graph(parse_graph(SPHERE_DOC))
