@@ -6,9 +6,13 @@ Graph documents are line-oriented:
     vertex <id> <type> <nature>
     edge <src|OPEN> <dst|OPEN> <weight>
 
-Blank lines and '#' comments are skipped.  Enum names are matched case
-insensitively, and no vertex id may read as OPEN in any case; everything
-else is rejected with a line/column diagnostic.
+Blank lines and '#' comments are skipped; words are separated by runs of
+spaces.  Enum names are matched case insensitively, no vertex id may read as
+OPEN in any case, and a weight is ASCII decimal digits, leading zeros
+allowed, worth at least 1 ('-1' is read as -1 and fails that bound).
+Everything else is rejected with a line/column diagnostic.  The parser
+splits each line once into its words; the column of a word is computed
+only when a diagnostic needs it.
 Serialization emits vertices sorted by id and edges sorted by endpoints, so
 serialize(parse(d)) is the canonical form of d and a fixed point of the
 round trip.
@@ -62,50 +66,46 @@ def parse_graph(text: str) -> LyapunovGraph:
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        words = [w for w in line.split(" ") if w]
+        if not words:
             continue
-        toks = _tokens(line)
-        word, col = toks[0]
         if not header_seen:
             if line.strip() != HEADER:
-                raise ParseError(lineno, col, f"expected header {HEADER!r}")
+                raise ParseError(lineno, _tokens(line)[0][1], f"expected header {HEADER!r}")
             header_seen = True
             continue
+        word = words[0]
         if word == "vertex":
-            if len(toks) != 4:
-                raise ParseError(lineno, col, "vertex takes: id type nature")
-            vid = toks[1][0]
+            if len(words) != 4:
+                raise ParseError(lineno, _tokens(line)[0][1], "vertex takes: id type nature")
+            vid = words[1]
             if vid.upper() == "OPEN":
-                raise ParseError(lineno, toks[1][1], f"vertex id {vid!r} is reserved for dangling edge ends")
+                raise ParseError(lineno, _tokens(line)[1][1], f"vertex id {vid!r} is reserved for dangling edge ends")
             if vid in g.vertices:
-                raise ParseError(lineno, toks[1][1], f"duplicate vertex id {vid!r}")
+                raise ParseError(lineno, _tokens(line)[1][1], f"duplicate vertex id {vid!r}")
             try:
-                kind = parse_type(toks[2][0])
+                kind = parse_type(words[2])
             except ValueError as err:
-                raise ParseError(lineno, toks[2][1], str(err)) from None
+                raise ParseError(lineno, _tokens(line)[2][1], str(err)) from None
             try:
-                nature = parse_nature(toks[3][0])
-            except ValueError as err:
-                raise ParseError(lineno, toks[3][1], str(err)) from None
-            try:
+                nature = parse_nature(words[3])
                 g.vertices[vid] = VertexLabel(kind, nature)
             except ValueError as err:
-                raise ParseError(lineno, toks[3][1], str(err)) from None
+                raise ParseError(lineno, _tokens(line)[3][1], str(err)) from None
         elif word == "edge":
-            if len(toks) != 4:
-                raise ParseError(lineno, col, "edge takes: src dst weight")
-            ends = []
-            for tok, tcol in toks[1:3]:
-                ends.append(OPEN if tok.upper() == "OPEN" else tok)
-            try:
-                w = int(toks[3][0])
-            except ValueError:
-                raise ParseError(lineno, toks[3][1], f"weight must be an integer, got {toks[3][0]!r}") from None
+            if len(words) != 4:
+                raise ParseError(lineno, _tokens(line)[0][1], "edge takes: src dst weight")
+            src, dst, weight = words[1:]
+            if not (weight.isascii() and weight.removeprefix("-").isdigit()):
+                raise ParseError(lineno, _tokens(line)[3][1], f"weight must be an integer, got {weight!r}")
+            w = int(weight)
             if w < 1:
-                raise ParseError(lineno, toks[3][1], "weight must be >= 1")
-            g.edges.append(Edge(ends[0], ends[1], w))
+                raise ParseError(lineno, _tokens(line)[3][1], "weight must be >= 1")
+            g.edges.append(
+                Edge(OPEN if src.upper() == "OPEN" else src, OPEN if dst.upper() == "OPEN" else dst, w)
+            )
         else:
-            raise ParseError(lineno, col, f"unknown directive {word!r}")
+            raise ParseError(lineno, _tokens(line)[0][1], f"unknown directive {word!r}")
     if not header_seen:
         raise ParseError(1, 1, f"expected header {HEADER!r}")
     for i, e in enumerate(g.edges):

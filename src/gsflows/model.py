@@ -13,6 +13,20 @@ folds; the admissible natures are its key set.  On top of it sit the
 Poincare-Hopf residual of a single vertex, the degree inequalities, the fold
 bookkeeping, and the two Euler characteristic formulas whose agreement on
 fold-balanced closed graphs is the main global cross-check.
+
+The two label enums hash by identity (`object.__hash__`) instead of by
+member name, since labels key dicts, sets and caches on every path.  This
+finds the same entries as before: members are singletons and Enum equality
+is already identity.  No output iterates a set of members, so no output
+order depends on the hash either (the generator sorts its moves by enum
+order on purpose).
+
+`validate_graph` finds an oriented cycle with Kahn's algorithm over the
+predecessor lists of the edges.  If vertices remain once no vertex is
+ready, it names one cycle: from the first remaining vertex in insertion
+order it follows each vertex's first remaining predecessor, in edge order,
+until a vertex repeats, and reports that loop in edge direction as
+`oriented cycle: a->b->a`.
 """
 
 from __future__ import annotations
@@ -20,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 
 
 class SingularityType(Enum):
@@ -31,6 +44,8 @@ class SingularityType(Enum):
     WHITNEY = "W"
     DOUBLE = "D"
     TRIPLE = "T"
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -50,6 +65,8 @@ class Nature(Enum):
     SS_U = "ss_u"
     SSA = "ssa"
     SSR = "ssr"
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -240,34 +257,51 @@ def reverse_semigraph(sg: SemiGraph) -> SemiGraph:
 def validate_graph(g: LyapunovGraph) -> list[str]:
     """Collect all structural violations; an empty list means valid."""
     report: list[str] = []
-    ids = set(g.vertices)
+    # Predecessors and successors along the edges joining two known vertices.
+    deps: dict[str, list[str]] = {vid: [] for vid in g.vertices}
+    succs: dict[str, list[str]] = {vid: [] for vid in g.vertices}
     for i, e in enumerate(g.edges):
+        src, dst = e.src, e.dst
         if e.weight < 1:
             report.append(f"edge {i}: weight must be >= 1, got {e.weight}")
-        if e.src is None and e.dst is None:
+        if src is None and dst is None:
             report.append(f"edge {i}: both ends open")
-        for end, name in ((e.src, "source"), (e.dst, "target")):
-            if end is not None and end not in ids:
-                report.append(f"edge {i}: unknown {name} vertex {end!r}")
+        if src in deps:
+            if dst in deps:
+                deps[dst].append(src)
+                succs[src].append(dst)
+        elif src is not None:
+            report.append(f"edge {i}: unknown source vertex {src!r}")
+        if dst is not None and dst not in deps:
+            report.append(f"edge {i}: unknown target vertex {dst!r}")
     # Label admissibility is enforced by VertexLabel on construction, but
     # re-check here so graphs built by other means still get a report.
     for vid, label in g.vertices.items():
         if label.nature not in ADMISSIBLE_NATURES[label.kind]:
             report.append(f"vertex {vid}: nature {label.nature} not admissible for {label.kind}")
-    deps: dict[str, set[str]] = {vid: set() for vid in g.vertices}
-    for e in g.edges:
-        if e.src in ids and e.dst in ids:
-            deps[e.dst].add(e.src)
-    try:
-        tuple(TopologicalSorter(deps).static_order())
-    except CycleError as err:
-        cycle = "->".join(str(v) for v in err.args[1])
-        report.append(f"oriented cycle: {cycle}")
-    incident = set()
-    for e in g.edges:
-        incident.update(v for v in (e.src, e.dst) if v is not None)
+    # Kahn's algorithm: `indegree` ends positive exactly on the vertices that
+    # lie on a cycle or below one.
+    indegree = {vid: len(preds) for vid, preds in deps.items()}
+    ready = [vid for vid, d in indegree.items() if not d]
+    for u in ready:
+        for v in succs[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+    if len(ready) < len(indegree):
+        # Every remaining vertex has a remaining predecessor: follow the
+        # first one until a vertex repeats, then read the loop forwards.
+        vid = next(v for v, d in indegree.items() if d)
+        walk: dict[str, None] = {}
+        while vid not in walk:
+            walk[vid] = None
+            vid = next(u for u in deps[vid] if indegree[u])
+        back = list(walk)
+        cycle = back[back.index(vid):] + [vid]
+        report.append("oriented cycle: " + "->".join(reversed(cycle)))
+    ends = {e.src for e in g.edges} | {e.dst for e in g.edges}
     for vid in g.vertices:
-        if vid not in incident:
+        if vid not in ends:
             report.append(f"vertex {vid}: isolated (semi-graphs need degree >= 1)")
     return report
 
@@ -384,17 +418,21 @@ def euler_gs(g: LyapunovGraph) -> Fraction:
     return euler_characteristic(a, s, r, w, t)
 
 
+_TYPES = {t.value: t for t in SingularityType}
+_NATURES = {n.value: n for n in Nature}
+
+
 def parse_type(text: str) -> SingularityType:
     """Case-insensitive chart type lookup."""
     try:
-        return SingularityType(text.strip().upper())
-    except ValueError:
+        return _TYPES[text.strip().upper()]
+    except KeyError:
         raise ValueError(f"unknown singularity type {text!r}") from None
 
 
 def parse_nature(text: str) -> Nature:
     """Case-insensitive nature lookup."""
     try:
-        return Nature(text.strip().lower())
-    except ValueError:
+        return _NATURES[text.strip().lower()]
+    except KeyError:
         raise ValueError(f"unknown nature {text!r}") from None

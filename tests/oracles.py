@@ -3,6 +3,7 @@ package implementations they check."""
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 
 
@@ -154,4 +155,21 @@ def multigraphs_isomorphic(c1, c2) -> bool:
         arcs = sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in c1.arcs)
         if arcs == target:
             return True
+    return False
+
+
+def has_oriented_cycle(vertices, arcs) -> bool:
+    """Whether the arcs (src, dst) between `vertices` close an oriented cycle.
+
+    Ends outside `vertices`, such as dangling ones, are ignored; a self-loop
+    is a cycle.  Decided by graphlib's topological sort.
+    """
+    deps = {v: set() for v in vertices}
+    for src, dst in arcs:
+        if src in deps and dst in deps:
+            deps[dst].add(src)
+    try:
+        tuple(TopologicalSorter(deps).static_order())
+    except CycleError:
+        return True
     return False

@@ -41,6 +41,7 @@ from gsflows.engine import (
     successors,
 )
 from gsflows.model import (
+    ADMISSIBLE_NATURES,
     Nature,
     SemiGraph,
     SingularityType,
@@ -726,6 +727,37 @@ class TestBoundaryFeasible:
         unpruned = [t in closures[s, sum(p) + sum(m)] for s, p, m, t in queries]
         assert len(queries) > 1000 and 0 < sum(unpruned) < len(queries)
         assert pruned == unpruned
+
+
+class TestDegreeTwoFamilySweep:
+    @pytest.mark.parametrize(
+        "family, failures",
+        [(family_A, set()), (family_B, {("D,sa", 8, 6), ("D,sr", 6, 8)})],
+        ids=["family_A", "family_B"],
+    )
+    def test_uniform_family_forms(self, family, failures):
+        """One entering and one exiting edge, weights 1 to 8, every label but
+        the triple crossings: the vertices `local_realizable` accepts, and
+        those whose two family forms no block realizes.
+
+        The family_B failures are ROADMAP item 1's open discrepancy between
+        the uniform certificates and the catalog.  They are pinned so that
+        any change to them shows; this test does not claim they are right.
+        """
+        accepted, infeasible = 0, set()
+        for kind in SingularityType:
+            if kind is T.TRIPLE:
+                continue
+            for nature in ADMISSIBLE_NATURES[kind]:
+                label = VertexLabel(kind, nature)
+                for w_in, w_out in itertools.product(range(1, 9), repeat=2):
+                    if not local_realizable(SemiGraph(label, (w_in,), (w_out,))).ok:
+                        continue
+                    accepted += 1
+                    if not boundary_feasible(label, [family(w_in)], [family(w_out)]):
+                        infeasible.add((str(label), w_in, w_out))
+        assert accepted == 54
+        assert infeasible == failures
 
 
 def _partitions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -67,6 +67,9 @@ class TestParse:
         with pytest.raises(ParseError, match=">= 1"):
             parse_graph("gsgraph v1\nvertex v R a\nedge OPEN v 0\n")
 
+    def test_weight_with_leading_zero(self):
+        assert parse_graph("gsgraph v1\nvertex v R a\nedge OPEN v 03\n").edges[0].weight == 3
+
     def test_unknown_vertex_reference(self):
         with pytest.raises(ParseError, match="unknown vertex"):
             parse_graph("gsgraph v1\nvertex v R a\nedge w v 1\n")
@@ -99,6 +102,9 @@ PARSE_ERRORS = {
     "edge-arity": (V + " edge OPEN v\n", 3, 2, "edge takes: src dst weight"),
     "weight-word": (V + "edge OPEN  v   x # w\n", 3, 16, "weight must be an integer, got 'x'"),
     "weight-fraction": (V + "edge OPEN v 1.5\n", 3, 13, "weight must be an integer, got '1.5'"),
+    "weight-underscore": (V + "edge OPEN v  1_0\n", 3, 14, "weight must be an integer, got '1_0'"),
+    "weight-plus": (V + "edge OPEN v +3 # x\n", 3, 13, "weight must be an integer, got '+3'"),
+    "weight-arabic-digit": (V + "edge OPEN   v \u0663\n", 3, 15, "weight must be an integer, got '\u0663'"),
     "weight-zero": (V + "edge  OPEN v  0\n", 3, 15, "weight must be >= 1"),
     "weight-negative": (V + "edge OPEN v -1\n", 3, 13, "weight must be >= 1"),
     "unknown-directive": (V + "   node v R a\n", 3, 4, "unknown directive 'node'"),

@@ -1,6 +1,6 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gsflows.model import (
     ADMISSIBLE_NATURES,
@@ -31,6 +31,7 @@ from gsflows.model import (
     validate_graph,
 )
 from gsflows.generator import gen_random_gs_graph
+from oracles import has_oriented_cycle
 
 T = SingularityType
 N = Nature
@@ -104,6 +105,21 @@ class TestValidate:
     def test_two_cycle(self):
         g = graph([("a", "R", "s"), ("b", "R", "s")], [("a", "b", 1), ("b", "a", 1)])
         assert any("oriented cycle" in item for item in validate_graph(g))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_report_matches_oracle(self, data):
+        ids = [f"v{i}" for i in range(data.draw(st.integers(1, 6)))]
+        end = st.sampled_from(ids + [OPEN])
+        arcs = data.draw(st.lists(st.tuples(end, end), max_size=12))
+        g = graph([(vid, "R", "s") for vid in ids], [(src, dst, 1) for src, dst in arcs])
+        cycles = [item for item in validate_graph(g) if item.startswith("oriented cycle: ")]
+        assert len(cycles) == has_oriented_cycle(ids, arcs)
+        if cycles:
+            walk = cycles[0].removeprefix("oriented cycle: ").split("->")
+            assert len(walk) >= 2 and walk[0] == walk[-1]
+            assert len(set(walk)) == len(walk) - 1
+            assert all(pair in arcs for pair in zip(walk, walk[1:]))
 
     def test_zero_weight(self):
         g = graph([("v", "R", "a")], [])
