@@ -597,18 +597,13 @@ def puncture(c: BranchedComponent, v: int) -> list[PuncturePiece]:
 def family_minimal(w: int) -> Branched1Manifold:
     """Boundary forms occurring at minimal weights: w in {1, 2, 3, 5, 7}.
 
-    1: circle; 2: figure eight; 3: two circles crossing twice; 5: chain of
-    three circles with consecutive pairs crossing twice; 7: three circles
+    At 1, 2, 3 and 5 these are the circle-chain forms `family_B(w)`: circle,
+    figure eight, two circles crossing twice, and a chain of three circles
+    with consecutive pairs crossing twice.  At 7 it is three circles
     pairwise crossing twice (the octahedron graph).
     """
-    if w == 1:
-        return circle_manifold()
-    if w == 2:
-        return manifold([figure_eight()])
-    if w == 3:
-        return manifold([canonical_component(2, [(0, 1)] * 4)])
-    if w == 5:
-        return manifold([_chain_component(5)])
+    if w in (1, 2, 3, 5):
+        return family_B(w)
     if w == 7:
         arcs = [
             (i, j)

@@ -109,18 +109,30 @@ def parse_graph(text: str) -> LyapunovGraph:
     if not header_seen:
         raise ParseError(1, 1, f"expected header {HEADER!r}")
     for i, e in enumerate(g.edges):
-        for end in (e.src, e.dst):
+        for k, end in ((1, e.src), (2, e.dst)):
             if end is not None and end not in g.vertices:
-                raise ParseError(len(lines), 1, f"edge {i} references unknown vertex {end!r}")
+                lineno, line = _edge_line(lines, i)
+                raise ParseError(lineno, _tokens(line)[k][1], f"edge {i} references unknown vertex {end!r}")
     return g
 
 
+def _edge_line(lines: list[str], i: int) -> tuple[int, str]:
+    """Line number and comment-free text of the document's i-th edge line."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line.lstrip(" ").split(" ", 1)[0] == "edge":
+            if i == 0:
+                return lineno, line
+            i -= 1
+    raise AssertionError(f"document has no edge line {i}")
+
+
 def serialize_graph(g: LyapunovGraph) -> str:
+    g = g.canonical()
     lines = [HEADER]
-    for vid, label in sorted(g.vertices.items()):
+    for vid, label in g.vertices.items():
         lines.append(f"vertex {vid} {label.kind} {label.nature}")
-    key = lambda e: (e.src or "", e.dst or "", e.weight)
-    for e in sorted(g.edges, key=key):
+    for e in g.edges:
         src = "OPEN" if e.src is None else e.src
         dst = "OPEN" if e.dst is None else e.dst
         lines.append(f"edge {src} {dst} {e.weight}")
@@ -129,11 +141,12 @@ def serialize_graph(g: LyapunovGraph) -> str:
 
 def export_dot(g: LyapunovGraph) -> str:
     """Graphviz digraph: one node per vertex, one arc per edge."""
+    g = g.canonical()
     lines = ["digraph lyapunov {"]
-    for vid, label in sorted(g.vertices.items()):
+    for vid, label in g.vertices.items():
         lines.append(f'  "{vid}" [label="{vid}\\n({label.kind},{label.nature})"];')
     opens = 0
-    for e in sorted(g.edges, key=lambda e: (e.src or "", e.dst or "", e.weight)):
+    for e in g.edges:
         ends = []
         for end in (e.src, e.dst):
             if end is None:

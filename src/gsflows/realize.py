@@ -6,10 +6,11 @@ block for the vertex label.  The sufficient conditions form one table,
 evaluated in order of increasing generality over one classification of the
 graph: all-minimal weights, no bifurcation vertices, minimal bifurcations,
 plane/cone/Whitney labels only, and the two uniform edge-assignment
-families.  Each fires with an explicit certificate mapping edges to
-canonical forms.  When no condition applies, a bounded exhaustive
+families.  Each fires with an explicit certificate mapping each edge to one
+connected canonical form.  When no condition applies, a bounded exhaustive
 search over per-edge form assignments either produces a certificate, proves
-non-realizability within the bound, or reports the question as open.
+non-realizability within the bound, or reports the question as open.  The
+search and the certificate audit share one assignment routine, `_assign`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .branched import (
     family_A,
     family_B,
     family_minimal,
-    is_isomorphic,
     manifold,
 )
 from .model import (
@@ -226,50 +226,19 @@ def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:
 # Certificate verification and the bounded search
 
 
-def _edge_form(cert, idx: int, end: str) -> Branched1Manifold:
-    value = cert[idx]
-    if isinstance(value, tuple):
-        return value[0] if end == "src" else value[1]
-    return value
-
-
-def verify_certificate(g: LyapunovGraph, cert) -> bool:
+def verify_certificate(g: LyapunovGraph, cert: Certificate) -> bool:
     """Soundness audit of an edge-to-form assignment.
 
-    Certificate values are connected manifolds, or (source-end, target-end)
-    pairs; paired ends must be isomorphic, every form must carry the edge
-    weight, and every vertex boundary must be block-feasible.
+    Every edge needs a connected form carrying the edge weight, and every
+    vertex boundary must be block-feasible.
     """
     for i in range(len(g.edges)):
         if i not in cert:
             raise ValueError(f"certificate misses edge {i}")
     for i, e in enumerate(g.edges):
-        src_form = _edge_form(cert, i, "src")
-        dst_form = _edge_form(cert, i, "dst")
-        if not is_isomorphic(src_form, dst_form):
+        if len(cert[i].components) != 1 or cert[i].total_weight != e.weight:
             return False
-        for form in (src_form, dst_form):
-            if len(form.components) != 1 or form.total_weight != e.weight:
-                return False
-    in_edges, out_edges = _incidence(g)
-    for vid, label in g.vertices.items():
-        ins = [_edge_form(cert, i, "dst") for i in in_edges[vid]]
-        outs = [_edge_form(cert, i, "src") for i in out_edges[vid]]
-        if not boundary_feasible(label, ins, outs):
-            return False
-    return True
-
-
-def _incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Indices of each vertex's entering and exiting edges, in edge order."""
-    in_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    out_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    for i, e in enumerate(g.edges):
-        if e.dst in in_edges:
-            in_edges[e.dst].append(i)
-        if e.src in out_edges:
-            out_edges[e.src].append(i)
-    return in_edges, out_edges
+    return _assign(g, [[cert[i]] for i in range(len(g.edges))]) is not None
 
 
 def _search(g: LyapunovGraph, bound: int) -> Certificate | None:
@@ -281,30 +250,49 @@ def _search(g: LyapunovGraph, bound: int) -> Certificate | None:
         w: sorted((manifold([c]) for c in enumerate_connected(w)), key=lambda m: m.encode())
         for w in {e.weight for e in g.edges}
     }
-    candidates = [by_weight[e.weight] for e in g.edges]
-    in_edges, out_edges = _incidence(g)
-    check_after: dict[int, list[str]] = {i: [] for i in range(len(g.edges))}
-    for vid in g.vertices:
-        check_after[max(in_edges[vid] + out_edges[vid])].append(vid)
+    return _assign(g, [by_weight[e.weight] for e in g.edges])
 
-    assignment: Certificate = {}
+
+def _assign(g: LyapunovGraph, candidates: list[list[Branched1Manifold]]) -> Certificate | None:
+    """The first choice of one candidate form per edge that makes every
+    vertex block-feasible, or None.
+
+    Edges are assigned by index and candidates tried in list order; a vertex
+    is checked once its last incident edge has a form, and a vertex without
+    edges before any edge.  The backtracking is iterative, so the depth is
+    not bounded by the recursion limit.
+    """
+    in_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    out_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    for i, e in enumerate(g.edges):
+        if e.dst in in_edges:
+            in_edges[e.dst].append(i)
+        if e.src in out_edges:
+            out_edges[e.src].append(i)
+    check_after: dict[int, list[str]] = {i: [] for i in range(-1, len(g.edges))}
+    for vid in g.vertices:
+        check_after[max(in_edges[vid] + out_edges[vid], default=-1)].append(vid)
+    forms: list[Branched1Manifold | None] = [None] * len(g.edges)
 
     def feasible_at(vid: str) -> bool:
-        ins = [assignment[i] for i in in_edges[vid]]
-        outs = [assignment[i] for i in out_edges[vid]]
+        ins = [forms[i] for i in in_edges[vid]]
+        outs = [forms[i] for i in out_edges[vid]]
         return boundary_feasible(g.vertices[vid], ins, outs)
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(g.edges):
-            return True
-        for form in candidates[idx]:
-            assignment[idx] = form
-            if all(feasible_at(vid) for vid in check_after[idx]) and backtrack(idx + 1):
-                return True
-            del assignment[idx]
-        return False
-
-    return dict(assignment) if backtrack(0) else None
+    if not all(feasible_at(vid) for vid in check_after[-1]):
+        return None
+    tried = [0] * len(g.edges)
+    idx = 0
+    while 0 <= idx < len(g.edges):
+        if tried[idx] == len(candidates[idx]):
+            tried[idx] = 0
+            idx -= 1
+            continue
+        forms[idx] = candidates[idx][tried[idx]]
+        tried[idx] += 1
+        if all(feasible_at(vid) for vid in check_after[idx]):
+            idx += 1
+    return None if idx < 0 else dict(enumerate(forms))
 
 
 def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVerdict:

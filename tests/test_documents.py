@@ -108,11 +108,11 @@ PARSE_ERRORS = {
     "weight-zero": (V + "edge  OPEN v  0\n", 3, 15, "weight must be >= 1"),
     "weight-negative": (V + "edge OPEN v -1\n", 3, 13, "weight must be >= 1"),
     "unknown-directive": (V + "   node v R a\n", 3, 4, "unknown directive 'node'"),
-    "unknown-reference": (V + "edge w v 1\n\n# tail\n", 5, 1, "edge 0 references unknown vertex 'w'"),
+    "unknown-reference": (V + "edge w v 1\n\n# tail\n", 3, 6, "edge 0 references unknown vertex 'w'"),
     "unknown-reference-later": (
         V + "edge v  OPEN 1\nedge OPEN  u 2   # x\n",
         4,
-        1,
+        12,
         "edge 1 references unknown vertex 'u'",
     ),
 }

@@ -4,6 +4,8 @@ import time
 import pytest
 
 from gsflows.branched import MAX_ENUM_WEIGHT, family_A, family_B, family_minimal, parse_manifold
+from gsflows.cli import EX_OK, main
+from gsflows.documents import serialize_graph
 from gsflows.generator import gen_random_gs_graph
 from gsflows.model import (
     LyapunovGraph,
@@ -333,10 +335,6 @@ class TestRealize:
 
 
 class TestVerifyCertificate:
-    def test_mismatched_edge_forms(self):
-        cert = {0: (family_minimal(3), family_A(3)), 1: family_minimal(2), 2: family_minimal(1)}
-        assert not verify_certificate(NON_REALIZABLE, cert)
-
     def test_infeasible_vertex_pair(self):
         cert = {0: family_A(3), 1: family_minimal(2), 2: family_minimal(1)}
         # The loop-chain form is not the repeller boundary.
@@ -349,6 +347,10 @@ class TestVerifyCertificate:
     def test_missing_edge(self):
         with pytest.raises(ValueError):
             verify_certificate(NON_REALIZABLE, {0: family_minimal(3)})
+
+    def test_isolated_vertex_is_checked(self):
+        g = G([("r", "R", "r"), ("a", "R", "a"), ("x", "R", "a")], [("r", "a", 1)])
+        assert not verify_certificate(g, {0: family_minimal(1)})
 
 
 class TestSearchAgreement:
@@ -375,6 +377,22 @@ def search_only(g):
     from gsflows.realize import _search
 
     return _search(g, 7)
+
+
+class TestLongGraphs:
+    def test_search_is_not_bounded_by_recursion_depth(self, tmp_path):
+        # 1 203 edges: far more than the interpreter's default recursion limit.
+        labels = [("d", "D", "r"), ("t1", "T", "ssr"), ("t2", "T", "ssa")]
+        labels += [(f"s{i}", "R", "s") for i in range(1200)] + [("a", "D", "a")]
+        weights = [3, 5, 3] + [3] * 1200
+        g = G(labels, [(u[0], v[0], w) for u, v, w in zip(labels, labels[1:], weights)])
+        assert realize(g).status == UNKNOWN
+        verdict = realize(g, search_bound=5)
+        assert verdict.status == REALIZABLE and verdict.theorem == "Search"
+        assert verify_certificate(g, verdict.certificate)
+        path = tmp_path / "long.gs"
+        path.write_text(serialize_graph(g))
+        assert main(["realize", str(path), "--search-bound", "5"]) == EX_OK
 
 
 class TestMultiEdges:
