@@ -9,7 +9,7 @@ the per-shape boundary option sets are the binding data.  The catalog is the
 table `_CATALOG`, one row per block: name, singularity type and nature, the
 entering and exiting vertex kinds, the dead entering arcs, the flow bands as
 (entering arc, exiting arc) vertex pairs, and the orientable and provisional
-flags.  `_block_state` turns a row into its `BlockState`.
+flags.
 
 The shape catalog is read off the block catalog: the admissible semi-graph
 shapes (label, indegree, outdegree) are those of the blocks and their
@@ -328,12 +328,7 @@ class CatalogEntry:
         st = self.state
         pc = engine._component_of(st.plus_kinds, st.plus_arcs)
         mc = engine._component_of(st.minus_kinds, st.minus_arcs)
-        minus_of = {b: (u, v) for u, v, b in st.minus_arcs if b != engine.DEAD}
-        pairs = set()
-        for u, _, b in st.plus_arcs:
-            if b != engine.DEAD:
-                pairs.add((pc[u], mc[minus_of[b][0]]))
-        return frozenset(pairs)
+        return frozenset((pc[pu], mc[mu]) for pu, _, mu, _ in st.bands)
 
     def reversed(self) -> "CatalogEntry":
         return CatalogEntry(
@@ -351,12 +346,11 @@ def _is_diagonal(st: BlockState) -> bool:
     sigma maps each band's entering arc ends onto its exiting arc ends; it
     must be a well-defined, kind-preserving bijection of the vertices.
     """
-    if engine.BRANCH in st.plus_kinds or any(b == engine.DEAD for _, _, b in st.plus_arcs + st.minus_arcs):
+    if engine.BRANCH in st.plus_kinds or st.plus_dead or st.minus_dead:
         return False
-    exiting = {b: (mu, mv) for mu, mv, b in st.minus_arcs}
     sigma: dict[int, int] = {}
-    for pu, pv, b in st.plus_arcs:
-        for p, m in zip((pu, pv), exiting[b]):
+    for pu, pv, mu, mv in st.bands:
+        for p, m in ((pu, mu), (pv, mv)):
             if sigma.setdefault(p, m) != m:
                 return False
     return (
@@ -442,26 +436,12 @@ _CATALOG = (
 _REVERSED = frozenset(_N) - {row[2] for row in _CATALOG}
 
 
-def _block_state(plus: str, minus: str, dead, bands) -> BlockState:
-    """Block state of one catalog row.
-
-    The entering arcs are the dead arcs, then band i's entering arc with id
-    i; the exiting arcs are band i's exiting arc with id i.
-    """
-    return BlockState(
-        tuple(plus),
-        tuple((u, v, engine.DEAD) for u, v in dead)
-        + tuple((pu, pv, i) for i, (pu, pv, _, _) in enumerate(bands)),
-        tuple(minus),
-        tuple((mu, mv, i) for i, (_, _, mu, mv) in enumerate(bands)),
-    )
-
-
 @lru_cache(maxsize=1)
 def minimal_block_catalog() -> tuple[CatalogEntry, ...]:
     """The 33 minimal isolating blocks up to homeomorphism and flow reversal."""
     return tuple(
-        CatalogEntry(name, VertexLabel(t, n), _block_state(plus, minus, dead, bands), orientable, provisional)
+        CatalogEntry(name, VertexLabel(t, n), BlockState(tuple(plus), tuple(minus), dead, (), bands),
+                     orientable, provisional)
         for name, t, n, plus, minus, dead, bands, orientable, provisional in _CATALOG
     )
 

@@ -90,20 +90,10 @@ class Branched1Manifold:
 
 
 def _connected(order: int, arcs: tuple[tuple[int, int], ...]) -> bool:
-    if order <= 1:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in range(order)}
+    parent = list(range(order))
     for u, v in arcs:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == order
+        parent[_find(parent, u)] = _find(parent, v)
+    return len({_find(parent, v) for v in range(order)}) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,11 @@ def is_isomorphic(x: Branched1Manifold, y: Branched1Manifold) -> bool:
 
 
 def parse_manifold(text: str) -> Branched1Manifold:
-    """Inverse of Branched1Manifold.encode."""
+    """Inverse of Branched1Manifold.encode.
+
+    A component on n branch points has 2n arcs with vertex ids 0..n-1; any
+    other part is rejected before it is canonized.
+    """
     comps = []
     for part in text.strip().split("|"):
         part = part.strip()
@@ -347,7 +341,9 @@ def parse_manifold(text: str) -> Branched1Manifold:
         for item in part.split(","):
             u, _, v = item.partition(":")
             arcs.append((int(u), int(v)))
-        order = max(max(u, v) for u, v in arcs) + 1
+        order = len(arcs) // 2
+        if len(arcs) % 2 or not all(0 <= x < order for arc in arcs for x in arc):
+            raise ValueError(f"component {part[:40]!r}: expected 2n arcs on vertex ids 0..n-1")
         comps.append(canonical_component(order, arcs))
     return manifold(comps)
 
@@ -537,19 +533,13 @@ def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:
     return sorted(out)
 
 
-_DOWN_SETS: dict[BranchedComponent, frozenset[BranchedComponent]] = {}
-
-
+@cache
 def down_set(c: BranchedComponent) -> frozenset[BranchedComponent]:
     """Every connected form that same-component identifications grow into c.
 
     The closure of c under `split_off`, c included, memoised per component.
     """
-    found = _DOWN_SETS.get(c)
-    if found is None:
-        found = frozenset([c]).union(*(down_set(p) for v in range(c.order) for p in split_off(c, v)))
-        _DOWN_SETS[c] = found
-    return found
+    return frozenset([c]).union(*(down_set(p) for v in range(c.order) for p in split_off(c, v)))
 
 
 @dataclass(frozen=True)

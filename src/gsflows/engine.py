@@ -8,6 +8,12 @@ carried by any band (attractor or repeller sheets, fold sheets) are dead and
 no rewrite may touch them.  Degree-2 marker vertices delimit bands without
 being branch points; they are suppressed when boundary forms are read off.
 
+A state has the fields of a `blocks` catalog row: each side's vertex kinds,
+each side's dead arcs as (u, v) vertex pairs, and the bands as
+(pu, pv, mu, mv), each joining entering arc (pu, pv) to exiting arc
+(mu, mv).  A side's arc list (its dead arcs, then its band arcs in band
+order) is derived from these, once per state.
+
 One rewrite step identifies a pair of regular orbits: it merges their two
 entry points into a new branch point on the entering side and their two exit
 points into a new branch point on the exiting side.  Restricting to pairs
@@ -61,6 +67,7 @@ each distinct query's answer for the life of the process, a table beside
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .branched import (
@@ -74,10 +81,6 @@ from .branched import (
 
 BRANCH = "b"
 MARKER = "k"
-DEAD = -1
-
-#: Arc of one side: (tail vertex, head vertex, band id or DEAD).
-Arc = tuple[int, int, int]
 
 #: Boundary pair: the sorted canonical components of the entering side and
 #: of the exiting side, () for an empty side.
@@ -86,26 +89,37 @@ Pair = tuple[tuple[BranchedComponent, ...], tuple[BranchedComponent, ...]]
 
 @dataclass(frozen=True)
 class BlockState:
-    """Entering/exiting boundary multigraphs with their band pairing."""
+    """Entering/exiting boundary multigraphs with their flow bands."""
 
     plus_kinds: tuple[str, ...]
-    plus_arcs: tuple[Arc, ...]
     minus_kinds: tuple[str, ...]
-    minus_arcs: tuple[Arc, ...]
+    plus_dead: tuple[tuple[int, int], ...]
+    minus_dead: tuple[tuple[int, int], ...]
+    #: (pu, pv, mu, mv): the band joining entering arc (pu, pv) to exiting arc (mu, mv).
+    bands: tuple[tuple[int, int, int, int], ...]
+
+    @cached_property
+    def plus_arcs(self) -> tuple[tuple[int, int], ...]:
+        return self.plus_dead + tuple((pu, pv) for pu, pv, _, _ in self.bands)
+
+    @cached_property
+    def minus_arcs(self) -> tuple[tuple[int, int], ...]:
+        return self.minus_dead + tuple((mu, mv) for _, _, mu, mv in self.bands)
 
     def reversed(self) -> "BlockState":
-        return BlockState(self.minus_kinds, self.minus_arcs, self.plus_kinds, self.plus_arcs)
+        return BlockState(self.minus_kinds, self.plus_kinds, self.minus_dead, self.plus_dead,
+                          tuple((mu, mv, pu, pv) for pu, pv, mu, mv in self.bands))
 
 
-def _component_of(kinds: tuple[str, ...], arcs: tuple[Arc, ...]) -> list[int]:
+def _component_of(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> list[int]:
     parent = list(range(len(kinds)))
-    for u, v, _ in arcs:
+    for u, v in arcs:
         parent[_find(parent, u)] = _find(parent, v)
     roots: dict[int, int] = {}
     return [roots.setdefault(_find(parent, v), len(roots)) for v in range(len(kinds))]
 
 
-def side_weights(kinds: tuple[str, ...], arcs: tuple[Arc, ...]) -> list[int]:
+def side_weights(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> list[int]:
     """Per-component weights: branch points + 1."""
     comp = _component_of(kinds, arcs)
     n = max(comp) + 1 if comp else 0
@@ -123,10 +137,10 @@ def state_totals(state: BlockState) -> tuple[int, int]:
     )
 
 
-def side_form(kinds: tuple[str, ...], arcs: tuple[Arc, ...]) -> Branched1Manifold | None:
+def side_form(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> Branched1Manifold | None:
     if not kinds:
         return None
-    return manifold_from_arcs([[u, v] for u, v, _ in arcs])
+    return manifold_from_arcs(arcs)
 
 
 def state_forms(state: BlockState) -> tuple[Branched1Manifold | None, Branched1Manifold | None]:
@@ -136,71 +150,39 @@ def state_forms(state: BlockState) -> tuple[Branched1Manifold | None, Branched1M
     )
 
 
-def _band_index(arcs: tuple[Arc, ...]) -> dict[int, int]:
-    return {b: i for i, (_, _, b) in enumerate(arcs) if b != DEAD}
-
-
 def successors(state: BlockState) -> list[BlockState]:
     """All shape-preserving rewrites of the state."""
     plus_comp = _component_of(state.plus_kinds, state.plus_arcs)
     minus_comp = _component_of(state.minus_kinds, state.minus_arcs)
-    minus_of = _band_index(state.minus_arcs)
-    live = [i for i, (_, _, b) in enumerate(state.plus_arcs) if b != DEAD]
+    bands = state.bands
     out = []
-    for a in range(len(live)):
-        for b in range(a, len(live)):
-            i, j = live[a], live[b]
-            pu, pv, pb = state.plus_arcs[i]
-            qu, qv, qb = state.plus_arcs[j]
-            if i != j:
-                if plus_comp[pu] != plus_comp[qu]:
-                    continue
-                mi, mj = minus_of[pb], minus_of[qb]
-                if minus_comp[state.minus_arcs[mi][0]] != minus_comp[state.minus_arcs[mj][0]]:
-                    continue
-            out.append(_apply(state, i, j))
+    for i, (pu, _, mu, _) in enumerate(bands):
+        for j in range(i, len(bands)):
+            qu, _, nu, _ = bands[j]
+            if i == j or (plus_comp[pu] == plus_comp[qu] and minus_comp[mu] == minus_comp[nu]):
+                out.append(_apply(state, i, j))
     return out
 
 
 def _apply(state: BlockState, i: int, j: int) -> BlockState:
-    minus_of = _band_index(state.minus_arcs)
-    plus_arcs = list(state.plus_arcs)
-    minus_arcs = list(state.minus_arcs)
-    plus_kinds = list(state.plus_kinds)
-    minus_kinds = list(state.minus_kinds)
-    next_band = max(minus_of) + 1
-    w_plus = len(plus_kinds)
-    plus_kinds.append(BRANCH)
-    w_minus = len(minus_kinds)
-    minus_kinds.append(BRANCH)
+    """Identify a point of band i with a point of band j, i == j for a loop.
 
-    def split_pair(arcs_p, arcs_m, idx_p, idx_m, loop: bool):
-        nonlocal next_band
-        pu, pv, _ = arcs_p[idx_p]
-        mu, mv, _ = arcs_m[idx_m]
-        if loop:
-            b1, b2, b3 = next_band, next_band + 1, next_band + 2
-            next_band += 3
-            arcs_p[idx_p] = (pu, w_plus, b1)
-            arcs_p.append((w_plus, w_plus, b2))
-            arcs_p.append((w_plus, pv, b3))
-            arcs_m[idx_m] = (mu, w_minus, b1)
-            arcs_m.append((w_minus, w_minus, b2))
-            arcs_m.append((w_minus, mv, b3))
-        else:
-            b1, b2 = next_band, next_band + 1
-            next_band += 2
-            arcs_p[idx_p] = (pu, w_plus, b1)
-            arcs_p.append((w_plus, pv, b2))
-            arcs_m[idx_m] = (mu, w_minus, b1)
-            arcs_m.append((w_minus, mv, b2))
-
+    The new branch points are x on the entering side and y on the exiting
+    side.  Each band cut keeps its place, ending at x and y; the pieces past
+    the cut follow the existing bands.
+    """
+    x, y = len(state.plus_kinds), len(state.minus_kinds)
+    bands = list(state.bands)
+    pu, pv, mu, mv = bands[i]
+    bands[i] = (pu, x, mu, y)
     if i == j:
-        split_pair(plus_arcs, minus_arcs, i, minus_of[state.plus_arcs[i][2]], loop=True)
+        bands += [(x, x, y, y), (x, pv, y, mv)]
     else:
-        split_pair(plus_arcs, minus_arcs, i, minus_of[state.plus_arcs[i][2]], loop=False)
-        split_pair(plus_arcs, minus_arcs, j, minus_of[state.plus_arcs[j][2]], loop=False)
-    return BlockState(tuple(plus_kinds), tuple(plus_arcs), tuple(minus_kinds), tuple(minus_arcs))
+        qu, qv, nu, nv = bands[j]
+        bands[j] = (qu, x, nu, y)
+        bands += [(x, pv, y, mv), (x, qv, y, nv)]
+    return BlockState(state.plus_kinds + (BRANCH,), state.minus_kinds + (BRANCH,),
+                      state.plus_dead, state.minus_dead, tuple(bands))
 
 
 # ---------------------------------------------------------------------------
@@ -214,34 +196,21 @@ def _apply(state: BlockState, i: int, j: int) -> BlockState:
 
 def _state_units(state: BlockState):
     """(node colours, labelled edges) of the auxiliary graph."""
-    colors: list[str] = []
+    colors = [f"p{k}" for k in state.plus_kinds] + [f"m{k}" for k in state.minus_kinds]
     edges: list[tuple[int, int, int]] = []
-    plus_base = 0
-    colors.extend(f"p{k}" for k in state.plus_kinds)
-    minus_base = len(colors)
-    colors.extend(f"m{k}" for k in state.minus_kinds)
-    minus_of = _band_index(state.minus_arcs)
+    minus_base = len(state.plus_kinds)
     E, P0, P1, M0, M1 = 0, 1, 2, 3, 4
-    for u, v, b in state.plus_arcs:
-        if b == DEAD:
+    for color, base, dead in (("dp", 0, state.plus_dead), ("dm", minus_base, state.minus_dead)):
+        for u, v in dead:
             idx = len(colors)
-            colors.append("dp")
-            edges.append((E, idx, plus_base + u))
-            edges.append((E, idx, plus_base + v))
-    for u, v, b in state.minus_arcs:
-        if b == DEAD:
-            idx = len(colors)
-            colors.append("dm")
-            edges.append((E, idx, minus_base + u))
-            edges.append((E, idx, minus_base + v))
-    for u, v, b in state.plus_arcs:
-        if b == DEAD:
-            continue
+            colors.append(color)
+            edges.append((E, idx, base + u))
+            edges.append((E, idx, base + v))
+    for pu, pv, mu, mv in state.bands:
         idx = len(colors)
         colors.append("bd")
-        mu, mv, _ = state.minus_arcs[minus_of[b]]
-        edges.append((P0, idx, plus_base + u))
-        edges.append((P1, idx, plus_base + v))
+        edges.append((P0, idx, pu))
+        edges.append((P1, idx, pv))
         edges.append((M0, idx, minus_base + mu))
         edges.append((M1, idx, minus_base + mv))
     return colors, edges

@@ -32,7 +32,6 @@ from gsflows.branched import (
 )
 from gsflows import engine
 from gsflows.engine import (
-    DEAD,
     BlockState,
     reachable_pairs_capped,
     state_forms,
@@ -341,39 +340,39 @@ class TestCatalog:
 #: (name, label, orientable, provisional, state), so a mistyped row fails by
 #: name; the exact states keep closure pairs and routing unchanged.
 CATALOG_DIGESTS = (
-    ("R_a", "9c986feee175"),
-    ("R_s_11", "3434fdd263e0"),
-    ("R_s_12", "0be10b8bdb54"),
-    ("C_a", "87a29e7edeb6"),
-    ("C_s_11", "0a443467d5d4"),
-    ("C_s_22", "ae1a8efe7819"),
-    ("W_a", "8dfb87f5b405"),
-    ("W_ss_11", "972eb59951e7"),
-    ("W_ss_12", "d1da5e3c6818"),
-    ("D_a", "dc5600fd06cd"),
-    ("D_sa_11_or", "ccbbbed44117"),
-    ("D_sa_11_non", "e6a7e3918968"),
-    ("D_sa_12", "c8ddc5fce295"),
-    ("D_sss_11_a", "61c6ab45b30d"),
-    ("D_sss_11_b", "f1163e749dcf"),
-    ("D_sss_21", "71a690ee396b"),
-    ("D_sss_12_a", "ce7358bc8426"),
-    ("D_sss_12_b", "6e78a883a5a0"),
-    ("D_sss_22", "a74833ca3b95"),
-    ("D_sss_13_a", "14b0d2dc7976"),
-    ("D_sss_13_b", "c1712cf1d794"),
-    ("D_sss_14", "9189fb7a9af3"),
-    ("T_a", "468ebd08c936"),
-    ("T_ssa_C4L_3a", "aca909f9e6c5"),
-    ("T_ssa_LL-adj_3a", "15135bf3310a"),
-    ("T_ssa_SS-adj_3a", "63c57d4380af"),
-    ("T_ssa_SS-cross_3a", "cb895bfcf93d"),
-    ("T_ssa_LL-adj_3b", "269c95b978b3"),
-    ("T_ssa_LL-opp_3b", "c4fb1b31bc57"),
-    ("T_ssa_SS-adj_3b", "f6fcacc5073a"),
-    ("T_ssa_SS-cross_3b", "36f1c1c4d810"),
-    ("T_ssa_SS-adj_f8f8", "08e3eccd18cf"),
-    ("T_ssa_SS-cross_f8f8", "483463cbe2f9"),
+    ("R_a", "a4e7711af8c3"),
+    ("R_s_11", "102cb7a2b380"),
+    ("R_s_12", "f5c458db2180"),
+    ("C_a", "4cc9d6adcca3"),
+    ("C_s_11", "30d073599653"),
+    ("C_s_22", "4785d5cf2cbb"),
+    ("W_a", "db5d172f7257"),
+    ("W_ss_11", "a55bf2c6f680"),
+    ("W_ss_12", "6fae76e54b1c"),
+    ("D_a", "b3010335a595"),
+    ("D_sa_11_or", "fc42e18c72af"),
+    ("D_sa_11_non", "758a03224068"),
+    ("D_sa_12", "f6bb9b613adc"),
+    ("D_sss_11_a", "29cc5636b7ba"),
+    ("D_sss_11_b", "305cda47c9a4"),
+    ("D_sss_21", "88154cb2996a"),
+    ("D_sss_12_a", "a7e41453d469"),
+    ("D_sss_12_b", "dbac9b656bd2"),
+    ("D_sss_22", "15616281e08f"),
+    ("D_sss_13_a", "63df75e207fd"),
+    ("D_sss_13_b", "12fd9c56540a"),
+    ("D_sss_14", "54f80aff629d"),
+    ("T_a", "93b727544153"),
+    ("T_ssa_C4L_3a", "02089ff494f7"),
+    ("T_ssa_LL-adj_3a", "56239eb0d080"),
+    ("T_ssa_SS-adj_3a", "9f5f689c6f75"),
+    ("T_ssa_SS-cross_3a", "9be0c8abe5c5"),
+    ("T_ssa_LL-adj_3b", "d846078df7cc"),
+    ("T_ssa_LL-opp_3b", "63a98b96253f"),
+    ("T_ssa_SS-adj_3b", "410e38d0e5fb"),
+    ("T_ssa_SS-cross_3b", "a50f36269c95"),
+    ("T_ssa_SS-adj_f8f8", "2b719a838fed"),
+    ("T_ssa_SS-cross_f8f8", "3b11bfc16634"),
 )
 
 
@@ -388,13 +387,11 @@ class TestCatalogPin:
     @pytest.mark.parametrize("entry", minimal_block_catalog(), ids=lambda e: e.name)
     def test_vertex_degrees_and_band_ids(self, entry):
         st = entry.state
-        bands = {b for _, _, b in st.plus_arcs + st.minus_arcs if b != DEAD}
         for kinds, arcs in ((st.plus_kinds, st.plus_arcs), (st.minus_kinds, st.minus_arcs)):
-            degree = Counter(v for u, w, _ in arcs for v in (u, w))
+            degree = Counter(v for u, w in arcs for v in (u, w))
             assert [degree[v] for v in range(len(kinds))] == [
                 {engine.MARKER: 2, engine.BRANCH: 4}[k] for k in kinds
             ]
-            assert sorted(b for _, _, b in arcs if b != DEAD) == sorted(bands)
 
 
 #: Per catalog entry and its reversal, a sha256 prefix of the sorted closure
@@ -520,25 +517,30 @@ class TestClosures:
 
 
 def relabel_state(state: BlockState, rng: random.Random) -> BlockState:
-    """The same state with shuffled vertex ids, band ids and arc order."""
+    """The same state with shuffled vertex ids, dead-arc order and band order."""
     plus = list(range(len(state.plus_kinds)))
     minus = list(range(len(state.minus_kinds)))
-    bands = sorted({b for _, _, b in state.plus_arcs if b != DEAD})
-    fresh = rng.sample(range(10 * len(bands) + 10), len(bands))
     rng.shuffle(plus)
     rng.shuffle(minus)
-    band_of = {DEAD: DEAD, **dict(zip(bands, fresh))}
 
-    def side(kinds, arcs, perm):
-        new_kinds = [None] * len(kinds)
-        for old, new in enumerate(perm):
-            new_kinds[new] = kinds[old]
-        new_arcs = [(perm[u], perm[v], band_of[b]) for u, v, b in arcs]
-        rng.shuffle(new_arcs)
-        return tuple(new_kinds), tuple(new_arcs)
+    def kinds(old, perm):
+        new = [None] * len(old)
+        for i, k in enumerate(old):
+            new[perm[i]] = k
+        return tuple(new)
 
-    return BlockState(*side(state.plus_kinds, state.plus_arcs, plus),
-                      *side(state.minus_kinds, state.minus_arcs, minus))
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return tuple(items)
+
+    return BlockState(
+        kinds(state.plus_kinds, plus),
+        kinds(state.minus_kinds, minus),
+        shuffled((plus[u], plus[v]) for u, v in state.plus_dead),
+        shuffled((minus[u], minus[v]) for u, v in state.minus_dead),
+        shuffled((plus[pu], plus[pv], minus[mu], minus[mv]) for pu, pv, mu, mv in state.bands),
+    )
 
 
 class TestStateKey:
@@ -562,7 +564,7 @@ class TestStateKey:
         assert all(tuple(m.encode() for m in state_forms(s)) == (f8, f8) for s in nxt)
 
         def loops(s):
-            return sum(u == v for u, v, _ in s.plus_arcs)
+            return sum(u == v for u, v in s.plus_arcs)
 
         # A loop move on either band leaves a loop arc; the move joining the
         # two bands leaves none, so those states cannot be isomorphic.

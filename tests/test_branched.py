@@ -339,6 +339,13 @@ class TestEncoding:
             m = random_manifold(rng, rng.randint(0, 4))
             assert parse_manifold(m.encode()) == m
 
+    @pytest.mark.parametrize("text", ["0:1500", "0:0,0:-1"])
+    def test_rejects_ids_outside_component(self, text):
+        # A vertex id past the arc count would size the canonizer's graph;
+        # a negative one would wrap around as a list index.
+        with pytest.raises(ValueError, match="vertex ids"):
+            parse_manifold(text)
+
     @given(st.integers(1, 6))
     @settings(max_examples=20, deadline=None)
     def test_families_round_trip(self, w):

@@ -200,6 +200,12 @@ class TestReport:
         assert verify_certificate(g, cert)
         assert realize(g).certificate[1] == cert[1]
 
+    @pytest.mark.parametrize("form", ["0:1500", "0:0,0:-1"])
+    def test_certificate_with_bad_vertex_ids_is_rejected(self, form):
+        report = {"version": 2, "certificate": {"0": "O", "1": form}}
+        with pytest.raises(ValueError, match="vertex ids"):
+            report_certificate(report)
+
     def test_fractional_formatting(self):
         g = parse_graph(SPHERE_DOC)
         report = report_document(g, realize(g))
