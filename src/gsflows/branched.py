@@ -269,21 +269,25 @@ def _find(parent, x):
     return x
 
 
-_CANON_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], BranchedComponent] = {}
+#: (order, sorted normalised arcs) -> (canonical component, labelling), where
+#: labelling[v] is the canonical name of input vertex v.
+_CANON_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]],
+                   tuple[BranchedComponent, list[int]]] = {}
 
 
 def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> BranchedComponent:
     """Relabel vertices by the canonical labelling of the component.
 
     The component is read as a graph whose vertex colours are loop counts
-    and whose edge labels are arc multiplicities.
+    and whose edge labels are arc multiplicities.  The labelling is kept in
+    `_CANON_CACHE` beside the result.
     """
     if order == 0:
         return CIRCLE
-    norm = tuple(sorted((min(u, v), max(u, v)) for u, v in arcs))
+    norm = tuple(sorted((u, v) if u <= v else (v, u) for u, v in arcs))
     cached = _CANON_CACHE.get((order, norm))
     if cached is not None:
-        return cached
+        return cached[0]
     loops = [0] * order
     for u, v in norm:
         if u == v:
@@ -294,7 +298,7 @@ def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> Bran
         (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u]) for u, v in norm
     )
     comp = BranchedComponent(order, tuple(relabelled))
-    _CANON_CACHE[(order, norm)] = comp
+    _CANON_CACHE[(order, norm)] = (comp, label)
     return comp
 
 
@@ -424,58 +428,86 @@ def identify_points(m: Branched1Manifold, p1: ArcPosition, p2: ArcPosition) -> B
 
 def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
     """Rebuild a manifold from labelled arcs, suppressing degree-2 vertices."""
-    degree: Counter[int] = Counter()
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(d not in (2, 4) for d in degree.values()):
-        raise ValueError("vertices must have degree 2 or 4")
-    branch = {v for v, d in degree.items() if d == 4}
+    return Branched1Manifold(suppress(edges)[0])
 
-    # half_edges[v]: list of (edge index, index of the far end within the edge)
-    half_edges: dict[int, list[tuple[int, int]]] = {v: [] for v in degree}
+
+def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], list[tuple[int, int]]]:
+    """Suppress the degree-2 vertices of labelled arcs.
+
+    Returns the canonical components, sorted, and for each input arc the
+    (component index, arc index) of the canonical arc it lies on; a circle's
+    one arc is 0.  Parallel arcs, loops included, are swapped by an
+    automorphism of their component, so the walks between two branch points
+    may take that pair's canonical arcs in any order.
+    """
+    # half_edges[v]: (edge index, index of the far end within the edge)
+    half_edges: dict[int, list[tuple[int, int]]] = {}
     for idx, (u, v) in enumerate(edges):
-        half_edges[u].append((idx, 1))
-        half_edges[v].append((idx, 0))
+        half_edges.setdefault(u, []).append((idx, 1))
+        half_edges.setdefault(v, []).append((idx, 0))
+    branch = set()
+    for v, incid in half_edges.items():
+        if len(incid) == 4:
+            branch.add(v)
+        elif len(incid) != 2:
+            raise ValueError("vertices must have degree 2 or 4")
 
-    parent = list(range(len(edges)))
-    for incid in half_edges.values():
-        for (i, _), (j, _) in zip(incid, incid[1:]):
-            parent[_find(parent, i)] = _find(parent, j)
-
-    used = [False] * len(edges)
-    comp_arcs: dict[int, list[tuple[int, int]]] = {}
-    for v in sorted(branch):
-        for idx, far in half_edges[v]:
-            if used[idx]:
-                continue
-            used[idx] = True
-            node = edges[idx][far]
-            cur = idx
-            while node not in branch:
-                step = [(i, f) for i, f in half_edges[node] if not used[i]]
-                if not step:
+    # Follow every suppressed arc from a branch point, then every circle;
+    # walk_of[e] is the walk edge e lies on, ends[w] the walk's end points
+    # (None first for a circle).
+    walk_of = [-1] * len(edges)
+    ends: list[tuple[int | None, int]] = []
+    starts = [(v, h) for v in sorted(branch) for h in half_edges[v]]
+    starts += [(None, (idx, 1)) for idx in range(len(edges))]
+    for v, (idx, far) in starts:
+        if walk_of[idx] >= 0:
+            continue
+        walk = len(ends)
+        walk_of[idx] = walk
+        node = edges[idx][far]
+        while node not in branch:
+            for idx, far in half_edges[node]:
+                if walk_of[idx] < 0:
+                    break
+            else:
+                if v is not None:
                     raise AssertionError("arc walk left the complex")
-                cur, far = step[0]
-                used[cur] = True
-                node = edges[cur][far]
-            comp_arcs.setdefault(_find(parent, idx), []).append((v, node))
+                break
+            walk_of[idx] = walk
+            node = edges[idx][far]
+        ends.append((v, node) if v is None or v <= node else (node, v))
 
-    comp_branch: dict[int, list[int]] = {}
-    for v in branch:
-        root = _find(parent, half_edges[v][0][0])
-        comp_branch.setdefault(root, []).append(v)
+    parent = {v: v for v in branch}
+    for a, b in ends:
+        if a is not None:
+            parent[_find(parent, a)] = _find(parent, b)
+    groups: dict[int, list[int]] = {}
+    place = [(0, 0)] * len(ends)
+    circles = 0
+    for walk, (a, _) in enumerate(ends):
+        if a is None:
+            place[walk] = (circles, 0)
+            circles += 1
+        else:
+            groups.setdefault(_find(parent, a), []).append(walk)
 
-    comps: list[BranchedComponent] = []
-    for root, arcs in comp_arcs.items():
-        verts = sorted(comp_branch[root])
-        relabel = {v: i for i, v in enumerate(verts)}
-        comps.append(
-            canonical_component(len(verts), [(relabel[u], relabel[v]) for u, v in arcs])
-        )
-    rootless = {_find(parent, i) for i in range(len(edges))} - set(comp_arcs)
-    comps.extend(CIRCLE for _ in rootless)
-    return manifold(comps)
+    # Each component with its walks in the order of its canonical arcs: the
+    # arcs are the walks' end pairs under the canonical labelling, sorted.
+    found: list[tuple[BranchedComponent, list[int]]] = []
+    for walks in groups.values():
+        relabel = {v: i for i, v in enumerate(sorted({x for w in walks for x in ends[w]}))}
+        pairs = [(relabel[ends[w][0]], relabel[ends[w][1]]) for w in walks]
+        norm = tuple(sorted(pairs))
+        comp = canonical_component(len(relabel), norm)
+        label = _CANON_CACHE[len(relabel), norm][1]
+        named = [(label[a], label[b]) if label[a] <= label[b] else (label[b], label[a])
+                 for a, b in pairs]
+        found.append((comp, [walks[k] for k in sorted(range(len(walks)), key=named.__getitem__)]))
+    found.sort(key=lambda f: f[0])
+    for c, (_, walks) in enumerate(found, circles):
+        for k, walk in enumerate(walks):
+            place[walk] = (c, k)
+    return (CIRCLE,) * circles + tuple(comp for comp, _ in found), [place[w] for w in walk_of]
 
 
 _FORMS: list[list[BranchedComponent]] = [[CIRCLE]]
@@ -485,13 +517,12 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
     """All pairwise non-isomorphic connected components of weight w, sorted.
 
     Grown weight by weight from the circle: the forms of weight w are the
-    canonical results of one same-component `identify_points` step on every
-    form of weight w - 1, at both slots of one arc or at slot 0 of two
-    distinct arcs, deduplicated as a set.  Every connected form is reached:
-    `split_off` undoes the step, and pairing a branch point's four arc ends
-    as an Euler tour of the 4-regular component passes through it keeps the
-    component connected, so every connected form has a connected parent one
-    weight lower.
+    results of `identify_arcs` on every form of weight w - 1 and every pair
+    of its arcs, one arc taken twice included, deduplicated as a set.  Every
+    connected form is reached: `split_off` undoes the step, and pairing a
+    branch point's four arc ends as an Euler tour of the 4-regular component
+    passes through it keeps the component connected, so every connected form
+    has a connected parent one weight lower.
     """
     if w < 1:
         raise ValueError("weight must be >= 1")
@@ -500,13 +531,21 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
     while len(_FORMS) < w:
         grown = set()
         for form in _FORMS[-1]:
-            m = manifold([form])
             n = 1 if form.is_circle else len(form.arcs)
-            for i in range(n):
-                for p in [ArcPosition(0, i, 1)] + [ArcPosition(0, j) for j in range(i + 1, n)]:
-                    grown.add(identify_points(m, ArcPosition(0, i), p).components[0])
+            grown.update(identify_arcs(form, i, j) for i in range(n) for j in range(i, n))
         _FORMS.append(sorted(grown))
     return list(_FORMS[w - 1])
+
+
+@cache
+def identify_arcs(c: BranchedComponent, i: int, j: int) -> BranchedComponent:
+    """One same-component identification: a point of arc i of c with one of arc j.
+
+    i == j takes both points on arc i, which gives the loop form whichever
+    order the points are in.  Memoised per (c, i, j).
+    """
+    second = ArcPosition(0, j, 1) if i == j else ArcPosition(0, j)
+    return identify_points(manifold([c]), ArcPosition(0, i), second).components[0]
 
 
 def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:

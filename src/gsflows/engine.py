@@ -43,12 +43,33 @@ same-component point identifications.  A state can therefore reach the
 target pair only if, on each side, its components lie in the down-sets
 (`branched.down_set`, the closure under `branched.split_off`) of distinct
 target components.  The test is necessary, so the prune never loses a
-reachable target; a node is tested only before its first expansion, the one
-step that canonizes new states.  Closures are not pruned and serve as the
+reachable target; a node is tested only before it first reads its
+successors (an expansion, or the last-level reading below), the steps that
+canonize.  Closures are not pruned and serve as the
 unpruned reference: weights only grow, so every state on a path to the
 target already fits the target's component weights, and capped
 reachability of a target is membership in the closure at its combined
 weight.
+
+A targeted walk reads the level of its target depth off the canonical
+forms of the states one move short of it, and builds, keys and stores no
+state at that level (`_last_pairs`).  This is sound:
+
+- `_apply(i, j)` adds one branch point on each side by identifying an
+  interior point of band i's arc with one of band j's arc;
+- after degree-2 suppression, that is `branched.identify_points` on the
+  suppressed arcs that carry the two bands (`branched.suppress` records
+  which canonical arc each arc lies on);
+- if both bands lie on the same suppressed arc, the result is the loop form
+  whichever order the points are in;
+- parallel arcs, loops included, are swapped by an automorphism, so any
+  endpoint-respecting assignment of walks to canonical arc indices gives
+  isomorphic results.
+
+So each successor's pair is the parent's pair with the moved component on
+each side replaced by its identification (`branched.identify_arcs`, the
+table `enumerate_connected` grows forms with).  The legal band pairs are
+enumerated once (`_moves`), for `successors` and for this reading alike.
 
 Blocks whose bands carry the entering boundary onto the exiting one need no
 walk (`blocks.CatalogEntry.diagonal`: no dead arcs, only circles, and a
@@ -66,6 +87,7 @@ each distinct query's answer for the life of the process, a table beside
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -76,7 +98,9 @@ from .branched import (
     canonical_labelling,
     down_set,
     _find,
+    identify_arcs,
     manifold_from_arcs,
+    suppress,
 )
 
 BRANCH = "b"
@@ -150,18 +174,25 @@ def state_forms(state: BlockState) -> tuple[Branched1Manifold | None, Branched1M
     )
 
 
-def successors(state: BlockState) -> list[BlockState]:
-    """All shape-preserving rewrites of the state."""
+def _moves(state: BlockState) -> Iterator[tuple[int, int]]:
+    """Band pairs (i, j), i <= j, of the shape-preserving moves.
+
+    A band pairs with itself, and with a band whose arcs lie on the same
+    component as its own on both sides.
+    """
     plus_comp = _component_of(state.plus_kinds, state.plus_arcs)
     minus_comp = _component_of(state.minus_kinds, state.minus_arcs)
     bands = state.bands
-    out = []
     for i, (pu, _, mu, _) in enumerate(bands):
         for j in range(i, len(bands)):
             qu, _, nu, _ = bands[j]
             if i == j or (plus_comp[pu] == plus_comp[qu] and minus_comp[mu] == minus_comp[nu]):
-                out.append(_apply(state, i, j))
-    return out
+                yield i, j
+
+
+def successors(state: BlockState) -> list[BlockState]:
+    """All shape-preserving rewrites of the state."""
+    return [_apply(state, i, j) for i, j in _moves(state)]
 
 
 def _apply(state: BlockState, i: int, j: int) -> BlockState:
@@ -225,7 +256,7 @@ def state_key(state: BlockState) -> tuple:
 class _Node:
     """One isomorphism class of block states in the state graph."""
 
-    __slots__ = ("key", "state", "weights", "comps", "succ")
+    __slots__ = ("key", "state", "weights", "comps", "succ", "last")
 
     def __init__(self, key: tuple, state: BlockState) -> None:
         self.key = key
@@ -239,6 +270,8 @@ class _Node:
         self.comps: Pair | None = None
         #: Distinct successor nodes, filled the first time the node is expanded.
         self.succ: tuple[_Node, ...] | None = None
+        #: Boundary pairs of the successors, filled when first needed.
+        self.last: frozenset[Pair] | None = None
 
 
 class StateSet:
@@ -298,12 +331,42 @@ def _can_grow_into(node: _Node, downs) -> bool:
     )
 
 
-def _fits(node: _Node, plus_caps: tuple[int, ...], minus_caps: tuple[int, ...]) -> bool:
+def _last_pairs(node: _Node) -> frozenset[Pair]:
+    """The successors' boundary pairs, read off the node's own canonical forms.
+
+    On each side, a move replaces the component carrying its two bands by
+    `identify_arcs` on the canonical arcs the bands lie on.
+    """
+    if node.last is None:
+        state = node.state
+        sides = []
+        for kinds, dead, arcs in ((state.plus_kinds, state.plus_dead, state.plus_arcs),
+                                  (state.minus_kinds, state.minus_dead, state.minus_arcs)):
+            comps, place = suppress(arcs) if kinds else ((), [])
+            sides.append((comps, place[len(dead):]))
+        if node.comps is None:
+            node.comps = (sides[0][0], sides[1][0])
+        node.last = frozenset(tuple(_moved(comps, at[i], at[j]) for comps, at in sides)
+                              for i, j in _moves(state))
+    return node.last
+
+
+def _moved(comps: tuple[BranchedComponent, ...], at_i: tuple[int, int],
+           at_j: tuple[int, int]) -> tuple[BranchedComponent, ...]:
+    """The side after identifying points at two (component, arc) places of one component."""
+    (c, a), b = at_i, at_j[1]
+    grown = list(comps)
+    grown[c] = identify_arcs(comps[c], min(a, b), max(a, b))
+    return tuple(sorted(grown))
+
+
+def _fits(weights: tuple[tuple[int, ...], ...], plus_caps: tuple[int, ...],
+          minus_caps: tuple[int, ...]) -> bool:
     # Sorted pointwise comparison decides whether some assignment of state
     # components to target components respects every weight ceiling.
     return all(
-        len(weights) == len(caps) and all(w <= c for w, c in zip(weights, caps))
-        for weights, caps in zip(node.weights, (plus_caps, minus_caps))
+        len(side) == len(caps) and all(w <= c for w, c in zip(side, caps))
+        for side, caps in zip(weights, (plus_caps, minus_caps))
     )
 
 
@@ -320,7 +383,9 @@ def reachable_pairs_capped(
     weights on either side is a dead end.  Every state's depth is fixed by
     its weights, so depth-first traversal with a plain visited set is
     exhaustive.  A state is expanded only if it can still grow into the
-    target, and the traversal stops at the first hit.
+    target, a state one move short of the target's depth is answered from
+    its successors' pairs (`_last_pairs`), and the traversal stops at the
+    first hit.
     """
     root, mirrored = _GRAPH.root(initial)
     if mirrored:
@@ -332,7 +397,10 @@ def reachable_pairs_capped(
 
 def _capped_walk(root: _Node, plus_caps, minus_caps, target: Pair) -> bool:
     depth = sum(plus_caps) - sum(root.weights[0])
-    if depth < 0 or not _fits(root, plus_caps, minus_caps):
+    if depth < 0 or not _fits(root.weights, plus_caps, minus_caps):
+        return False
+    # A pair equal to the target has the target's weights, so they must fit too.
+    if not _fits(tuple(tuple(c.weight for c in side) for side in target), plus_caps, minus_caps):
         return False
     if depth == 0:
         return _comps(root) == target
@@ -341,21 +409,23 @@ def _capped_walk(root: _Node, plus_caps, minus_caps, target: Pair) -> bool:
     downs = None
     while stack:
         node, d = stack.pop()
-        if node.succ is None and d:
-            # Only a first expansion costs canonizations, so only an
-            # unexpanded node is tested against the target's down-sets.
+        last = d + 1 == depth
+        if d and (node.last if last else node.succ) is None:
+            # Only a first reading of a node's successors costs
+            # canonizations, so only then is it tested against the target's
+            # down-sets.
             if downs is None:
                 downs = tuple(tuple(map(down_set, side)) for side in target)
             if not _can_grow_into(node, downs):
                 continue
-        for succ in _GRAPH.expand(node):
-            if succ in seen or not _fits(succ, plus_caps, minus_caps):
-                continue
-            seen.add(succ)
-            if d + 1 < depth:
-                stack.append((succ, d + 1))
-            elif _comps(succ) == target:
+        if last:
+            if target in _last_pairs(node):
                 return True
+            continue
+        for succ in _GRAPH.expand(node):
+            if succ not in seen and _fits(succ.weights, plus_caps, minus_caps):
+                seen.add(succ)
+                stack.append((succ, d + 1))
     return False
 
 

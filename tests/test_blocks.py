@@ -576,6 +576,45 @@ class TestStateKey:
         assert keys[0] != keys[1]
 
 
+def _pair(state: BlockState) -> engine.Pair:
+    return tuple(() if m is None else m.components for m in state_forms(state))
+
+
+class TestLastLevel:
+    def test_pairs_match_successor_forms(self):
+        # Every catalog block, its reversal and every state one move on: the
+        # pairs a node reads off its own canonical forms are the forms of its
+        # successors, and a relabelled copy of the state reads the same.
+        rng = random.Random(17)
+        states = []
+        for block in minimal_block_catalog():
+            for entry in (block, block.reversed()):
+                states += [entry.state, *successors(entry.state)]
+        assert len(states) == 444
+        for state in states:
+            expected = {_pair(s) for s in successors(state)}
+            assert engine._last_pairs(engine._Node(None, state)) == expected
+            assert engine._last_pairs(engine._Node(None, relabel_state(state, rng))) == expected
+
+    def test_last_level_keys_no_state(self, monkeypatch):
+        # A depth-1 query keys only its root and the root's mirror, and adds
+        # no node for a state at the target's depth.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        blocks._feasible.cache_clear()
+        keyed = []
+
+        def counting(state):
+            keyed.append(state)
+            return state_key(state)
+
+        monkeypatch.setattr(engine, "state_key", counting)
+        label = lab("W", "s_s")
+        assert boundary_feasible(label, [family_A(3)], [family_minimal(2), family_minimal(1)])
+        entry = next(e for e in entries_for(label) if e.e_minus == 2)
+        assert keyed == [entry.state, entry.state.reversed()]
+        assert {n.state for n in engine._GRAPH._nodes.values()} <= set(keyed)
+
+
 class TestBoundaryFeasible:
     def test_attractor_forms_exact(self):
         assert boundary_feasible(lab("D", "r"), [], [family_minimal(3)])
