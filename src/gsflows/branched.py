@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 MAX_COMPONENTS = 4
 MAX_ENUM_WEIGHT = 8
@@ -329,11 +329,20 @@ def is_isomorphic(x: Branched1Manifold, y: Branched1Manifold) -> bool:
     return x.encode() == y.encode()
 
 
+#: Distinct texts whose parses are kept.  One cold round of the benchmark's
+#: `deep` workload parses 4 801 certificate forms, of which 13 are distinct;
+#: the bound keeps untrusted report text from growing the table without end.
+_PARSE_CACHE_SIZE = 1 << 10
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_manifold(text: str) -> Branched1Manifold:
     """Inverse of Branched1Manifold.encode.
 
     A component on n branch points has 2n arcs with vertex ids 0..n-1; any
-    other part is rejected before it is canonized.
+    other part is rejected before it is canonized.  Each distinct text is
+    parsed once while it stays in the table, and a repeat gets the same
+    (frozen) object; text that raises is not kept.
     """
     comps = []
     for part in text.strip().split("|"):
@@ -382,25 +391,61 @@ def identify_points(m: Branched1Manifold, p1: ArcPosition, p2: ArcPosition) -> B
     """Merge two interior points into one new degree-4 branch point.
 
     Within one component the weight rises by 1 and the component count is
-    unchanged; across two components they merge and the total weight is
-    unchanged.
+    unchanged (`identify_arcs`); across two components they merge and the
+    total weight is unchanged (`_join`).  Both are memoised, and only the
+    arcs matter: two points on one arc give the loop form in either slot
+    order.
     """
     _check_position(m, p1)
     _check_position(m, p2)
     if (p1.component, p1.arc, p1.slot) == (p2.component, p2.arc, p2.slot):
         raise ValueError("positions coincide")
+    comps = list(m.components)
+    (c, a), (d, b) = sorted([(p1.component, p1.arc), (p2.component, p2.arc)])
+    if c == d:
+        comps[c] = identify_arcs(comps[c], a, b)
+    else:
+        comps[c] = _join(comps[c], a, comps[d], b)
+        del comps[d]
+    return manifold(comps)
 
-    # Flatten into one labelled arc list; component c gets offset base[c].
+
+@cache
+def identify_arcs(c: BranchedComponent, i: int, j: int) -> BranchedComponent:
+    """One same-component identification: a point of arc i of c with one of arc j, i <= j.
+
+    i == j takes both points on arc i, which gives the loop form whichever
+    order the points are in.  Memoised per (c, i, j).
+    """
+    return _identify([c], (0, i), (0, j))[0]
+
+
+@cache
+def _join(c: BranchedComponent, i: int, d: BranchedComponent, j: int) -> BranchedComponent:
+    """One cross-component identification: a point of arc i of c with one of arc j of d.
+
+    Memoised per (c, i, d, j).
+    """
+    return _identify([c, d], (0, i), (1, j))[0]
+
+
+def _identify(comps: list[BranchedComponent], at1: tuple[int, int],
+              at2: tuple[int, int]) -> tuple[BranchedComponent, ...]:
+    """The rewrite: join two (component, arc) places at a new vertex, then suppress.
+
+    The components are flattened into one labelled arc list, a circle closed
+    through a temporary degree-2 vertex.  Returns the sorted canonical
+    components of the result.
+    """
     base: list[int] = []
     next_vertex = 0
-    for comp in m.components:
+    for comp in comps:
         base.append(next_vertex)
         next_vertex += comp.order
     edges: list[list[int]] = []
     arc_index: dict[tuple[int, int], int] = {}
-    for ci, comp in enumerate(m.components):
+    for ci, comp in enumerate(comps):
         if comp.is_circle:
-            # Close the circle through a temporary degree-2 vertex.
             t = next_vertex
             next_vertex += 1
             arc_index[(ci, 0)] = len(edges)
@@ -411,8 +456,7 @@ def identify_points(m: Branched1Manifold, p1: ArcPosition, p2: ArcPosition) -> B
                 edges.append([u + base[ci], v + base[ci]])
 
     w = next_vertex
-    e1 = arc_index[(p1.component, p1.arc)]
-    e2 = arc_index[(p2.component, p2.arc)]
+    e1, e2 = arc_index[at1], arc_index[at2]
     if e1 == e2:
         u, v = edges[e1]
         edges[e1] = [u, w]
@@ -423,7 +467,7 @@ def identify_points(m: Branched1Manifold, p1: ArcPosition, p2: ArcPosition) -> B
             u, v = edges[e]
             edges[e] = [u, w]
             edges.append([w, v])
-    return manifold_from_arcs(edges)
+    return suppress(edges)[0]
 
 
 def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
@@ -535,17 +579,6 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
             grown.update(identify_arcs(form, i, j) for i in range(n) for j in range(i, n))
         _FORMS.append(sorted(grown))
     return list(_FORMS[w - 1])
-
-
-@cache
-def identify_arcs(c: BranchedComponent, i: int, j: int) -> BranchedComponent:
-    """One same-component identification: a point of arc i of c with one of arc j.
-
-    i == j takes both points on arc i, which gives the loop form whichever
-    order the points are in.  Memoised per (c, i, j).
-    """
-    second = ArcPosition(0, j, 1) if i == j else ArcPosition(0, j)
-    return identify_points(manifold([c]), ArcPosition(0, i), second).components[0]
 
 
 def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:

@@ -23,7 +23,7 @@ passageway move, and each application raises the weight of one component on
 each side by one.
 
 Every reachability query walks one process-wide graph with a node per
-isomorphism class of states, so a state is expanded at most once per
+isomorphism class of states, so a state's moves are read at most once per
 process.  Closures walk it breadth first and stop at the first move beyond
 the bound; feasibility queries walk it depth first under per-component
 weight caps.  A state and its reversal share one exploration: a query on the
@@ -36,24 +36,10 @@ Boundary pairs are compared as tuples of canonical components, one sorted
 tuple per side, () for an empty side; text encodings are made only at the
 API edge (`blocks.passageway_closure`).
 
-Every feasibility query has a target pair, and its walk is pruned to states
-that can still grow into it.  Each move identifies two points of one
-component on each side, so components never merge and each grows by
-same-component point identifications.  A state can therefore reach the
-target pair only if, on each side, its components lie in the down-sets
-(`branched.down_set`, the closure under `branched.split_off`) of distinct
-target components.  The test is necessary, so the prune never loses a
-reachable target; a node is tested only before it first reads its
-successors (an expansion, or the last-level reading below), the steps that
-canonize.  Closures are not pruned and serve as the
-unpruned reference: weights only grow, so every state on a path to the
-target already fits the target's component weights, and capped
-reachability of a target is membership in the closure at its combined
-weight.
-
-A targeted walk reads the level of its target depth off the canonical
-forms of the states one move short of it, and builds, keys and stores no
-state at that level (`_last_pairs`).  This is sound:
+A node reads its moves once (`_read`): each legal band pair (`_moves`, the
+enumerator `successors` uses too) with the boundary pair of the successor it
+gives, taken off the node's own canonical forms.  This is sound at every
+level:
 
 - `_apply(i, j)` adds one branch point on each side by identifying an
   interior point of band i's arc with one of band j's arc;
@@ -68,8 +54,26 @@ state at that level (`_last_pairs`).  This is sound:
 
 So each successor's pair is the parent's pair with the moved component on
 each side replaced by its identification (`branched.identify_arcs`, the
-table `enumerate_connected` grows forms with).  The legal band pairs are
-enumerated once (`_moves`), for `successors` and for this reading alike.
+table `enumerate_connected` grows forms with).  A successor is built and
+keyed only when a walk is about to read its own moves (`StateSet.child`),
+and its node takes its pair from the move that made it.  Each distinct
+state object is keyed once (`StateSet.add`).
+
+Every feasibility query has a target pair, and its walk is pruned to states
+that can still grow into it.  Each move identifies two points of one
+component on each side, so components never merge and each grows by
+same-component point identifications.  A state can therefore reach the
+target pair only if its components fit under the caps and, on each side,
+lie in the down-sets (`branched.down_set`, the closure under
+`branched.split_off`) of distinct target components.  Both tests are
+necessary, so the prune never loses a reachable target; they are applied to
+a successor's pair before it is built, and a successor at the target's
+depth is only compared with the target.  So a walk keys no state it prunes
+and none at its last level.  Closures are not pruned and serve as the
+unpruned reference: weights only grow, so every state on a path to the
+target already fits the target's component weights, and capped
+reachability of a target is membership in the closure at its combined
+weight.  They read their last level off the level before it too.
 
 Blocks whose bands carry the entering boundary onto the exiting one need no
 walk (`blocks.CatalogEntry.diagonal`: no dead arcs, only circles, and a
@@ -256,47 +260,57 @@ def state_key(state: BlockState) -> tuple:
 class _Node:
     """One isomorphism class of block states in the state graph."""
 
-    __slots__ = ("key", "state", "weights", "comps", "succ", "last")
+    __slots__ = ("key", "state", "comps", "moves", "succ")
 
     def __init__(self, key: tuple, state: BlockState) -> None:
         self.key = key
         self.state = state
-        #: Sorted component weights of the entering and the exiting side.
-        self.weights = (
-            tuple(sorted(side_weights(state.plus_kinds, state.plus_arcs))),
-            tuple(sorted(side_weights(state.minus_kinds, state.minus_arcs))),
-        )
-        #: Boundary pair, filled when first needed.
+        #: Boundary pair, filled from the move slot that made the node, or when its moves are read.
         self.comps: Pair | None = None
-        #: Distinct successor nodes, filled the first time the node is expanded.
-        self.succ: tuple[_Node, ...] | None = None
-        #: Boundary pairs of the successors, filled when first needed.
-        self.last: frozenset[Pair] | None = None
+        #: (band pair, successor's boundary pair) per move, filled when first read.
+        self.moves: tuple[tuple[tuple[int, int], Pair], ...] | None = None
+        #: Successor node per move, each filled when a walk first takes that move.
+        self.succ: list[_Node | None] | None = None
 
 
 class StateSet:
     """Graph of block states up to structure-preserving isomorphism.
 
-    There is one node per canonical key, so a state is expanded, and its
-    successors canonized, at most once however many queries reach it.
+    There is one node per canonical key, so a state's moves are read, and
+    each of its successors keyed, at most once however many queries reach it.
     """
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, _Node] = {}
-        # Query states (catalog block states) seen before, with their roots.
-        self._roots: dict[BlockState, tuple[_Node, bool]] = {}
+        # Every state added before, with its node, so that each is keyed once.
+        self._states: dict[BlockState, _Node] = {}
 
     def add(self, state: BlockState) -> _Node:
-        key = state_key(state)
-        node = self._nodes.get(key)
+        node = self._states.get(state)
         if node is None:
-            node = self._nodes[key] = _Node(key, state)
+            key = state_key(state)
+            node = self._nodes.get(key)
+            if node is None:
+                node = self._nodes[key] = _Node(key, state)
+            self._states[state] = node
         return node
 
+    def child(self, node: _Node, k: int) -> _Node:
+        """The successor by the node's k-th move, built and keyed when first taken.
+
+        It takes its boundary pair from the move's slot.
+        """
+        succ = node.succ[k]
+        if succ is None:
+            (i, j), pair = node.moves[k]
+            succ = node.succ[k] = self.add(_apply(node.state, i, j))
+            if succ.comps is None:
+                succ.comps = pair
+        return succ
+
     def expand(self, node: _Node) -> tuple[_Node, ...]:
-        if node.succ is None:
-            node.succ = tuple(dict.fromkeys(self.add(s) for s in successors(node.state)))
-        return node.succ
+        """Every distinct successor node."""
+        return tuple(dict.fromkeys(self.child(node, k) for k in range(len(_read(node)))))
 
     def root(self, state: BlockState) -> tuple[_Node, bool]:
         """The node to explore from, and whether it is the state's mirror image.
@@ -304,51 +318,42 @@ class StateSet:
         A state and its reversal get the same exploration: a query on the
         state with the lesser key, else the mirrored query on its reversal.
         """
-        found = self._roots.get(state)
-        if found is None:
-            node, mirror = self.add(state), self.add(state.reversed())
-            found = (node, False) if node.key <= mirror.key else (mirror, True)
-            self._roots[state] = found
-        return found
+        node, mirror = self.add(state), self.add(state.reversed())
+        return (node, False) if node.key <= mirror.key else (mirror, True)
 
 
 #: The process-wide state graph behind every reachability query.
 _GRAPH = StateSet()
 
 
-def _comps(node: _Node) -> Pair:
-    """The node's boundary pair, read off its state the first time it is needed."""
-    if node.comps is None:
-        node.comps = tuple(() if m is None else m.components for m in state_forms(node.state))
-    return node.comps
+def _read(node: _Node) -> tuple[tuple[tuple[int, int], Pair], ...]:
+    """The node's moves with their successors' boundary pairs, read once.
+
+    The first reading also fills the node's own pair, unless its move slot did.
+    """
+    if node.moves is None:
+        comps, node.moves = _move_pairs(node.state)
+        if node.comps is None:
+            node.comps = comps
+        node.succ = [None] * len(node.moves)
+    return node.moves
 
 
-def _can_grow_into(node: _Node, downs) -> bool:
-    """Whether each side's components lie in the down-sets of distinct target components."""
-    return all(
-        any(all(c in d for c, d in zip(comps, order)) for order in permutations(sets))
-        for comps, sets in zip(_comps(node), downs)
-    )
+def _move_pairs(state: BlockState) -> tuple[Pair, tuple[tuple[tuple[int, int], Pair], ...]]:
+    """The state's boundary pair, and each move with its successor's pair.
 
-
-def _last_pairs(node: _Node) -> frozenset[Pair]:
-    """The successors' boundary pairs, read off the node's own canonical forms.
-
-    On each side, a move replaces the component carrying its two bands by
+    The successors' pairs are read off the state's own canonical forms: on
+    each side, a move replaces the component carrying its two bands by
     `identify_arcs` on the canonical arcs the bands lie on.
     """
-    if node.last is None:
-        state = node.state
-        sides = []
-        for kinds, dead, arcs in ((state.plus_kinds, state.plus_dead, state.plus_arcs),
-                                  (state.minus_kinds, state.minus_dead, state.minus_arcs)):
-            comps, place = suppress(arcs) if kinds else ((), [])
-            sides.append((comps, place[len(dead):]))
-        if node.comps is None:
-            node.comps = (sides[0][0], sides[1][0])
-        node.last = frozenset(tuple(_moved(comps, at[i], at[j]) for comps, at in sides)
-                              for i, j in _moves(state))
-    return node.last
+    sides = []
+    for kinds, dead, arcs in ((state.plus_kinds, state.plus_dead, state.plus_arcs),
+                              (state.minus_kinds, state.minus_dead, state.minus_arcs)):
+        comps, place = suppress(arcs) if kinds else ((), [])
+        sides.append((comps, place[len(dead):]))
+    moves = tuple(((i, j), tuple(_moved(comps, at[i], at[j]) for comps, at in sides))
+                  for i, j in _moves(state))
+    return (sides[0][0], sides[1][0]), moves
 
 
 def _moved(comps: tuple[BranchedComponent, ...], at_i: tuple[int, int],
@@ -358,6 +363,19 @@ def _moved(comps: tuple[BranchedComponent, ...], at_i: tuple[int, int],
     grown = list(comps)
     grown[c] = identify_arcs(comps[c], min(a, b), max(a, b))
     return tuple(sorted(grown))
+
+
+def _weights(pair: Pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each side's component weights, sorted as its components are."""
+    return tuple(c.weight for c in pair[0]), tuple(c.weight for c in pair[1])
+
+
+def _can_grow_into(pair: Pair, downs) -> bool:
+    """Whether each side's components lie in the down-sets of distinct target components."""
+    return all(
+        any(all(c in d for c, d in zip(comps, order)) for order in permutations(sets))
+        for comps, sets in zip(pair, downs)
+    )
 
 
 def _fits(weights: tuple[tuple[int, ...], ...], plus_caps: tuple[int, ...],
@@ -382,10 +400,10 @@ def reachable_pairs_capped(
     weights only grow, so any state already exceeding the sorted target
     weights on either side is a dead end.  Every state's depth is fixed by
     its weights, so depth-first traversal with a plain visited set is
-    exhaustive.  A state is expanded only if it can still grow into the
-    target, a state one move short of the target's depth is answered from
-    its successors' pairs (`_last_pairs`), and the traversal stops at the
-    first hit.
+    exhaustive.  A node's successors are judged by the pairs read off its
+    own forms (`_read`): one that exceeds the caps or cannot grow into the
+    target is never built, one at the target's depth is only compared with
+    it, and the traversal stops at the first hit.
     """
     root, mirrored = _GRAPH.root(initial)
     if mirrored:
@@ -396,36 +414,30 @@ def reachable_pairs_capped(
 
 
 def _capped_walk(root: _Node, plus_caps, minus_caps, target: Pair) -> bool:
-    depth = sum(plus_caps) - sum(root.weights[0])
-    if depth < 0 or not _fits(root.weights, plus_caps, minus_caps):
-        return False
     # A pair equal to the target has the target's weights, so they must fit too.
-    if not _fits(tuple(tuple(c.weight for c in side) for side in target), plus_caps, minus_caps):
+    if not _fits(_weights(target), plus_caps, minus_caps):
+        return False
+    _read(root)
+    weights = _weights(root.comps)
+    depth = sum(plus_caps) - sum(weights[0])
+    if depth < 0 or not _fits(weights, plus_caps, minus_caps):
         return False
     if depth == 0:
-        return _comps(root) == target
+        return root.comps == target
+    downs = tuple(tuple(map(down_set, side)) for side in target)
     seen = {root}
-    stack = [(root, 0)]
-    downs = None
+    stack = [(root, 1)]
     while stack:
         node, d = stack.pop()
-        last = d + 1 == depth
-        if d and (node.last if last else node.succ) is None:
-            # Only a first reading of a node's successors costs
-            # canonizations, so only then is it tested against the target's
-            # down-sets.
-            if downs is None:
-                downs = tuple(tuple(map(down_set, side)) for side in target)
-            if not _can_grow_into(node, downs):
-                continue
-        if last:
-            if target in _last_pairs(node):
-                return True
-            continue
-        for succ in _GRAPH.expand(node):
-            if succ not in seen and _fits(succ.weights, plus_caps, minus_caps):
-                seen.add(succ)
-                stack.append((succ, d + 1))
+        for k, (_, pair) in enumerate(_read(node)):
+            if d == depth:
+                if pair == target:
+                    return True
+            elif _fits(_weights(pair), plus_caps, minus_caps) and _can_grow_into(pair, downs):
+                succ = _GRAPH.child(node, k)
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, d + 1))
     return False
 
 
@@ -439,13 +451,16 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pa
     if p0 + m0 > max_combined_weight:
         return set(), False
     root, mirrored = _GRAPH.root(initial)
-    levels = [[root]]
-    for _ in range((max_combined_weight - p0 - m0) // 2):
-        levels.append(list(dict.fromkeys(s for node in levels[-1] for s in _GRAPH.expand(node))))
-    pairs = {_comps(node) for level in levels for node in level}
-    # Every move adds two to the combined weight, so one successor of the
-    # last level is enough to show that the bound cut the search off.
-    complete = not any(successors(node.state) for node in levels[-1])
+    _read(root)
+    level, pairs = [root], {root.comps}
+    for step in range((max_combined_weight - p0 - m0) // 2):
+        if step:
+            level = list(dict.fromkeys(s for node in level for s in _GRAPH.expand(node)))
+        pairs.update(pair for node in level for _, pair in _read(node))
+    # The last level's pairs are read off `level`, one move short of it.
+    # Every band can take a loop move, and successors keep their parents'
+    # bands, so a band in `level` shows that the bound cut the search off.
+    complete = not any(node.state.bands for node in level)
     if mirrored:
         pairs = {(q, p) for p, q in pairs}
     return pairs, complete

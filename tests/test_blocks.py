@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +40,7 @@ from gsflows.engine import (
 )
 from gsflows.model import (
     ADMISSIBLE_NATURES,
+    LyapunovGraph,
     Nature,
     SemiGraph,
     SingularityType,
@@ -51,7 +51,7 @@ from gsflows.model import (
     ph_residual,
     reverse_semigraph,
 )
-from gsflows.realize import lemma_familyB_ok, lemma_firstfamily_ok
+from gsflows.realize import lemma_familyB_ok, lemma_firstfamily_ok, realize, verify_certificate
 
 T = SingularityType
 N = Nature
@@ -583,8 +583,9 @@ def _pair(state: BlockState) -> engine.Pair:
 class TestLastLevel:
     def test_pairs_match_successor_forms(self):
         # Every catalog block, its reversal and every state one move on: the
-        # pairs a node reads off its own canonical forms are the forms of its
-        # successors, and a relabelled copy of the state reads the same.
+        # pair a node reads off its own canonical forms for its k-th move is
+        # the forms of its k-th successor, and a relabelled copy of the state
+        # reads the same pairs, each against its own successors.
         rng = random.Random(17)
         states = []
         for block in minimal_block_catalog():
@@ -592,9 +593,15 @@ class TestLastLevel:
                 states += [entry.state, *successors(entry.state)]
         assert len(states) == 444
         for state in states:
-            expected = {_pair(s) for s in successors(state)}
-            assert engine._last_pairs(engine._Node(None, state)) == expected
-            assert engine._last_pairs(engine._Node(None, relabel_state(state, rng))) == expected
+            copy = relabel_state(state, rng)
+            slots = {}
+            for s in (state, copy):
+                node = engine._Node(None, s)
+                moves = engine._read(node)
+                assert node.comps == _pair(s)
+                assert [pair for _, pair in moves] == [_pair(t) for t in successors(s)]
+                slots[s] = Counter(pair for _, pair in moves)
+            assert slots[copy] == slots[state]
 
     def test_last_level_keys_no_state(self, monkeypatch):
         # A depth-1 query keys only its root and the root's mirror, and adds
@@ -631,17 +638,18 @@ class TestBoundaryFeasible:
 
     def test_states_are_expanded_once(self, monkeypatch):
         # On a fresh state graph, the queries with caps (5,) -> (4,) and their
-        # mirrors with caps (4,) -> (5,) expand no state twice, and a second
-        # pass over the same queries expands nothing.
+        # mirrors with caps (4,) -> (5,) read no state's moves twice, and a
+        # second pass over the same queries reads nothing.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         blocks._feasible.cache_clear()
         calls = []
+        move_pairs = engine._move_pairs
 
         def counting(state):
             calls.append(state)
-            return successors(state)
+            return move_pairs(state)
 
-        monkeypatch.setattr("gsflows.engine.successors", counting)
+        monkeypatch.setattr(engine, "_move_pairs", counting)
         fives = [manifold([c]) for c in enumerate_connected(5)]
         fours = [manifold([c]) for c in enumerate_connected(4)]
 
@@ -656,6 +664,26 @@ class TestBoundaryFeasible:
         calls.clear()
         run()
         assert calls == []
+
+    def test_chain_audit_node_count(self, monkeypatch):
+        # The Thm7 Whitney chain r -> s_u^7 -> s_s^7 -> a (maximum edge
+        # weight 8) verifies from a fresh state graph and leaves at most the
+        # 70 nodes measured when each successor was first judged by the pair
+        # read off its parent, before keying (731 when every successor was
+        # keyed).
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        blocks._feasible.cache_clear()
+        g = LyapunovGraph()
+        path = ["r", *(f"u{i}" for i in range(7)), *(f"s{i}" for i in range(7)), "a"]
+        for vid in path:
+            nature = {"r": N.R, "a": N.A, "u": N.S_U, "s": N.S_S}[vid[0]]
+            g.add_vertex(vid, T.REGULAR if vid in "ra" else T.WHITNEY, nature)
+        for src, dst, w in zip(path, path[1:], [*range(1, 9), *range(7, 0, -1)]):
+            g.add_edge(src, dst, w)
+        verdict = realize(g)
+        assert verdict.theorem == "Thm7"
+        assert verify_certificate(g, verdict.certificate)
+        assert len(engine._GRAPH._nodes) <= 70
 
     def test_closed_form_agrees_with_engine(self, monkeypatch):
         # Every diagonal entry and its reversal, every pair of per-side cap
@@ -736,9 +764,9 @@ class TestBoundaryFeasible:
         # Sorted targets rarely need it at catalog sizes, but a state's
         # components may match the target's in any order.
         three_a, three_b = family_minimal(3).components[0], family_A(3).components[0]
-        node = SimpleNamespace(comps=((CIRCLE, three_a), ()))
-        assert engine._can_grow_into(node, ((down_set(three_a), down_set(three_b)), ()))
-        assert not engine._can_grow_into(node, ((down_set(three_b), down_set(three_b)), ()))
+        pair = ((CIRCLE, three_a), ())
+        assert engine._can_grow_into(pair, ((down_set(three_a), down_set(three_b)), ()))
+        assert not engine._can_grow_into(pair, ((down_set(three_b), down_set(three_b)), ()))
 
     def test_targeted_walk_agrees_with_unpruned_walk(self, monkeypatch):
         # Every catalog block and its reversal, per-side cap totals up to 6,

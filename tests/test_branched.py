@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +11,11 @@ from gsflows.branched import (
     ArcPosition,
     Branched1Manifold,
     BranchedComponent,
+    _PARSE_CACHE_SIZE,
     _connected,
+    _find,
+    _identify,
+    _join,
     canonical_component,
     canonical_labelling,
     circle_manifold,
@@ -20,6 +25,7 @@ from gsflows.branched import (
     family_B,
     family_minimal,
     figure_eight,
+    identify_arcs,
     identify_points,
     is_isomorphic,
     manifold,
@@ -169,6 +175,92 @@ class TestIdentifyPoints:
             else:
                 assert result.total_weight == m.total_weight
                 assert len(result.components) == len(m.components) - 1
+
+
+def _identified_by_hand(m: Branched1Manifold, p1: ArcPosition, p2: ArcPosition) -> list:
+    """The identification without the library's suppression or canonizer.
+
+    The manifold is flattened into one arc list, the two arcs are cut at a
+    new vertex, and degree-2 vertices are contracted one at a time.  Returns
+    each component as a (order, arcs) namespace with vertices renamed
+    0..order-1 in sorted order, circles as order 0.
+    """
+    edges, at, n = [], {}, 0
+    for ci, comp in enumerate(m.components):
+        if comp.is_circle:
+            at[ci, 0] = len(edges)
+            edges.append((n, n))
+            n += 1
+        else:
+            for ai, (u, v) in enumerate(comp.arcs):
+                at[ci, ai] = len(edges)
+                edges.append((u + n, v + n))
+            n += comp.order
+    e1, e2 = at[p1.component, p1.arc], at[p2.component, p2.arc]
+    cut = [e1] if e1 == e2 else [e1, e2]
+    for e in cut:
+        u, v = edges[e]
+        edges[e] = (u, n)
+        edges.append((n, v))
+    if e1 == e2:
+        edges.append((n, n))
+    pieces = []
+    while True:
+        degree = Counter(x for edge in edges for x in edge)
+        v = next((x for x, d in degree.items() if d == 2), None)
+        if v is None:
+            break
+        on_v = [i for i, edge in enumerate(edges) if v in edge]
+        if len(on_v) == 1:  # a lone loop: a circle
+            pieces.append(SimpleNamespace(order=0, arcs=()))
+        else:
+            a, b = (edge[0] if edge[1] == v else edge[1] for edge in map(edges.__getitem__, on_v))
+            edges.append((a, b))
+        edges = [edge for i, edge in enumerate(edges) if i not in on_v]
+    vertices = sorted({x for edge in edges for x in edge})
+    parent = {x: x for x in vertices}
+    for u, v in edges:
+        parent[_find(parent, u)] = _find(parent, v)
+    for root in {_find(parent, x) for x in vertices}:
+        names = {x: i for i, x in enumerate(x for x in vertices if _find(parent, x) == root)}
+        arcs = tuple(sorted(tuple(sorted((names[u], names[v]))) for u, v in edges if u in names))
+        pieces.append(SimpleNamespace(order=len(names), arcs=arcs))
+    return pieces
+
+
+class TestIdentifyMemo:
+    def test_memoised_identifications_match_the_rewrite(self):
+        # 2 000 random identifications on random manifolds of one to three
+        # starting circles: each result equals the unmemoised rewrite of the
+        # whole manifold (`_identify`) and, component by component, is
+        # isomorphic under the brute-force oracle to the identification done
+        # by hand.  The oracle runs once per distinct input.
+        rng = random.Random(2024)
+        seen = {"cross-equal": 0, "same-arc-01": 0, "same-arc-10": 0, "circle": 0}
+        hits = identify_arcs.cache_info().hits + _join.cache_info().hits
+        checked = set()
+        for _ in range(2000):
+            m = random_manifold(rng, rng.randint(0, 4))
+            p1, p2 = random_positions(rng, m)
+            result = identify_points(m, p1, p2)
+            at1, at2 = (p1.component, p1.arc), (p2.component, p2.arc)
+            assert result.components == _identify(list(m.components), at1, at2)
+            c1, c2 = m.components[p1.component], m.components[p2.component]
+            if p1.component != p2.component and c1 == c2:
+                seen["cross-equal"] += 1
+            if at1 == at2:
+                seen[f"same-arc-{p1.slot}{p2.slot}"] += 1
+            seen["circle"] += c1.is_circle or c2.is_circle
+            if (m, *sorted([at1, at2])) in checked:
+                continue
+            checked.add((m, *sorted([at1, at2])))
+            unmatched = list(result.components)
+            for piece in _identified_by_hand(m, p1, p2):
+                match = next(c for c in unmatched if multigraphs_isomorphic(piece, c))
+                unmatched.remove(match)
+            assert unmatched == []
+        assert min(seen.values()) >= 50, seen
+        assert identify_arcs.cache_info().hits + _join.cache_info().hits > hits + 1000
 
 
 def _grown(form: BranchedComponent) -> set[BranchedComponent]:
@@ -345,6 +437,19 @@ class TestEncoding:
         # a negative one would wrap around as a list index.
         with pytest.raises(ValueError, match="vertex ids"):
             parse_manifold(text)
+
+    def test_parses_are_memoised(self):
+        # A repeated text gets the identical object; malformed text raises on
+        # every call, since errors are not kept.
+        text = family_B(6).encode()
+        first = parse_manifold(text)
+        assert parse_manifold(text) is first
+        assert parse_manifold(" " + text) == first
+        for bad in ("0:1500", "0:x", "0:1,0:1,0:1"):
+            for _ in range(3):
+                with pytest.raises(ValueError):
+                    parse_manifold(bad)
+        assert 0 < parse_manifold.cache_info().currsize <= _PARSE_CACHE_SIZE
 
     @given(st.integers(1, 6))
     @settings(max_examples=20, deadline=None)
