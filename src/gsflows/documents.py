@@ -12,10 +12,25 @@ OPEN in any case, and a weight is ASCII decimal digits, leading zeros
 allowed, worth at least 1 ('-1' is read as -1 and fails that bound).
 Everything else is rejected with a line/column diagnostic.  The parser
 splits each line once into its words; the column of a word is computed
-only when a diagnostic needs it.
+only when a diagnostic needs it.  A vertex's type and nature words in their
+canonical spelling ('R a', 'W s_s') are looked up in
+`model.LABELS_BY_WORDS`, which holds one shared label per admissible label;
+only another spelling goes through `parse_type` and `parse_nature`, which
+also give the diagnostics.
 Serialization emits vertices sorted by id and edges sorted by endpoints, so
 serialize(parse(d)) is the canonical form of d and a fixed point of the
 round trip.
+
+A report reads every figure it shows from the verdict and scans the graph
+for none: `realize` sums the Euler characteristic, the fold balance and the
+Conley sum (`RealizationVerdict.conley`) in its one classification pass,
+whose `GSGraphStatus` also carries the condition rows that hold at every
+vertex.  A certificate encodes each distinct form object once; the uniform
+certificates of the sufficient conditions hold one shared form per edge
+weight.  What makes `gsflows realize` fast is that vertex shapes repeat,
+within a document and across documents: classification keeps the facts of
+up to `_VERDICT_CACHE_SIZE` (4 096) distinct shapes (label, entering and
+exiting weights) and mostly reads them from there (see `realize`).
 """
 
 from __future__ import annotations
@@ -26,11 +41,11 @@ from fractions import Fraction
 from .blocks import minimal_block_catalog
 from .branched import Branched1Manifold, parse_manifold
 from .model import (
+    LABELS_BY_WORDS,
     OPEN,
     Edge,
     LyapunovGraph,
     VertexLabel,
-    euler_conley,
     parse_nature,
     parse_type,
 )
@@ -83,15 +98,17 @@ def parse_graph(text: str) -> LyapunovGraph:
                 raise ParseError(lineno, _tokens(line)[1][1], f"vertex id {vid!r} is reserved for dangling edge ends")
             if vid in g.vertices:
                 raise ParseError(lineno, _tokens(line)[1][1], f"duplicate vertex id {vid!r}")
-            try:
-                kind = parse_type(words[2])
-            except ValueError as err:
-                raise ParseError(lineno, _tokens(line)[2][1], str(err)) from None
-            try:
-                nature = parse_nature(words[3])
-                g.vertices[vid] = VertexLabel(kind, nature)
-            except ValueError as err:
-                raise ParseError(lineno, _tokens(line)[3][1], str(err)) from None
+            label = LABELS_BY_WORDS.get((words[2], words[3]))
+            if label is None:
+                try:
+                    kind = parse_type(words[2])
+                except ValueError as err:
+                    raise ParseError(lineno, _tokens(line)[2][1], str(err)) from None
+                try:
+                    label = VertexLabel(kind, parse_nature(words[3]))
+                except ValueError as err:
+                    raise ParseError(lineno, _tokens(line)[3][1], str(err)) from None
+            g.vertices[vid] = label
         elif word == "edge":
             if len(words) != 4:
                 raise ParseError(lineno, _tokens(line)[0][1], "edge takes: src dst weight")
@@ -166,10 +183,16 @@ def _fraction_str(x: Fraction) -> str:
 
 
 def report_document(g: LyapunovGraph, verdict: RealizationVerdict) -> dict:
-    """Machine-readable verdict report for a closed graph."""
+    """Machine-readable verdict report for a closed graph, read off the verdict."""
     cert = None
     if verdict.certificate is not None:
-        cert = {str(i): m.encode() for i, m in sorted(verdict.certificate.items())}
+        codes: dict[int, str] = {}
+        cert = {}
+        for i, m in sorted(verdict.certificate.items()):
+            code = codes.get(id(m))
+            if code is None:
+                code = codes[id(m)] = m.encode()
+            cert[str(i)] = code
     chi = verdict.euler
     return {
         "version": REPORT_VERSION,
@@ -180,7 +203,7 @@ def report_document(g: LyapunovGraph, verdict: RealizationVerdict) -> dict:
         "searched_bound": verdict.searched_bound,
         "certificate": cert,
         "euler": {
-            "conley": euler_conley(g),
+            "conley": verdict.conley,
             "nature_formula": _fraction_str(chi),
             "integer": chi.denominator == 1,
         },

@@ -56,8 +56,10 @@ So each successor's pair is the parent's pair with the moved component on
 each side replaced by its identification (`branched.identify_arcs`, the
 table `enumerate_connected` grows forms with).  A successor is built and
 keyed only when a walk is about to read its own moves (`StateSet.child`),
-and its node takes its pair from the move that made it.  Each distinct
-state object is keyed once (`StateSet.add`).
+and its node takes its pair from the move that made it, which then holds
+it in `_Node.succ`.  Each distinct root state object is keyed once
+(`StateSet.add`); successors are keyed once per move taken and are kept
+only as nodes.
 
 Every feasibility query has a target pair, and its walk is pruned to states
 that can still grow into it.  Each move identifies two points of one
@@ -282,17 +284,23 @@ class StateSet:
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, _Node] = {}
-        # Every state added before, with its node, so that each is keyed once.
+        # Every root state added before, with its node, so that each is keyed
+        # once.  Successors are not kept here: `_Node.succ` serves every later
+        # look-up of a move.
         self._states: dict[BlockState, _Node] = {}
 
     def add(self, state: BlockState) -> _Node:
         node = self._states.get(state)
         if node is None:
-            key = state_key(state)
-            node = self._nodes.get(key)
-            if node is None:
-                node = self._nodes[key] = _Node(key, state)
-            self._states[state] = node
+            node = self._states[state] = self._node(state)
+        return node
+
+    def _node(self, state: BlockState) -> _Node:
+        """The node of the state's canonical key, made when first met."""
+        key = state_key(state)
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = _Node(key, state)
         return node
 
     def child(self, node: _Node, k: int) -> _Node:
@@ -303,7 +311,7 @@ class StateSet:
         succ = node.succ[k]
         if succ is None:
             (i, j), pair = node.moves[k]
-            succ = node.succ[k] = self.add(_apply(node.state, i, j))
+            succ = node.succ[k] = self._node(_apply(node.state, i, j))
             if succ.comps is None:
                 succ.comps = pair
         return succ

@@ -14,6 +14,13 @@ Poincare-Hopf residual of a single vertex, the degree inequalities, the fold
 bookkeeping, and the two Euler characteristic formulas whose agreement on
 fold-balanced closed graphs is the main global cross-check.
 
+Both Euler characteristics and the fold balance are sums over the vertices
+of per-label terms (`label_terms`), stated once from the label table, so a
+caller that already visits every vertex can add them up on the way.  The
+table also gives one shared `VertexLabel` per admissible label
+(`LABELS_BY_WORDS`, keyed by the two words a document spells it with), so
+that parsing builds no label object for a canonical spelling.
+
 The two label enums hash by identity (`object.__hash__`) instead of by
 member name, since labels key dicts, sets and caches on every path.  This
 finds the same entries as before: members are singletons and Enum equality
@@ -34,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 
 class SingularityType(Enum):
@@ -164,6 +172,13 @@ class VertexLabel:
 
     def __str__(self) -> str:
         return f"{self.kind},{self.nature}"
+
+
+#: The one shared label object of each admissible label, keyed by the type
+#: and nature words in their canonical spelling, e.g. ``("R", "a")``.
+LABELS_BY_WORDS: dict[tuple[str, str], VertexLabel] = {
+    (kind.value, nature.value): VertexLabel(kind, nature) for kind, nature in _LABELS
+}
 
 
 #: Sentinel for a dangling edge end.
@@ -317,11 +332,12 @@ def semigraph(g: LyapunovGraph, vid: str) -> SemiGraph:
     return SemiGraph(g.vertices[vid], ins, outs)
 
 
-def semigraphs(g: LyapunovGraph) -> dict[str, SemiGraph]:
-    """Every vertex's semi-graph, from one pass over the edges.
+def incidence(g: LyapunovGraph) -> list[tuple[str, VertexLabel, tuple[int, ...], tuple[int, ...]]]:
+    """Each vertex with its entering and exiting edge weights, from one pass
+    over the edges.
 
-    Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``, with the
-    weights in edge order and the same error for a vertex of degree 0.
+    The weights are in edge order, as in `semigraph`, and a vertex of degree 0
+    raises the same error.
     """
     ins: dict[str, list[int]] = {vid: [] for vid in g.vertices}
     outs: dict[str, list[int]] = {vid: [] for vid in g.vertices}
@@ -330,12 +346,20 @@ def semigraphs(g: LyapunovGraph) -> dict[str, SemiGraph]:
             ins[e.dst].append(e.weight)
         if e.src in outs:
             outs[e.src].append(e.weight)
-    result = {}
+    result = []
     for vid, label in g.vertices.items():
         if not ins[vid] and not outs[vid]:
             raise ValueError(f"vertex {vid!r} has degree 0")
-        result[vid] = SemiGraph(label, tuple(ins[vid]), tuple(outs[vid]))
+        result.append((vid, label, tuple(ins[vid]), tuple(outs[vid])))
     return result
+
+
+def semigraphs(g: LyapunovGraph) -> dict[str, SemiGraph]:
+    """Every vertex's semi-graph, read off `incidence`.
+
+    Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``.
+    """
+    return {vid: SemiGraph(label, ins, outs) for vid, label, ins, outs in incidence(g)}
 
 
 def ph_residual(sg: SemiGraph) -> int:
@@ -369,26 +393,40 @@ def total_folds(kind: SingularityType) -> int:
     return sum(fold_degrees(kind, _N.A))
 
 
+@cache
+def label_terms(kind: SingularityType, nature: Nature) -> tuple[int, int, int]:
+    """The summands that an admissible label adds to the graph-wide sums:
+    twice its term of a - s + r + W/2 + T (`euler_gs`, doubled to stay an
+    integer), its entering minus exiting folds (`fold_balance`), and the
+    Euler term h0 - h1 + h2 of its Conley index (`euler_conley`)."""
+    fin, fout = fold_degrees(kind, nature)
+    da, ds, dr = _LABELS[(kind, nature)][1]
+    euler2 = 2 * (da - ds + dr) + (kind is _T.WHITNEY) + 2 * (kind is _T.TRIPLE)
+    return euler2, fin - fout, conley_index(kind, nature).euler_term
+
+
 def _require_closed(g: LyapunovGraph, op: str) -> None:
     if not g.is_closed():
         raise ValueError(f"{op} requires a closed graph (no dangling edges)")
 
 
+def _sum_terms(g: LyapunovGraph, op: str) -> tuple[int, int, int]:
+    """The `label_terms` of a closed graph's vertices, summed slot by slot."""
+    _require_closed(g, op)
+    terms = (label_terms(label.kind, label.nature) for label in g.vertices.values())
+    return tuple(map(sum, zip((0, 0, 0), *terms)))
+
+
 def fold_balance(g: LyapunovGraph) -> bool:
     """Whether entering and exiting fold counts agree over the whole graph."""
-    _require_closed(g, "fold_balance")
-    fin = fout = 0
-    for label in g.vertices.values():
-        i, o = fold_degrees(label.kind, label.nature)
-        fin += i
-        fout += o
-    return fin == fout
+    _, folds, _ = _sum_terms(g, "fold_balance")
+    return folds == 0
 
 
 def euler_conley(g: LyapunovGraph) -> int:
     """Euler characteristic as the alternating sum of Conley indices."""
-    _require_closed(g, "euler_conley")
-    return sum(conley_index(l.kind, l.nature).euler_term for l in g.vertices.values())
+    _, _, conley = _sum_terms(g, "euler_conley")
+    return conley
 
 
 def nature_totals(g: LyapunovGraph) -> tuple[int, int, int]:
@@ -406,16 +444,14 @@ def euler_characteristic(a: int, s: int, r: int, whitney: int, triple: int) -> F
 
 
 def euler_gs(g: LyapunovGraph) -> Fraction:
-    """Euler characteristic from nature totals and W/T vertex counts.
+    """Euler characteristic a - s + r + W/2 + T from nature totals and W/T
+    vertex counts, summed label by label.
 
     Returned as an exact rational so that integrality (equivalent to fold
     balance) is exactly testable.
     """
-    _require_closed(g, "euler_gs")
-    a, s, r = nature_totals(g)
-    w = sum(1 for l in g.vertices.values() if l.kind is _T.WHITNEY)
-    t = sum(1 for l in g.vertices.values() if l.kind is _T.TRIPLE)
-    return euler_characteristic(a, s, r, w, t)
+    euler2, _, _ = _sum_terms(g, "euler_gs")
+    return Fraction(euler2, 2)
 
 
 _TYPES = {t.value: t for t in SingularityType}

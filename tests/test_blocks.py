@@ -665,6 +665,17 @@ class TestBoundaryFeasible:
         run()
         assert calls == []
 
+    def test_successors_are_kept_only_as_nodes(self, monkeypatch):
+        # The state table holds the roots a query starts from, catalog blocks
+        # and their reversals; every successor it keys lives in a node only.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        blocks._feasible.cache_clear()
+        for five in enumerate_connected(5):
+            boundary_feasible(lab("W", "s_s"), [manifold([five])], [family_B(4)])
+        roots = {s for e in minimal_block_catalog() for s in (e.state, e.state.reversed())}
+        assert set(engine._GRAPH._states) <= roots
+        assert len(engine._GRAPH._nodes) > len(engine._GRAPH._states)
+
     def test_chain_audit_node_count(self, monkeypatch):
         # The Thm7 Whitney chain r -> s_u^7 -> s_s^7 -> a (maximum edge
         # weight 8) verifies from a fresh state graph and leaves at most the

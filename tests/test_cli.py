@@ -208,25 +208,36 @@ def test_realize_validates_once(sphere_file, capsys, monkeypatch):
 
 
 def test_realize_reads_euler_and_fold_balance_once(sphere_file, tmp_path, capsys, monkeypatch):
+    # The one classification pass sums the Euler characteristic, the fold
+    # balance and the Conley sum; nothing scans the graph for them again.
+    model = importlib.import_module("gsflows.model")
     modules = [importlib.import_module(f"gsflows.{name}") for name in ("cli", "realize", "documents")]
+    classify = modules[1].classify_graph
     calls = []
-    for name in ("euler_gs", "fold_balance"):
-        fn = getattr(modules[1], name)
 
-        def counting(g, name=name, fn=fn):
+    def counting(name, fn):
+        def wrapper(g):
             calls.append(name)
             return fn(g)
+        return wrapper
 
-        for module in modules:
+    monkeypatch.setattr(modules[1], "classify_graph", counting("classify_graph", classify))
+    for name in ("euler_gs", "fold_balance", "euler_conley"):
+        wrapper = counting(name, getattr(model, name))
+        for module in (model, *modules):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
+                monkeypatch.setattr(module, name, wrapper)
     nr = tmp_path / "nr.gs"
     nr.write_text(NON_REALIZABLE)
-    for path, code in ((sphere_file, EX_OK), (str(nr), EX_UNKNOWN)):
+    for path, text, code in ((sphere_file, SPHERE, EX_OK), (str(nr), NON_REALIZABLE, EX_UNKNOWN)):
         calls.clear()
         assert main(["realize", path]) == code
-        assert sorted(calls) == ["euler_gs", "fold_balance"]
-    capsys.readouterr()
+        assert calls == ["classify_graph"]
+        report = json.loads(capsys.readouterr().out)
+        g = modules[0].parse_graph(text)
+        assert report["euler"]["conley"] == model.euler_conley(g)
+        assert report["euler"]["nature_formula"] == str(model.euler_gs(g))
+        assert report["fold_balance"] == model.fold_balance(g)
 
 
 def test_parser_reused_across_calls(tmp_path, sphere_file, capsys):

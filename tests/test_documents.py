@@ -13,7 +13,7 @@ from gsflows.documents import (
     serialize_graph,
 )
 from gsflows.generator import gen_random_gs_graph
-from gsflows.model import OPEN
+from gsflows.model import LABELS_BY_WORDS, OPEN, Nature, SingularityType, VertexLabel
 from gsflows.realize import realize, verify_certificate
 
 SPHERE_DOC = """gsgraph v1
@@ -34,6 +34,36 @@ class TestParse:
         assert str(g.vertices["v"]) == "T,ssa"
         g = parse_graph("gsgraph v1\nvertex v D Ss_S\nedge OPEN v 3\nedge v OPEN 1\n")
         assert str(g.vertices["v"]) == "D,ss_s"
+
+    @pytest.mark.parametrize("words, kind, nature", [
+        ("R a", SingularityType.REGULAR, Nature.A),
+        ("r A", SingularityType.REGULAR, Nature.A),
+        ("w S_S", SingularityType.WHITNEY, Nature.S_S),
+        ("D Ss_s", SingularityType.DOUBLE, Nature.SS_S),
+        ("T ssa\t", SingularityType.TRIPLE, Nature.SSA),
+        ("c\t r", SingularityType.CONE, Nature.R),
+    ])
+    def test_label_spellings(self, words, kind, nature):
+        # Canonical spellings take the shared label of `LABELS_BY_WORDS`;
+        # other cases and words with a trailing tab go through the enum
+        # parsers.
+        g = parse_graph(f"gsgraph v1\nvertex v {words}\n")
+        assert g.vertices["v"] == VertexLabel(kind, nature)
+        if words == f"{kind.value} {nature.value}":
+            assert g.vertices["v"] is LABELS_BY_WORDS[(kind.value, nature.value)]
+
+    @pytest.mark.parametrize("words, col, message", [
+        ("Rr a", 10, "unknown singularity type 'Rr'"),
+        ("R\tx a", 10, "unknown singularity type 'R\\tx'"),
+        ("w s-s", 12, "unknown nature 's-s'"),
+        ("D ss", 12, "unknown nature 'ss'"),
+        ("d SA\tb", 12, "unknown nature 'SA\\tb'"),
+    ])
+    def test_unknown_label_words_keep_positions(self, words, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(f"gsgraph v1\nvertex v {words}\n")
+        assert (err.value.line, err.value.col) == (2, col)
+        assert str(err.value) == f"line 2, col {col}: {message}"
 
     def test_open_ends(self):
         g = parse_graph("gsgraph v1\nvertex v R s\nedge OPEN v 1\nedge v open 1\n")

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import time
 
@@ -7,15 +8,24 @@ from gsflows.branched import MAX_ENUM_WEIGHT, family_A, family_B, family_minimal
 from gsflows.cli import EX_OK, main
 from gsflows.documents import serialize_graph
 from gsflows.generator import gen_random_gs_graph
+from gsflows.blocks import local_realizable
 from gsflows.model import (
+    Edge,
     LyapunovGraph,
     SemiGraph,
+    SingularityType,
     VertexLabel,
+    conley_index,
+    euler_characteristic,
     euler_conley,
     euler_gs,
     fold_balance,
+    fold_degrees,
+    nature_totals,
     parse_nature,
     parse_type,
+    reverse_nature,
+    semigraph,
 )
 from gsflows.realize import (
     NOT_REALIZABLE,
@@ -234,6 +244,124 @@ class TestConditionTable:
             calls.clear()
             realize(g, search_bound=3)
             assert calls == [g]
+
+
+def reference_classification(g):
+    """Unmemoised classification and dispatch of a closed graph, vertex by
+    vertex and row by row, with the three sums taken from their formulas."""
+    sgs = {vid: semigraph(g, vid) for vid in g.vertices}
+    verdicts = {vid: local_realizable.__wrapped__(s) for vid, s in sgs.items()}
+    rows = tuple(row for row in CONDITIONS if all(row[2](sgs[v], verdicts[v]) for v in g.vertices))
+    labels = list(g.vertices.values())
+    whitney = sum(l.kind is SingularityType.WHITNEY for l in labels)
+    triple = sum(l.kind is SingularityType.TRIPLE for l in labels)
+    euler = euler_characteristic(*nature_totals(g), whitney, triple)
+    folds = [fold_degrees(l.kind, l.nature) for l in labels]
+    balanced = sum(i for i, _ in folds) == sum(o for _, o in folds)
+    conley = sum(conley_index(l.kind, l.nature).euler_term for l in labels)
+    assert (euler, balanced, conley) == (euler_gs(g), fold_balance(g), euler_conley(g))
+    return sgs, verdicts, rows, euler, balanced, conley
+
+
+def reference_realize(g):
+    """(status, theorem, certificate, witness, reason) as `realize` without a bound."""
+    _, verdicts, rows, euler, balanced, _ = reference_classification(g)
+    bad = tuple(vid for vid, v in verdicts.items() if not v.ok)
+    if bad:
+        reason = "local: " + ", ".join(f"{vid}={verdicts[vid].reason}" for vid in bad)
+        return NOT_REALIZABLE, None, None, bad, reason
+    if not balanced:
+        return NOT_REALIZABLE, None, None, (), "fold-imbalance"
+    if euler.denominator != 1:
+        return NOT_REALIZABLE, None, None, (), "fractional-euler-characteristic"
+    if rows:
+        theorem, family, _ = rows[0]
+        return REALIZABLE, theorem, {i: family(e.weight) for i, e in enumerate(g.edges)}, (), None
+    return UNKNOWN, None, None, (), None
+
+
+def perturbed(g, k):
+    """The graph with one edge one heavier, and the graph with one vertex's
+    nature reversed: the first breaks local verdicts, the second also the
+    fold balance when the label carries folds."""
+    heavier = LyapunovGraph(dict(g.vertices), list(g.edges))
+    e = heavier.edges[k % len(g.edges)]
+    heavier.edges[k % len(g.edges)] = Edge(e.src, e.dst, e.weight + 1)
+    reversed_ = LyapunovGraph(dict(g.vertices), list(g.edges))
+    vid = list(g.vertices)[k % len(g.vertices)]
+    label = g.vertices[vid]
+    reversed_.vertices[vid] = VertexLabel(label.kind, reverse_nature(label.nature))
+    return heavier, reversed_
+
+
+@functools.cache
+def generated_graphs():
+    """200 generated graphs of 4 to 48 vertices, minimal and general, fixed seeds."""
+    return [gen_random_gs_graph(1000 + seed, size=4 + seed % 45, minimal=minimal)
+            for seed in range(100) for minimal in (True, False)]
+
+
+class TestClassificationMemo:
+    """`classify_graph` and `realize` against the unmemoised reference."""
+
+    def check(self, g, reference=None):
+        sgs, verdicts, rows, euler, balanced, conley = reference or reference_classification(g)
+        st = classify_graph(g)
+        assert st.semigraphs == sgs
+        assert st.verdicts == verdicts
+        assert st.rows == rows
+        assert (st.euler, st.fold_balance, st.conley) == (euler, balanced, conley)
+        assert st.is_gs == all(v.ok for v in verdicts.values())
+        assert st.is_minimal_gs == all(v.is_minimal for v in verdicts.values())
+
+    def test_generated_graphs(self):
+        for g in generated_graphs():
+            self.check(g)
+            verdict = realize(g)
+            got = (verdict.status, verdict.theorem, verdict.certificate, verdict.witness, verdict.reason)
+            assert got == reference_realize(g)
+            assert (verdict.euler, verdict.fold_balance, verdict.conley) == (
+                euler_gs(g), fold_balance(g), euler_conley(g))
+
+    def test_perturbed_graphs(self):
+        balanced = set()
+        for k, g in enumerate(generated_graphs()[:60]):
+            for h in perturbed(g, k):
+                self.check(h)
+                verdict = realize(h)
+                assert (verdict.status, verdict.theorem, verdict.certificate, verdict.witness,
+                        verdict.reason) == reference_realize(h)
+                balanced.add(verdict.fold_balance)
+        assert balanced == {True, False}
+
+    def test_more_shapes_than_the_memo_holds(self):
+        # A Whitney chain r -> s_u^k -> s_s^k -> a whose vertices are all
+        # distinct shapes, more of them than the memo keeps: classifying it
+        # twice evicts every entry before it is read again.
+        from gsflows.realize import _VERDICT_CACHE_SIZE, _vertex_facts
+
+        k = _VERDICT_CACHE_SIZE // 2 + 8
+        names = ["r", *(f"u{i}" for i in range(k)), *(f"s{i}" for i in range(k)), "a"]
+        natures = {"r": "r", "u": "s_u", "s": "s_s", "a": "a"}
+        g = G([(v, "R" if v in "ra" else "W", natures[v[0]]) for v in names],
+              [(u, v, w) for u, v, w in zip(names, names[1:], [*range(1, k + 2), *range(k, 0, -1)])])
+        reference = reference_classification(g)
+        assert len(set(reference[0].values())) > _VERDICT_CACHE_SIZE
+        for _ in range(2):
+            self.check(g, reference)
+        assert _vertex_facts.cache_info().currsize == _VERDICT_CACHE_SIZE
+
+    def test_repeated_shapes_build_no_semigraph(self, monkeypatch):
+        module = importlib.import_module("gsflows.realize")
+        g = generated_graphs()[1]
+        first = classify_graph(g)
+
+        def refuse(*args):
+            raise AssertionError("semi-graph built on a memo hit")
+
+        monkeypatch.setattr(module, "SemiGraph", refuse)
+        again = classify_graph(g)
+        assert all(again.semigraphs[v] is first.semigraphs[v] for v in g.vertices)
 
 
 class TestRealize:
