@@ -21,7 +21,8 @@ Local verdicts follow a fixed cascade: the Poincare-Hopf residual, the
 degree inequalities, the known non-realizable shape exclusions, shape
 catalog membership, and the cone/double/triple weight-splitting constraints.
 Natures the catalog lists only through reversed blocks are decided on the
-time-reversed semi-graph.
+time-reversed semi-graph.  A verdict is computed afresh on every call;
+`realize._vertex_facts` is the memo that keeps one per vertex shape.
 
 Boundary feasibility asks whether some block for a label grows, by the
 engine's passageway moves, into a given pair of branched 1-manifolds.  Most
@@ -214,13 +215,6 @@ def _no(reason: str) -> LocalVerdict:
     return LocalVerdict(NO, reason=reason)
 
 
-#: Distinct semi-graphs whose verdicts are kept.  Graphs repeat a few vertex
-#: shapes many times: 600 seeded generated graphs of 4 to 48 vertices hold
-#: 16 574 vertices but only 261 distinct semi-graphs.
-_VERDICT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_VERDICT_CACHE_SIZE)
 def local_realizable(sg: SemiGraph) -> LocalVerdict:
     """Decide whether the semi-graph bounds an isolating block.
 
@@ -228,7 +222,6 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
     the time-reversed semi-graph, so each rule below is stated once.  The
     excluded shapes and the unequal splits at minimal totals give reason
     Thm4-exclusion; the splitting rules for non-minimal weights give Thm5-*.
-    The verdict is a function of the frozen semi-graph alone, so it is cached.
     """
     if sg.label.nature in _REVERSED:
         return local_realizable(reverse_semigraph(sg))

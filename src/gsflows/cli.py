@@ -29,17 +29,8 @@ from .documents import (
     serialize_graph,
 )
 from .generator import gen_random_gs_graph
-from .model import (
-    SingularityType,
-    euler_conley,
-    euler_gs,
-    fold_balance,
-    parse_type,
-    ph_residual,
-    semigraphs,
-    validate_graph,
-)
-from .realize import NOT_REALIZABLE, REALIZABLE, InvalidGraphError, realize
+from .model import SingularityType, parse_type, ph_residual, semigraphs, validate_graph
+from .realize import NOT_REALIZABLE, REALIZABLE, InvalidGraphError, classify_graph, realize
 
 EX_OK = 0
 EX_FAIL = 1
@@ -103,13 +94,16 @@ def _cmd_realize(args) -> int:
 
 def _cmd_euler(args) -> int:
     g = _load(args.file)
-    if validate_graph(g) or not g.is_closed():
+    try:
+        status = classify_graph(g) if g.is_closed() else None
+    except InvalidGraphError:
+        status = None
+    if status is None:
         print("euler requires a structurally valid closed graph", file=sys.stderr)
         return EX_FAIL
-    chi = euler_gs(g)
-    print(f"euler (Conley sum): {euler_conley(g)}")
-    print(f"euler (nature formula): {chi}")
-    print(f"fold balance: {fold_balance(g)}")
+    print(f"euler (Conley sum): {status.conley}")
+    print(f"euler (nature formula): {status.euler}")
+    print(f"fold balance: {status.fold_balance}")
     return EX_OK
 
 

@@ -29,8 +29,9 @@ vertex.  A certificate encodes each distinct form object once; the uniform
 certificates of the sufficient conditions hold one shared form per edge
 weight.  What makes `gsflows realize` fast is that vertex shapes repeat,
 within a document and across documents: classification keeps the facts of
-up to `_VERDICT_CACHE_SIZE` (4 096) distinct shapes (label, entering and
-exiting weights) and mostly reads them from there (see `realize`).
+up to `realize._VERDICT_CACHE_SIZE` (4 096) distinct shapes (label,
+entering and exiting weights) and mostly reads them from there (see
+`realize`).
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def parse_graph(text: str) -> LyapunovGraph:
     if not lines:
         raise ParseError(1, 1, "empty document")
     header_seen = False
+    edge_lines: list[int] = []  # the line number of each edge, in edge order
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
         words = [w for w in line.split(" ") if w]
@@ -121,6 +123,7 @@ def parse_graph(text: str) -> LyapunovGraph:
             g.edges.append(
                 Edge(OPEN if src.upper() == "OPEN" else src, OPEN if dst.upper() == "OPEN" else dst, w)
             )
+            edge_lines.append(lineno)
         else:
             raise ParseError(lineno, _tokens(line)[0][1], f"unknown directive {word!r}")
     if not header_seen:
@@ -128,20 +131,10 @@ def parse_graph(text: str) -> LyapunovGraph:
     for i, e in enumerate(g.edges):
         for k, end in ((1, e.src), (2, e.dst)):
             if end is not None and end not in g.vertices:
-                lineno, line = _edge_line(lines, i)
+                lineno = edge_lines[i]
+                line = lines[lineno - 1].split("#", 1)[0]
                 raise ParseError(lineno, _tokens(line)[k][1], f"edge {i} references unknown vertex {end!r}")
     return g
-
-
-def _edge_line(lines: list[str], i: int) -> tuple[int, str]:
-    """Line number and comment-free text of the document's i-th edge line."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.lstrip(" ").split(" ", 1)[0] == "edge":
-            if i == 0:
-                return lineno, line
-            i -= 1
-    raise AssertionError(f"document has no edge line {i}")
 
 
 def serialize_graph(g: LyapunovGraph) -> str:

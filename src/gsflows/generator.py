@@ -13,15 +13,9 @@ from __future__ import annotations
 
 import random
 
-from .blocks import local_realizable, shape_catalog
-from .model import (
-    LyapunovGraph,
-    Nature,
-    SingularityType,
-    fold_balance,
-    semigraphs,
-    validate_graph,
-)
+from .blocks import shape_catalog
+from .model import LyapunovGraph, Nature, SingularityType
+from .realize import classify_graph
 
 _T = SingularityType
 _N = Nature
@@ -188,7 +182,6 @@ def gen_random_gs_graph(seed: int, size: int = 8, minimal: bool = False) -> Lyap
     while grower.stubs:
         grower.close_one()
     g = grower.g
-    assert not validate_graph(g)
-    assert all(local_realizable(sg).ok for sg in semigraphs(g).values())
-    assert fold_balance(g)
+    status = classify_graph(g)
+    assert status.is_gs and status.fold_balance
     return g

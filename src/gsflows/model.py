@@ -28,12 +28,14 @@ is already identity.  No output iterates a set of members, so no output
 order depends on the hash either (the generator sorts its moves by enum
 order on purpose).
 
-`validate_graph` finds an oriented cycle with Kahn's algorithm over the
-predecessor lists of the edges.  If vertices remain once no vertex is
-ready, it names one cycle: from the first remaining vertex in insertion
-order it follows each vertex's first remaining predecessor, in edge order,
-until a vertex repeats, and reports that loop in edge direction as
-`oriented cycle: a->b->a`.
+`incidence` is the one routine that reads edge ends: one pass over the
+edges gives each vertex's entering and exiting edge indices and the report
+of `validate_graph`.  It finds an oriented cycle with Kahn's algorithm over
+the index lists.  If vertices remain once no vertex is ready, it names one
+cycle: from the first remaining vertex in insertion order it follows each
+vertex's first remaining predecessor, in edge order, until a vertex
+repeats, and reports that loop in edge direction as `oriented cycle:
+a->b->a`.
 """
 
 from __future__ import annotations
@@ -269,40 +271,54 @@ def reverse_semigraph(sg: SemiGraph) -> SemiGraph:
     return SemiGraph(label, sg.out_weights, sg.in_weights)
 
 
-def validate_graph(g: LyapunovGraph) -> list[str]:
-    """Collect all structural violations; an empty list means valid."""
+def incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[int]], list[str]]:
+    """Each vertex's entering and exiting edge indices, in edge order, and the
+    graph's structural violations, from one pass over the edges.
+
+    An edge is listed at each end that is a vertex of the graph.  The report
+    is the one `validate_graph` returns: per-edge violations in edge order,
+    inadmissible labels, one oriented cycle, then isolated vertices.
+    """
+    ins: dict[str, list[int]] = {vid: [] for vid in g.vertices}
+    outs: dict[str, list[int]] = {vid: [] for vid in g.vertices}
     report: list[str] = []
-    # Predecessors and successors along the edges joining two known vertices.
-    deps: dict[str, list[str]] = {vid: [] for vid in g.vertices}
-    succs: dict[str, list[str]] = {vid: [] for vid in g.vertices}
-    for i, e in enumerate(g.edges):
+    free = []  # the targets of edges that leave no vertex
+    edges = g.edges
+    for i, e in enumerate(edges):
         src, dst = e.src, e.dst
         if e.weight < 1:
             report.append(f"edge {i}: weight must be >= 1, got {e.weight}")
-        if src is None and dst is None:
-            report.append(f"edge {i}: both ends open")
-        if src in deps:
-            if dst in deps:
-                deps[dst].append(src)
-                succs[src].append(dst)
-        elif src is not None:
-            report.append(f"edge {i}: unknown source vertex {src!r}")
-        if dst is not None and dst not in deps:
+        if src in outs:
+            outs[src].append(i)
+        else:
+            if src is not None:
+                report.append(f"edge {i}: unknown source vertex {src!r}")
+            elif dst is None:
+                report.append(f"edge {i}: both ends open")
+            free.append(dst)
+        if dst in ins:
+            ins[dst].append(i)
+        elif dst is not None:
             report.append(f"edge {i}: unknown target vertex {dst!r}")
     # Label admissibility is enforced by VertexLabel on construction, but
     # re-check here so graphs built by other means still get a report.
     for vid, label in g.vertices.items():
         if label.nature not in ADMISSIBLE_NATURES[label.kind]:
             report.append(f"vertex {vid}: nature {label.nature} not admissible for {label.kind}")
-    # Kahn's algorithm: `indegree` ends positive exactly on the vertices that
-    # lie on a cycle or below one.
-    indegree = {vid: len(preds) for vid, preds in deps.items()}
+    # Kahn's algorithm over the edges joining two vertices: `indegree` ends
+    # positive exactly on the vertices that lie on a cycle or below one.
+    indegree = {vid: len(into) for vid, into in ins.items()}
+    for vid in free:
+        if vid in indegree:
+            indegree[vid] -= 1
     ready = [vid for vid, d in indegree.items() if not d]
     for u in ready:
-        for v in succs[u]:
-            indegree[v] -= 1
-            if not indegree[v]:
-                ready.append(v)
+        for i in outs[u]:
+            v = edges[i].dst
+            if v in indegree:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
     if len(ready) < len(indegree):
         # Every remaining vertex has a remaining predecessor: follow the
         # first one until a vertex repeats, then read the loop forwards.
@@ -310,15 +326,19 @@ def validate_graph(g: LyapunovGraph) -> list[str]:
         walk: dict[str, None] = {}
         while vid not in walk:
             walk[vid] = None
-            vid = next(u for u in deps[vid] if indegree[u])
+            vid = next(edges[i].src for i in ins[vid] if indegree.get(edges[i].src))
         back = list(walk)
         cycle = back[back.index(vid):] + [vid]
         report.append("oriented cycle: " + "->".join(reversed(cycle)))
-    ends = {e.src for e in g.edges} | {e.dst for e in g.edges}
     for vid in g.vertices:
-        if vid not in ends:
+        if not ins[vid] and not outs[vid]:
             report.append(f"vertex {vid}: isolated (semi-graphs need degree >= 1)")
-    return report
+    return ins, outs, report
+
+
+def validate_graph(g: LyapunovGraph) -> list[str]:
+    """Collect all structural violations; an empty list means valid."""
+    return incidence(g)[2]
 
 
 def semigraph(g: LyapunovGraph, vid: str) -> SemiGraph:
@@ -332,34 +352,21 @@ def semigraph(g: LyapunovGraph, vid: str) -> SemiGraph:
     return SemiGraph(g.vertices[vid], ins, outs)
 
 
-def incidence(g: LyapunovGraph) -> list[tuple[str, VertexLabel, tuple[int, ...], tuple[int, ...]]]:
-    """Each vertex with its entering and exiting edge weights, from one pass
-    over the edges.
-
-    The weights are in edge order, as in `semigraph`, and a vertex of degree 0
-    raises the same error.
-    """
-    ins: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    outs: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    for e in g.edges:
-        if e.dst in ins:
-            ins[e.dst].append(e.weight)
-        if e.src in outs:
-            outs[e.src].append(e.weight)
-    result = []
-    for vid, label in g.vertices.items():
-        if not ins[vid] and not outs[vid]:
-            raise ValueError(f"vertex {vid!r} has degree 0")
-        result.append((vid, label, tuple(ins[vid]), tuple(outs[vid])))
-    return result
-
-
 def semigraphs(g: LyapunovGraph) -> dict[str, SemiGraph]:
     """Every vertex's semi-graph, read off `incidence`.
 
-    Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``.
+    Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``: weights in
+    edge order, and a vertex of degree 0 raises the same error.
     """
-    return {vid: SemiGraph(label, ins, outs) for vid, label, ins, outs in incidence(g)}
+    ins, outs, _ = incidence(g)
+    weights = [e.weight for e in g.edges]
+    sgs = {}
+    for vid, label in g.vertices.items():
+        if not ins[vid] and not outs[vid]:
+            raise ValueError(f"vertex {vid!r} has degree 0")
+        sgs[vid] = SemiGraph(label, tuple([weights[i] for i in ins[vid]]),
+                             tuple([weights[i] for i in outs[vid]]))
+    return sgs
 
 
 def ph_residual(sg: SemiGraph) -> int:

@@ -12,20 +12,23 @@ search over per-edge form assignments either produces a certificate, proves
 non-realizability within the bound, or reports the question as open.  The
 search and the certificate audit share one assignment routine, `_assign`.
 
-`classify_graph` makes one pass over the vertices.  A vertex's facts (its
+`classify_graph` reads one `model.incidence` table: its report decides
+validity, and its edge index lists give each vertex's weights and, for the
+search, the vertices' edges.  `verify_certificate` makes the same pass and,
+like `realize`, rejects invalid and open graphs.  A vertex's facts (its
 `SemiGraph`, its `LocalVerdict`, the `CONDITIONS` rows that hold there and
 its label's `label_terms`) depend only on its label and its entering and
 exiting weights, so they come from one memo, `_vertex_facts`, keyed on the
-plain tuple (type, nature, entering weights, exiting weights) and bounded
-like the local verdicts at `_VERDICT_CACHE_SIZE` shapes.  A repeated vertex
-builds no semi-graph and hashes no dataclass; a vertex of a new shape pays
-one memo miss.  The speed rests on shapes repeating: 600 seeded generated
-graphs of 4 to 48 vertices hold 16 574 vertices but only 261 distinct
-semi-graphs.  `GSGraphStatus` carries the rows that hold at every vertex, in
-table order, and the summed label terms, so `realize` takes the first
-applicable row, and its verdict the Euler characteristic, fold balance and
-Conley sum (`RealizationVerdict.conley`, which the report shows), without a
-second sweep.
+plain tuple (type, nature, entering weights, exiting weights), bounded at
+`_VERDICT_CACHE_SIZE` shapes, and the only memo of local verdicts.  A
+repeated vertex builds no semi-graph and hashes no dataclass.  The speed
+rests on shapes repeating: 600 seeded generated graphs of 4 to 48 vertices
+hold 16 574 vertices but only 261 distinct semi-graphs.  `GSGraphStatus`
+carries the rows that hold at every vertex, in table order, and the summed
+label terms, so `realize` takes the first applicable row, and its verdict
+the Euler characteristic, fold balance and Conley sum
+(`RealizationVerdict.conley`, which the report shows), without a second
+sweep.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .blocks import _VERDICT_CACHE_SIZE, LocalVerdict, boundary_feasible, local_realizable
+from .blocks import LocalVerdict, boundary_feasible, local_realizable
 from .branched import (
     MAX_ENUM_WEIGHT,
     Branched1Manifold,
@@ -53,7 +56,6 @@ from .model import (
     incidence,
     label_terms,
     reverse_nature,
-    validate_graph,
 )
 
 _T = SingularityType
@@ -104,6 +106,12 @@ class GSGraphStatus:
     euler: Fraction = Fraction(0)
     fold_balance: bool = True
     conley: int = 0
+    #: Each vertex's entering and exiting edge indices (`incidence`).
+    edge_lists: tuple = ()
+
+
+#: Distinct vertex shapes whose facts `_vertex_facts` keeps.
+_VERDICT_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_VERDICT_CACHE_SIZE)
@@ -118,22 +126,31 @@ def _vertex_facts(kind: SingularityType, nature: Nature, ins: tuple[int, ...],
     return (sg, verdict, rows, *label_terms(kind, nature))
 
 
+def _incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """The edge index lists of `incidence`; `InvalidGraphError` when its
+    report names a violation."""
+    ins, outs, report = incidence(g)
+    if report:
+        raise InvalidGraphError("graph is structurally invalid: " + "; ".join(report))
+    return ins, outs
+
+
 def classify_graph(g: LyapunovGraph) -> GSGraphStatus:
     """Aggregate the local verdicts, condition rows and label terms of every
     vertex, in one pass.
 
     Raises `InvalidGraphError` when `validate_graph` reports a violation.
     """
-    report = validate_graph(g)
-    if report:
-        raise InvalidGraphError("graph is structurally invalid: " + "; ".join(report))
+    ins, outs = _incidence(g)
+    weights = [e.weight for e in g.edges]
     sgs, verdicts = {}, {}
     is_gs = is_minimal = True
     rows = (1 << len(CONDITIONS)) - 1
     euler2 = folds = conley = 0
-    for vid, label, ins, outs in incidence(g):
+    for vid, label in g.vertices.items():
         sg, verdict, holds, d_euler2, d_folds, d_conley = _vertex_facts(
-            label.kind, label.nature, ins, outs)
+            label.kind, label.nature, tuple([weights[i] for i in ins[vid]]),
+            tuple([weights[i] for i in outs[vid]]))
         sgs[vid] = sg
         verdicts[vid] = verdict
         is_gs = is_gs and verdict.ok
@@ -145,7 +162,7 @@ def classify_graph(g: LyapunovGraph) -> GSGraphStatus:
     return GSGraphStatus(
         is_gs, is_minimal, verdicts, sgs,
         rows=tuple(row for k, row in enumerate(CONDITIONS) if rows >> k & 1),
-        euler=Fraction(euler2, 2), fold_balance=folds == 0, conley=conley,
+        euler=Fraction(euler2, 2), fold_balance=folds == 0, conley=conley, edge_lists=(ins, outs),
     )
 
 
@@ -283,18 +300,23 @@ def verify_certificate(g: LyapunovGraph, cert: Certificate) -> bool:
     """Soundness audit of an edge-to-form assignment.
 
     Every edge needs a connected form carrying the edge weight, and every
-    vertex boundary must be block-feasible.
+    vertex boundary must be block-feasible.  A graph that `realize` rejects,
+    structurally invalid or open, raises `InvalidGraphError`.
     """
+    ins, outs = _incidence(g)
+    if not g.is_closed():
+        raise InvalidGraphError("certificates are defined for closed graphs")
     for i in range(len(g.edges)):
         if i not in cert:
             raise ValueError(f"certificate misses edge {i}")
     for i, e in enumerate(g.edges):
         if len(cert[i].components) != 1 or cert[i].total_weight != e.weight:
             return False
-    return _assign(g, [[cert[i]] for i in range(len(g.edges))]) is not None
+    return _assign(g, ins, outs, [[cert[i]] for i in range(len(g.edges))]) is not None
 
 
-def _search(g: LyapunovGraph, bound: int) -> Certificate | None:
+def _search(g: LyapunovGraph, ins: dict[str, list[int]],
+            outs: dict[str, list[int]]) -> Certificate | None:
     """Exhaustive per-edge assignment over all forms of each edge weight.
 
     Returns the first block-feasible assignment found, or None.
@@ -303,34 +325,28 @@ def _search(g: LyapunovGraph, bound: int) -> Certificate | None:
         w: sorted((manifold([c]) for c in enumerate_connected(w)), key=lambda m: m.encode())
         for w in {e.weight for e in g.edges}
     }
-    return _assign(g, [by_weight[e.weight] for e in g.edges])
+    return _assign(g, ins, outs, [by_weight[e.weight] for e in g.edges])
 
 
-def _assign(g: LyapunovGraph, candidates: list[list[Branched1Manifold]]) -> Certificate | None:
+def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[int]],
+            candidates: list[list[Branched1Manifold]]) -> Certificate | None:
     """The first choice of one candidate form per edge that makes every
     vertex block-feasible, or None.
 
-    Edges are assigned by index and candidates tried in list order; a vertex
-    is checked once its last incident edge has a form, and a vertex without
+    `ins` and `outs` are the graph's edge index lists (`incidence`).  Edges
+    are assigned by index and candidates tried in list order; a vertex is
+    checked once its last incident edge has a form, and a vertex without
     edges before any edge.  The backtracking is iterative, so the depth is
     not bounded by the recursion limit.
     """
-    in_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    out_edges: dict[str, list[int]] = {vid: [] for vid in g.vertices}
-    for i, e in enumerate(g.edges):
-        if e.dst in in_edges:
-            in_edges[e.dst].append(i)
-        if e.src in out_edges:
-            out_edges[e.src].append(i)
     check_after: dict[int, list[str]] = {i: [] for i in range(-1, len(g.edges))}
     for vid in g.vertices:
-        check_after[max(in_edges[vid] + out_edges[vid], default=-1)].append(vid)
+        check_after[max(ins[vid] + outs[vid], default=-1)].append(vid)
     forms: list[Branched1Manifold | None] = [None] * len(g.edges)
 
     def feasible_at(vid: str) -> bool:
-        ins = [forms[i] for i in in_edges[vid]]
-        outs = [forms[i] for i in out_edges[vid]]
-        return boundary_feasible(g.vertices[vid], ins, outs)
+        return boundary_feasible(g.vertices[vid], [forms[i] for i in ins[vid]],
+                                 [forms[i] for i in outs[vid]])
 
     if not all(feasible_at(vid) for vid in check_after[-1]):
         return None
@@ -388,7 +404,7 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
     bound = min(search_bound, MAX_ENUM_WEIGHT)
     if any(e.weight > bound for e in g.edges):
         return verdict(UNKNOWN, searched_bound=bound)
-    cert = _search(g, bound)
+    cert = _search(g, *status.edge_lists)
     if cert is not None:
         return verdict(REALIZABLE, theorem="Search", certificate=cert, searched_bound=bound)
     return verdict(

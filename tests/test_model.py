@@ -136,6 +136,78 @@ class TestValidate:
         g2 = graph([("v", "R", "a")], [])
         assert any("isolated" in item for item in validate_graph(g2))
 
+    @pytest.mark.parametrize(
+        "verts, edges, report",
+        [
+            pytest.param(
+                [("v", "R", "a")], [(OPEN, "v", 0), ("v", OPEN, -2)],
+                ["edge 0: weight must be >= 1, got 0", "edge 1: weight must be >= 1, got -2"],
+                id="weight-below-1",
+            ),
+            pytest.param(
+                [("v", "R", "a")], [(OPEN, OPEN, 0), (OPEN, "v", 1), (OPEN, OPEN, 1)],
+                ["edge 0: weight must be >= 1, got 0", "edge 0: both ends open",
+                 "edge 2: both ends open"],
+                id="both-ends-open",
+            ),
+            pytest.param(
+                [("a", "R", "r"), ("b", "R", "a")],
+                [("ghost", "a", 1), ("a", "b", 1), ("b", "phantom", 0), ("x", "y", -1),
+                 ("ghost", OPEN, 1)],
+                ["edge 0: unknown source vertex 'ghost'", "edge 2: weight must be >= 1, got 0",
+                 "edge 2: unknown target vertex 'phantom'", "edge 3: weight must be >= 1, got -1",
+                 "edge 3: unknown source vertex 'x'", "edge 3: unknown target vertex 'y'",
+                 "edge 4: unknown source vertex 'ghost'"],
+                id="unknown-ends",
+            ),
+            pytest.param(
+                [("a", "R", "s"), ("b", "R", "s"), ("c", "R", "s"), ("d", "R", "s")],
+                [(OPEN, "a", 1), ("a", "b", 1), ("ghost", "b", 1), ("b", "c", 1), ("c", "d", 1),
+                 ("d", "b", 1), ("d", OPEN, 1), (OPEN, OPEN, 1)],
+                ["edge 2: unknown source vertex 'ghost'", "edge 7: both ends open",
+                 "oriented cycle: b->c->d->b"],
+                id="dangling-ends-next-to-cycle",
+            ),
+            pytest.param(
+                [("x", "R", "a"), ("b", "R", "s"), ("c", "R", "s"), ("i", "R", "a")],
+                [("b", "c", 1), ("c", "b", 1), ("c", "x", 1)],
+                ["oriented cycle: c->b->c", "vertex i: isolated (semi-graphs need degree >= 1)"],
+                id="cycle-named-from-a-vertex-below-it",
+            ),
+            pytest.param(
+                [("b", "R", "s"), ("a", "R", "s"), ("c", "R", "s")],
+                [("a", "b", 1), ("c", "b", 1), ("b", "a", 1), ("b", "c", 1)],
+                ["oriented cycle: b->a->b"],
+                id="cycle-follows-the-first-predecessor",
+            ),
+            pytest.param(
+                [("p", "R", "a"), ("q", "C", "s")], [("q", "q", 1)],
+                ["oriented cycle: q->q", "vertex p: isolated (semi-graphs need degree >= 1)"],
+                id="self-loop-and-isolated",
+            ),
+        ],
+    )
+    def test_report_is_pinned(self, verts, edges, report):
+        g = graph(verts, [])
+        g.edges.extend(Edge(src, dst, w) for src, dst, w in edges)
+        assert validate_graph(g) == report
+
+    def test_report_of_an_inadmissible_label(self):
+        # VertexLabel refuses the label on construction; a graph built by
+        # other means still gets a report, before the cycle and isolation.
+        label = object.__new__(VertexLabel)
+        object.__setattr__(label, "kind", T.REGULAR)
+        object.__setattr__(label, "nature", N.SA)
+        g = graph([("a", "R", "s"), ("z", "R", "a")], [("a", "a", 0)])
+        g.vertices["x"] = label
+        assert validate_graph(g) == [
+            "edge 0: weight must be >= 1, got 0",
+            "vertex x: nature sa not admissible for R",
+            "oriented cycle: a->a",
+            "vertex z: isolated (semi-graphs need degree >= 1)",
+            "vertex x: isolated (semi-graphs need degree >= 1)",
+        ]
+
 
 class TestSemigraph:
     def test_projection(self):

@@ -250,7 +250,7 @@ def reference_classification(g):
     """Unmemoised classification and dispatch of a closed graph, vertex by
     vertex and row by row, with the three sums taken from their formulas."""
     sgs = {vid: semigraph(g, vid) for vid in g.vertices}
-    verdicts = {vid: local_realizable.__wrapped__(s) for vid, s in sgs.items()}
+    verdicts = {vid: local_realizable(s) for vid, s in sgs.items()}
     rows = tuple(row for row in CONDITIONS if all(row[2](sgs[v], verdicts[v]) for v in g.vertices))
     labels = list(g.vertices.values())
     whitney = sum(l.kind is SingularityType.WHITNEY for l in labels)
@@ -392,15 +392,18 @@ class TestRealize:
             realize(g)
 
     def test_one_validation_per_realize(self, monkeypatch):
-        module = importlib.import_module("gsflows.realize")
+        # `model.incidence` makes every validating pass; the search reads the
+        # edge lists of the classification's pass.
+        modules = [importlib.import_module(f"gsflows.{name}") for name in ("model", "realize")]
         calls = []
-        validate = module.validate_graph
+        incidence = modules[0].incidence
 
         def counting(g):
             calls.append(g)
-            return validate(g)
+            return incidence(g)
 
-        monkeypatch.setattr(module, "validate_graph", counting)
+        for module in modules:
+            monkeypatch.setattr(module, "incidence", counting)
         for g in (SPHERE, T_PAIR, NON_REALIZABLE, SEARCH_ONLY):
             calls.clear()
             realize(g, search_bound=3)
@@ -478,7 +481,21 @@ class TestVerifyCertificate:
 
     def test_isolated_vertex_is_checked(self):
         g = G([("r", "R", "r"), ("a", "R", "a"), ("x", "R", "a")], [("r", "a", 1)])
-        assert not verify_certificate(g, {0: family_minimal(1)})
+        with pytest.raises(InvalidGraphError, match="vertex x: isolated"):
+            verify_certificate(g, {0: family_minimal(1)})
+
+    def test_graphs_that_realize_rejects(self):
+        # Every vertex boundary of these is block-feasible, so only the
+        # structure check can reject them, as `realize` does.
+        cyclic = G([("a", "R", "s"), ("b", "R", "s")], [("a", "b", 1), ("b", "a", 1)])
+        with pytest.raises(InvalidGraphError, match="oriented cycle: a->b->a"):
+            verify_certificate(cyclic, {0: family_B(1), 1: family_B(1)})
+        open_graph = G([("a", "R", "a")], [(None, "a", 1)])
+        with pytest.raises(InvalidGraphError, match="closed"):
+            verify_certificate(open_graph, {0: family_B(1)})
+        for g in (cyclic, open_graph):
+            with pytest.raises(InvalidGraphError):
+                realize(g)
 
 
 class TestSearchAgreement:
@@ -502,9 +519,11 @@ class TestSearchAgreement:
 
 
 def search_only(g):
+    from gsflows.model import incidence
     from gsflows.realize import _search
 
-    return _search(g, 7)
+    ins, outs, _ = incidence(g)
+    return _search(g, ins, outs)
 
 
 class TestLongGraphs:
