@@ -10,7 +10,10 @@ Isomorphism is plain multigraph isomorphism; for these spaces it is
 homeomorphism, and `enumerate_connected` counts classes under it.  It grows
 the connected forms weight by weight from the circle by the point
 identification rewrite (`identify_points`), keeping one canonical
-representative of each class, up to `MAX_ENUM_WEIGHT`.
+representative of each class, up to `MAX_ENUM_WEIGHT`.  The rewrite writes
+the joined component as a 4-regular arc list and canonizes it once.
+`suppress` reads arc lists that carry degree-2 vertices, as block states
+and `split_off` make them, into canonical components.
 
 `split_off` inverts a same-component identification: it splits a branch
 point into two interior points, one per pairing of its four arc ends.  The
@@ -431,43 +434,31 @@ def _join(c: BranchedComponent, i: int, d: BranchedComponent, j: int) -> Branche
 
 def _identify(comps: list[BranchedComponent], at1: tuple[int, int],
               at2: tuple[int, int]) -> tuple[BranchedComponent, ...]:
-    """The rewrite: join two (component, arc) places at a new vertex, then suppress.
+    """The rewrite: join two (component, arc) places at a new branch point w.
 
-    The components are flattened into one labelled arc list, a circle closed
-    through a temporary degree-2 vertex.  Returns the sorted canonical
-    components of the result.
+    The touched components' arcs are written straight into one 4-regular arc
+    list, vertex ids offset per component and w after all of them: a cut arc
+    (u, v) becomes (u, w) and (w, v), a circle's arc becomes a loop at w, and
+    two points on one arc add a loop at w (on a circle, the figure eight).
+    No degree-2 vertex arises, so the list is canonized once.  Returns the
+    sorted canonical components, untouched ones passed through.
     """
-    base: list[int] = []
-    next_vertex = 0
-    for comp in comps:
-        base.append(next_vertex)
-        next_vertex += comp.order
-    edges: list[list[int]] = []
-    arc_index: dict[tuple[int, int], int] = {}
-    for ci, comp in enumerate(comps):
+    touched = sorted({at1[0], at2[0]})
+    w = sum(comps[ci].order for ci in touched)
+    arcs = [(w, w)] if at1 == at2 else []
+    base = 0
+    for ci in touched:
+        comp = comps[ci]
         if comp.is_circle:
-            t = next_vertex
-            next_vertex += 1
-            arc_index[(ci, 0)] = len(edges)
-            edges.append([t, t])
-        else:
-            for ai, (u, v) in enumerate(comp.arcs):
-                arc_index[(ci, ai)] = len(edges)
-                edges.append([u + base[ci], v + base[ci]])
-
-    w = next_vertex
-    e1, e2 = arc_index[at1], arc_index[at2]
-    if e1 == e2:
-        u, v = edges[e1]
-        edges[e1] = [u, w]
-        edges.append([w, w])
-        edges.append([w, v])
-    else:
-        for e in (e1, e2):
-            u, v = edges[e]
-            edges[e] = [u, w]
-            edges.append([w, v])
-    return suppress(edges)[0]
+            arcs.append((w, w))
+        for ai, (u, v) in enumerate(comp.arcs):
+            if (ci, ai) in (at1, at2):
+                arcs += ((u + base, w), (w, v + base))
+            else:
+                arcs.append((u + base, v + base))
+        base += comp.order
+    rest = [c for ci, c in enumerate(comps) if ci not in touched]
+    return tuple(sorted(rest + [canonical_component(w + 1, arcs)]))
 
 
 def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
@@ -482,7 +473,10 @@ def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], lis
     (component index, arc index) of the canonical arc it lies on; a circle's
     one arc is 0.  Parallel arcs, loops included, are swapped by an
     automorphism of their component, so the walks between two branch points
-    may take that pair's canonical arcs in any order.
+    may take that pair's canonical arcs in any order.  Its callers are the
+    engine's state readers (`engine._move_pairs`, and `engine.side_form`
+    through `manifold_from_arcs`) and `split_off`; point identification
+    (`_identify`) makes no degree-2 vertex and does not call it.
     """
     # half_edges[v]: (edge index, index of the far end within the edge)
     half_edges: dict[int, list[tuple[int, int]]] = {}

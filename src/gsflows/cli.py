@@ -29,7 +29,7 @@ from .documents import (
     serialize_graph,
 )
 from .generator import gen_random_gs_graph
-from .model import SingularityType, parse_type, ph_residual, semigraphs, validate_graph
+from .model import SingularityType, incidence, parse_type, ph_residual, semigraphs
 from .realize import NOT_REALIZABLE, REALIZABLE, InvalidGraphError, classify_graph, realize
 
 EX_OK = 0
@@ -61,7 +61,8 @@ def _load(path: str):
 
 def _cmd_validate(args) -> int:
     g = _load(args.file)
-    report = validate_graph(g)
+    table = incidence(g)
+    report = table[2]
     for item in report:
         print(f"violation: {item}")
     if report:
@@ -69,7 +70,7 @@ def _cmd_validate(args) -> int:
         return EX_FAIL
     print(f"structure: ok ({len(g.vertices)} vertices, {len(g.edges)} edges)")
     all_ok = True
-    for vid, sg in sorted(semigraphs(g).items()):
+    for vid, sg in sorted(semigraphs(g, table).items()):
         verdict = local_realizable(sg)
         status = verdict.status if verdict.ok else f"no ({verdict.reason})"
         print(f"vertex {vid} ({sg.label}): residual={ph_residual(sg)} verdict={status}")

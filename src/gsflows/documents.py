@@ -11,12 +11,12 @@ spaces.  Enum names are matched case insensitively, no vertex id may read as
 OPEN in any case, and a weight is ASCII decimal digits, leading zeros
 allowed, worth at least 1 ('-1' is read as -1 and fails that bound).
 Everything else is rejected with a line/column diagnostic.  The parser
-splits each line once into its words; the column of a word is computed
-only when a diagnostic needs it.  A vertex's type and nature words in their
-canonical spelling ('R a', 'W s_s') are looked up in
-`model.LABELS_BY_WORDS`, which holds one shared label per admissible label;
-only another spelling goes through `parse_type` and `parse_nature`, which
-also give the diagnostics.
+splits each line once into its words, and filters out empty words only
+when a line has some; the column of a word is computed only when a
+diagnostic needs it.  A vertex's type and nature words in their canonical
+spelling ('R a', 'W s_s') are looked up in `model.LABELS_BY_WORDS`, which
+holds one shared label per admissible label; only another spelling goes
+through `parse_type` and `parse_nature`, which also give the diagnostics.
 Serialization emits vertices sorted by id and edges sorted by endpoints, so
 serialize(parse(d)) is the canonical form of d and a fixed point of the
 round trip.
@@ -82,10 +82,12 @@ def parse_graph(text: str) -> LyapunovGraph:
     header_seen = False
     edge_lines: list[int] = []  # the line number of each edge, in edge order
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        words = [w for w in line.split(" ") if w]
-        if not words:
-            continue
+        line = (raw[:raw.index("#")] if "#" in raw else raw).rstrip()
+        words = line.split(" ")
+        if "" in words:
+            words = [w for w in words if w]
+            if not words:
+                continue
         if not header_seen:
             if line.strip() != HEADER:
                 raise ParseError(lineno, _tokens(line)[0][1], f"expected header {HEADER!r}")
@@ -128,8 +130,8 @@ def parse_graph(text: str) -> LyapunovGraph:
             raise ParseError(lineno, _tokens(line)[0][1], f"unknown directive {word!r}")
     if not header_seen:
         raise ParseError(1, 1, f"expected header {HEADER!r}")
-    for i, e in enumerate(g.edges):
-        for k, end in ((1, e.src), (2, e.dst)):
+    for i, (src, dst, _) in enumerate(g.edges):
+        for k, end in ((1, src), (2, dst)):
             if end is not None and end not in g.vertices:
                 lineno = edge_lines[i]
                 line = lines[lineno - 1].split("#", 1)[0]

@@ -40,6 +40,7 @@ a->b->a`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -187,13 +188,9 @@ LABELS_BY_WORDS: dict[tuple[str, str], VertexLabel] = {
 OPEN = None
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Weighted directed edge; OPEN (None) endpoints dangle."""
-
-    src: str | None
-    dst: str | None
-    weight: int
+#: Weighted directed edge (src, dst, weight); OPEN (None) endpoints dangle.
+#: A named tuple: parsing builds one per edge line, and tuples build fastest.
+Edge = namedtuple("Edge", "src dst weight")
 
 
 @dataclass
@@ -212,7 +209,7 @@ class LyapunovGraph:
         self.edges.append(Edge(src, dst, weight))
 
     def is_closed(self) -> bool:
-        return all(e.src is not None and e.dst is not None for e in self.edges)
+        return all(src is not None and dst is not None for src, dst, _ in self.edges)
 
     def canonical(self) -> "LyapunovGraph":
         """Copy with sorted vertex ids and sorted edge list."""
@@ -284,10 +281,9 @@ def incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[in
     report: list[str] = []
     free = []  # the targets of edges that leave no vertex
     edges = g.edges
-    for i, e in enumerate(edges):
-        src, dst = e.src, e.dst
-        if e.weight < 1:
-            report.append(f"edge {i}: weight must be >= 1, got {e.weight}")
+    for i, (src, dst, weight) in enumerate(edges):
+        if weight < 1:
+            report.append(f"edge {i}: weight must be >= 1, got {weight}")
         if src in outs:
             outs[src].append(i)
         else:
@@ -352,14 +348,15 @@ def semigraph(g: LyapunovGraph, vid: str) -> SemiGraph:
     return SemiGraph(g.vertices[vid], ins, outs)
 
 
-def semigraphs(g: LyapunovGraph) -> dict[str, SemiGraph]:
-    """Every vertex's semi-graph, read off `incidence`.
+def semigraphs(g: LyapunovGraph, table: tuple | None = None) -> dict[str, SemiGraph]:
+    """Every vertex's semi-graph, read off `incidence`, or off the `table`
+    that a caller already has from it.
 
     Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``: weights in
     edge order, and a vertex of degree 0 raises the same error.
     """
-    ins, outs, _ = incidence(g)
-    weights = [e.weight for e in g.edges]
+    ins, outs, _ = table or incidence(g)
+    weights = [w for _, _, w in g.edges]
     sgs = {}
     for vid, label in g.vertices.items():
         if not ins[vid] and not outs[vid]:

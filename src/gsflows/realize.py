@@ -142,7 +142,7 @@ def classify_graph(g: LyapunovGraph) -> GSGraphStatus:
     Raises `InvalidGraphError` when `validate_graph` reports a violation.
     """
     ins, outs = _incidence(g)
-    weights = [e.weight for e in g.edges]
+    weights = [w for _, _, w in g.edges]
     sgs, verdicts = {}, {}
     is_gs = is_minimal = True
     rows = (1 << len(CONDITIONS)) - 1

@@ -263,6 +263,79 @@ class TestIdentifyMemo:
         assert identify_arcs.cache_info().hits + _join.cache_info().hits > hits + 1000
 
 
+def _arc_count(c: BranchedComponent) -> int:
+    return 1 if c.is_circle else len(c.arcs)
+
+
+def _matches_by_hand(m: Branched1Manifold, p1: ArcPosition, p2: ArcPosition) -> bool:
+    """Whether the unmemoised rewrite's one component is isomorphic, under the
+    brute-force oracle, to the identification done by hand."""
+    (comp,) = _identify(list(m.components), (p1.component, p1.arc), (p2.component, p2.arc))
+    (piece,) = _identified_by_hand(m, p1, p2)
+    return multigraphs_isomorphic(piece, comp)
+
+
+def _forms_to(w: int) -> list[BranchedComponent]:
+    return [f for k in range(1, w + 1) for f in enumerate_connected(k)]
+
+
+class TestIdentifyExhaustive:
+    def test_every_same_component_identification_to_weight_6(self):
+        # Every arc pair of every connected form up to weight 6, one arc taken
+        # twice included (both points on it, in slots 0 and 1).
+        count = 0
+        for form in _forms_to(6):
+            m, n = manifold([form]), _arc_count(form)
+            for i in range(n):
+                for j in range(i, n):
+                    p2 = ArcPosition(0, j, 1 if j == i else 0)
+                    assert _matches_by_hand(m, ArcPosition(0, i), p2), (form, i, j)
+                    count += 1
+        # n arcs give n(n + 1)/2 pairs; a form of weight w > 1 has 2(w - 1) arcs.
+        assert count == 1 + 3 + 2 * 10 + 4 * 21 + 10 * 36 + 28 * 55
+
+    def test_every_cross_join_to_total_weight_6(self):
+        # Every pair of forms, circles and two copies of one form included,
+        # with total weight at most 6, joined at every pair of their arcs.
+        pairs, forms = 0, _forms_to(5)
+        for a, f in enumerate(forms):
+            for g in forms[a:]:
+                if f.weight + g.weight > 6:
+                    continue
+                m = manifold([f, g])
+                pairs += 1
+                for i in range(_arc_count(m.components[0])):
+                    for j in range(_arc_count(m.components[1])):
+                        assert _matches_by_hand(m, ArcPosition(0, i), ArcPosition(1, j)), (m, i, j)
+        # Weights 1+1, 1+2..1+5, 2+2..2+4, and the unordered pairs of the two
+        # weight-3 forms, copies included.
+        assert pairs == 1 + (1 + 2 + 4 + 10) + (1 + 2 + 4) + 3
+
+
+class TestIdentifyWithoutSuppression:
+    def test_rewrite_never_suppresses(self, monkeypatch):
+        # The rewrite writes a 4-regular arc list directly, so it never needs
+        # the degree-2 suppression walk, for same-component identifications
+        # and cross joins alike, circles included.
+        import gsflows.branched as branched
+
+        calls = []
+        suppress = branched.suppress
+        monkeypatch.setattr(branched, "suppress", lambda edges: calls.append(edges) or suppress(edges))
+        forms, count = _forms_to(5), 0
+        for form in forms:
+            n = _arc_count(form)
+            for i in range(n):
+                for j in range(i, n):
+                    assert identify_arcs.__wrapped__(form, i, j) == identify_arcs(form, i, j)
+                    count += 1
+                for other in forms[:4]:
+                    for j in range(_arc_count(other)):
+                        assert _join.__wrapped__(form, i, other, j) == _join(form, i, other, j)
+                        count += 1
+        assert count > 1000 and calls == []
+
+
 def _grown(form: BranchedComponent) -> set[BranchedComponent]:
     """Results of one same-component identification, as in the growth step."""
     m = manifold([form])

@@ -208,6 +208,23 @@ def test_realize_validates_once(sphere_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_validate_makes_one_incidence_pass(sphere_file, capsys, monkeypatch):
+    # The report and the semi-graphs are both read off one `incidence` pass.
+    modules = [importlib.import_module(f"gsflows.{name}") for name in ("model", "cli")]
+    incidence = modules[0].incidence
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return incidence(g)
+
+    for module in modules:
+        monkeypatch.setattr(module, "incidence", counting)
+    assert main(["validate", sphere_file]) == EX_OK
+    assert len(calls) == 1
+    assert "structure: ok" in capsys.readouterr().out
+
+
 def test_realize_reads_euler_and_fold_balance_once(sphere_file, tmp_path, capsys, monkeypatch):
     # The one classification pass sums the Euler characteristic, the fold
     # balance and the Conley sum; nothing scans the graph for them again.
