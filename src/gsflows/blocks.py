@@ -45,15 +45,15 @@ side equals its entering side, component for component:
   others, and every connected form grows from the circle.
 
 So a diagonal block is feasible for a target exactly when both sides hold
-the same components and each side's component weights are its caps.  The
-cone and regular saddle blocks `C_s_11`, `R_s_11` and `C_s_22` are the
-diagonal ones.
+the same components.  The cone and regular saddle blocks `C_s_11`, `R_s_11`
+and `C_s_22` are the diagonal ones.
 
-Each distinct query (label, target components, per-side caps) is answered
-once per process and kept in `_feasible`'s table, process-wide like the
-engine's state graph: search backtracking and certificate audits ask the
-same vertex questions again and again.  The caps stay in the key, since
-forms given as disjoint unions give the same target with other caps.
+A query is its target pair: one connected form per edge, sorted per side.
+Moves never merge or split components, so a form of two or more components
+is infeasible without a query.  Each distinct query (label, target pair) is
+answered once per process and kept in `_feasible`'s table, process-wide
+like the engine's state graph: search backtracking and certificate audits
+ask the same vertex questions again and again.
 """
 
 from __future__ import annotations
@@ -301,11 +301,11 @@ class CatalogEntry:
 
     @property
     def n_plus(self) -> Branched1Manifold | None:
-        return engine.state_forms(self.state)[0]
+        return engine.side_form(self.state.plus_kinds, self.state.plus_arcs)
 
     @property
     def n_minus(self) -> Branched1Manifold | None:
-        return engine.state_forms(self.state)[1]
+        return engine.side_form(self.state.minus_kinds, self.state.minus_arcs)
 
     @property
     def beta_in(self) -> int:
@@ -494,12 +494,13 @@ def boundary_feasible(
     """Whether some block for the label realizes these boundary components.
 
     The entering (exiting) boundary is the disjoint union of the given
-    connected forms, one per incident edge.
+    forms, one per incident edge.  Moves never merge or split components,
+    so a form of more than one component is never realized.
     """
+    if any(len(m.components) != 1 for forms in (in_forms, out_forms) for m in forms):
+        return False
     target = tuple(tuple(sorted(c for m in forms for c in m.components)) for forms in (in_forms, out_forms))
-    caps_plus = tuple(sorted(m.total_weight for m in in_forms))
-    caps_minus = tuple(sorted(m.total_weight for m in out_forms))
-    return _feasible(label, target, caps_plus, caps_minus)
+    return _feasible(label, target)
 
 
 #: Distinct feasibility queries whose answers are kept.  One cold round of
@@ -510,21 +511,19 @@ _FEASIBLE_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_FEASIBLE_CACHE_SIZE)
-def _feasible(label: VertexLabel, target: engine.Pair, caps_plus: tuple[int, ...],
-              caps_minus: tuple[int, ...]) -> bool:
-    """`boundary_feasible` on its target pair and per-side weight caps, once per process."""
-    return any(_entry_feasible(e, target, caps_plus, caps_minus) for e in entries_for(label))
+def _feasible(label: VertexLabel, target: engine.Pair) -> bool:
+    """`boundary_feasible` on its target pair, once per process."""
+    return any(_entry_feasible(e, target) for e in entries_for(label))
 
 
-def _entry_feasible(entry: CatalogEntry, target: engine.Pair, caps_plus: tuple[int, ...],
-                    caps_minus: tuple[int, ...]) -> bool:
-    """Whether the block grows into the target pair within the per-side caps."""
-    if entry.e_plus != len(caps_plus) or entry.e_minus != len(caps_minus):
+def _entry_feasible(entry: CatalogEntry, target: engine.Pair) -> bool:
+    """Whether the block grows into the target pair, whose component weights cap its own."""
+    if entry.e_plus != len(target[0]) or entry.e_minus != len(target[1]):
         return False
-    k = sum(caps_plus) - sum(entry.min_in)
-    if k < 0 or sum(caps_minus) - sum(entry.min_out) != k:
+    plus, minus = (sum(c.weight for c in side) for side in target)
+    k = plus - sum(entry.min_in)
+    if k < 0 or minus - sum(entry.min_out) != k:
         return False
     if entry.diagonal:
-        weights = tuple(sorted(c.weight for c in target[0]))
-        return target[0] == target[1] and caps_plus == caps_minus == weights
-    return target in engine.reachable_pairs_capped(entry.state, caps_plus, caps_minus, target)
+        return target[0] == target[1]
+    return engine.reachable_pairs_capped(entry.state, target)

@@ -272,25 +272,35 @@ def _find(parent, x):
     return x
 
 
-#: (order, sorted normalised arcs) -> (canonical component, labelling), where
-#: labelling[v] is the canonical name of input vertex v.
-_CANON_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]],
-                   tuple[BranchedComponent, list[int]]] = {}
+#: Distinct arc lists whose canonical forms are kept.  `enumerate_connected(8)`
+#: canonizes 6 242, so no benchmark operation evicts; the bound keeps
+#: untrusted report text from growing the table without end.
+_CANON_CACHE_SIZE = 1 << 14
+
+#: Distinct texts whose parses are kept.  One cold round of the benchmark's
+#: `deep` workload parses 4 801 certificate forms, of which 13 are distinct;
+#: the bound keeps untrusted report text from growing the table without end.
+_PARSE_CACHE_SIZE = 1 << 10
 
 
 def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> BranchedComponent:
     """Relabel vertices by the canonical labelling of the component.
 
     The component is read as a graph whose vertex colours are loop counts
-    and whose edge labels are arc multiplicities.  The labelling is kept in
-    `_CANON_CACHE` beside the result.
+    and whose edge labels are arc multiplicities.  Each distinct arc list is
+    canonized once while it stays in `_canonical`'s table.
     """
     if order == 0:
         return CIRCLE
-    norm = tuple(sorted((u, v) if u <= v else (v, u) for u, v in arcs))
-    cached = _CANON_CACHE.get((order, norm))
-    if cached is not None:
-        return cached[0]
+    return _canonical(order, tuple(sorted((u, v) if u <= v else (v, u) for u, v in arcs)))[0]
+
+
+@lru_cache(maxsize=_CANON_CACHE_SIZE)
+def _canonical(order: int, norm: tuple[tuple[int, int], ...]) -> tuple[BranchedComponent, tuple[int, ...]]:
+    """The canonical component of sorted normalised arcs, and its labelling.
+
+    labelling[v] is the canonical name of input vertex v.
+    """
     loops = [0] * order
     for u, v in norm:
         if u == v:
@@ -300,9 +310,7 @@ def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> Bran
     relabelled = sorted(
         (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u]) for u, v in norm
     )
-    comp = BranchedComponent(order, tuple(relabelled))
-    _CANON_CACHE[(order, norm)] = (comp, label)
-    return comp
+    return BranchedComponent(order, tuple(relabelled)), tuple(label)
 
 
 def manifold(components: list[BranchedComponent] | tuple) -> Branched1Manifold:
@@ -330,12 +338,6 @@ def is_isomorphic(x: Branched1Manifold, y: Branched1Manifold) -> bool:
     Components are stored canonically, so this is encoding equality.
     """
     return x.encode() == y.encode()
-
-
-#: Distinct texts whose parses are kept.  One cold round of the benchmark's
-#: `deep` workload parses 4 801 certificate forms, of which 13 are distinct;
-#: the bound keeps untrusted report text from growing the table without end.
-_PARSE_CACHE_SIZE = 1 << 10
 
 
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)
@@ -536,8 +538,7 @@ def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], lis
         relabel = {v: i for i, v in enumerate(sorted({x for w in walks for x in ends[w]}))}
         pairs = [(relabel[ends[w][0]], relabel[ends[w][1]]) for w in walks]
         norm = tuple(sorted(pairs))
-        comp = canonical_component(len(relabel), norm)
-        label = _CANON_CACHE[len(relabel), norm][1]
+        comp, label = _canonical(len(relabel), norm)
         named = [(label[a], label[b]) if label[a] <= label[b] else (label[b], label[a])
                  for a, b in pairs]
         found.append((comp, [walks[k] for k in sorted(range(len(walks)), key=named.__getitem__)]))

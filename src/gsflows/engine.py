@@ -36,10 +36,12 @@ Boundary pairs are compared as tuples of canonical components, one sorted
 tuple per side, () for an empty side; text encodings are made only at the
 API edge (`blocks.passageway_closure`).
 
-A node reads its moves once (`_read`): each legal band pair (`_moves`, the
-enumerator `successors` uses too) with the boundary pair of the successor it
-gives, taken off the node's own canonical forms.  This is sound at every
-level:
+A node reads its moves once (`_read`, through `_move_pairs`, which the
+enumerator `successors` uses too): one suppression per side gives the node's
+canonical forms and the canonical arc each band lies on.  The legal band
+pairs are those whose arcs lie on the same component on both sides, and each
+comes with the boundary pair of the successor it gives, taken off those
+forms.  This is sound at every level:
 
 - `_apply(i, j)` adds one branch point on each side by identifying an
   interior point of band i's arc with one of band j's arc;
@@ -61,21 +63,22 @@ it in `_Node.succ`.  Each distinct root state object is keyed once
 (`StateSet.add`); successors are keyed once per move taken and are kept
 only as nodes.
 
-Every feasibility query has a target pair, and its walk is pruned to states
-that can still grow into it.  Each move identifies two points of one
+Every feasibility query is its target pair, and its walk is pruned to
+states that can still grow into it.  Each move identifies two points of one
 component on each side, so components never merge and each grows by
-same-component point identifications.  A state can therefore reach the
-target pair only if its components fit under the caps and, on each side,
-lie in the down-sets (`branched.down_set`, the closure under
-`branched.split_off`) of distinct target components.  Both tests are
-necessary, so the prune never loses a reachable target; they are applied to
-a successor's pair before it is built, and a successor at the target's
-depth is only compared with the target.  So a walk keys no state it prunes
-and none at its last level.  Closures are not pruned and serve as the
-unpruned reference: weights only grow, so every state on a path to the
-target already fits the target's component weights, and capped
-reachability of a target is membership in the closure at its combined
-weight.  They read their last level off the level before it too.
+same-component point identifications: the target's component weights are
+the caps.  A state can reach the target pair only if its components fit
+under those caps and, on each side, lie in the down-sets
+(`branched.down_set`, the closure under `branched.split_off`) of distinct
+target components.  Both tests are necessary, so the prune never loses a
+reachable target; they are applied to a successor's pair before it is
+built, and a successor at the target's depth is only compared with the
+target.  So a walk keys no state it prunes and none at its last level.
+Closures are not pruned and serve as the unpruned reference: weights only
+grow, so every state on a path to the target already fits the target's
+component weights, and capped reachability of a target is membership in the
+closure at its combined weight.  They read their last level off the level
+before it too.
 
 Blocks whose bands carry the entering boundary onto the exiting one need no
 walk (`blocks.CatalogEntry.diagonal`: no dead arcs, only circles, and a
@@ -93,7 +96,6 @@ each distinct query's answer for the life of the process, a table beside
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -160,45 +162,15 @@ def side_weights(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> l
     return weights
 
 
-def state_totals(state: BlockState) -> tuple[int, int]:
-    return (
-        sum(side_weights(state.plus_kinds, state.plus_arcs)),
-        sum(side_weights(state.minus_kinds, state.minus_arcs)),
-    )
-
-
 def side_form(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> Branched1Manifold | None:
     if not kinds:
         return None
     return manifold_from_arcs(arcs)
 
 
-def state_forms(state: BlockState) -> tuple[Branched1Manifold | None, Branched1Manifold | None]:
-    return (
-        side_form(state.plus_kinds, state.plus_arcs),
-        side_form(state.minus_kinds, state.minus_arcs),
-    )
-
-
-def _moves(state: BlockState) -> Iterator[tuple[int, int]]:
-    """Band pairs (i, j), i <= j, of the shape-preserving moves.
-
-    A band pairs with itself, and with a band whose arcs lie on the same
-    component as its own on both sides.
-    """
-    plus_comp = _component_of(state.plus_kinds, state.plus_arcs)
-    minus_comp = _component_of(state.minus_kinds, state.minus_arcs)
-    bands = state.bands
-    for i, (pu, _, mu, _) in enumerate(bands):
-        for j in range(i, len(bands)):
-            qu, _, nu, _ = bands[j]
-            if i == j or (plus_comp[pu] == plus_comp[qu] and minus_comp[mu] == minus_comp[nu]):
-                yield i, j
-
-
 def successors(state: BlockState) -> list[BlockState]:
-    """All shape-preserving rewrites of the state."""
-    return [_apply(state, i, j) for i, j in _moves(state)]
+    """All shape-preserving rewrites of the state, in move order."""
+    return [_apply(state, i, j) for (i, j), _ in _move_pairs(state)[1]]
 
 
 def _apply(state: BlockState, i: int, j: int) -> BlockState:
@@ -350,17 +322,23 @@ def _read(node: _Node) -> tuple[tuple[tuple[int, int], Pair], ...]:
 def _move_pairs(state: BlockState) -> tuple[Pair, tuple[tuple[tuple[int, int], Pair], ...]]:
     """The state's boundary pair, and each move with its successor's pair.
 
-    The successors' pairs are read off the state's own canonical forms: on
-    each side, a move replaces the component carrying its two bands by
-    `identify_arcs` on the canonical arcs the bands lie on.
+    One suppression per side serves both.  The moves are the band pairs
+    (i, j), i <= j, whose arcs lie on the same component on both sides (a
+    band pairs with itself).  The successors' pairs are read off the state's
+    own canonical forms: on each side, a move replaces the component
+    carrying its two bands by `identify_arcs` on the canonical arcs the
+    bands lie on.
     """
     sides = []
     for kinds, dead, arcs in ((state.plus_kinds, state.plus_dead, state.plus_arcs),
                               (state.minus_kinds, state.minus_dead, state.minus_arcs)):
         comps, place = suppress(arcs) if kinds else ((), [])
         sides.append((comps, place[len(dead):]))
+    (_, plus_at), (_, minus_at) = sides
+    n = len(state.bands)
     moves = tuple(((i, j), tuple(_moved(comps, at[i], at[j]) for comps, at in sides))
-                  for i, j in _moves(state))
+                  for i in range(n) for j in range(i, n)
+                  if plus_at[i][0] == plus_at[j][0] and minus_at[i][0] == minus_at[j][0])
     return (sides[0][0], sides[1][0]), moves
 
 
@@ -386,49 +364,37 @@ def _can_grow_into(pair: Pair, downs) -> bool:
     )
 
 
-def _fits(weights: tuple[tuple[int, ...], ...], plus_caps: tuple[int, ...],
-          minus_caps: tuple[int, ...]) -> bool:
+def _fits(weights: tuple[tuple[int, ...], ...], caps: tuple[tuple[int, ...], ...]) -> bool:
     # Sorted pointwise comparison decides whether some assignment of state
     # components to target components respects every weight ceiling.
     return all(
-        len(side) == len(caps) and all(w <= c for w, c in zip(side, caps))
-        for side, caps in zip(weights, (plus_caps, minus_caps))
+        len(side) == len(cap) and all(w <= c for w, c in zip(side, cap))
+        for side, cap in zip(weights, caps)
     )
 
 
-def reachable_pairs_capped(
-    initial: BlockState,
-    plus_caps: tuple[int, ...],
-    minus_caps: tuple[int, ...],
-    target: Pair,
-) -> set[Pair]:
-    """{target} when the state grows into the target pair, else the empty set.
+def reachable_pairs_capped(initial: BlockState, target: Pair) -> bool:
+    """Whether the state grows into the target pair.
 
     Components never merge under the shape-preserving move and their
     weights only grow, so any state already exceeding the sorted target
     weights on either side is a dead end.  Every state's depth is fixed by
     its weights, so depth-first traversal with a plain visited set is
     exhaustive.  A node's successors are judged by the pairs read off its
-    own forms (`_read`): one that exceeds the caps or cannot grow into the
-    target is never built, one at the target's depth is only compared with
-    it, and the traversal stops at the first hit.
+    own forms (`_read`): one that exceeds the target's weights or cannot
+    grow into the target is never built, one at the target's depth is only
+    compared with it, and the traversal stops at the first hit.
     """
     root, mirrored = _GRAPH.root(initial)
-    if mirrored:
-        hit = _capped_walk(root, minus_caps, plus_caps, (target[1], target[0]))
-    else:
-        hit = _capped_walk(root, plus_caps, minus_caps, target)
-    return {target} if hit else set()
+    return _capped_walk(root, (target[1], target[0]) if mirrored else target)
 
 
-def _capped_walk(root: _Node, plus_caps, minus_caps, target: Pair) -> bool:
-    # A pair equal to the target has the target's weights, so they must fit too.
-    if not _fits(_weights(target), plus_caps, minus_caps):
-        return False
+def _capped_walk(root: _Node, target: Pair) -> bool:
+    caps = _weights(target)
     _read(root)
     weights = _weights(root.comps)
-    depth = sum(plus_caps) - sum(weights[0])
-    if depth < 0 or not _fits(weights, plus_caps, minus_caps):
+    depth = sum(caps[0]) - sum(weights[0])
+    if depth < 0 or not _fits(weights, caps):
         return False
     if depth == 0:
         return root.comps == target
@@ -441,7 +407,7 @@ def _capped_walk(root: _Node, plus_caps, minus_caps, target: Pair) -> bool:
             if d == depth:
                 if pair == target:
                     return True
-            elif _fits(_weights(pair), plus_caps, minus_caps) and _can_grow_into(pair, downs):
+            elif _fits(_weights(pair), caps) and _can_grow_into(pair, downs):
                 succ = _GRAPH.child(node, k)
                 if succ not in seen:
                     seen.add(succ)
@@ -455,13 +421,13 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pa
     Returns (pairs, complete); complete is False when the bound cut the
     search off while further moves were still available.
     """
-    p0, m0 = state_totals(initial)
-    if p0 + m0 > max_combined_weight:
-        return set(), False
     root, mirrored = _GRAPH.root(initial)
     _read(root)
+    total = sum(map(sum, _weights(root.comps)))
+    if total > max_combined_weight:
+        return set(), False
     level, pairs = [root], {root.comps}
-    for step in range((max_combined_weight - p0 - m0) // 2):
+    for step in range((max_combined_weight - total) // 2):
         if step:
             level = list(dict.fromkeys(s for node in level for s in _GRAPH.expand(node)))
         pairs.update(pair for node in level for _, pair in _read(node))

@@ -33,9 +33,8 @@ from gsflows import engine
 from gsflows.engine import (
     BlockState,
     reachable_pairs_capped,
-    state_forms,
+    side_form,
     state_key,
-    state_totals,
     successors,
 )
 from gsflows.model import (
@@ -501,7 +500,7 @@ class TestClosures:
     def test_closure_weight_deltas_match(self):
         for name in ("W_ss_12", "D_sss_12_a", "T_ssa_SS-adj_3a"):
             entry = next(e for e in minimal_block_catalog() if e.name == name)
-            p0, m0 = state_totals(entry.state)
+            p0, m0 = sum(entry.min_in), sum(entry.min_out)
             closure = passageway_closure(entry, max_total_weight=p0 + m0 + 4)
             for plus, minus in closure.pairs:
                 dp = parse_manifold(plus).total_weight - p0
@@ -561,7 +560,8 @@ class TestStateKey:
         entry = next(e for e in minimal_block_catalog() if e.name == "R_s_11")
         f8 = family_minimal(2).encode()
         nxt = successors(entry.state)
-        assert all(tuple(m.encode() for m in state_forms(s)) == (f8, f8) for s in nxt)
+        forms = [(side_form(s.plus_kinds, s.plus_arcs), side_form(s.minus_kinds, s.minus_arcs)) for s in nxt]
+        assert all(tuple(m.encode() for m in pair) == (f8, f8) for pair in forms)
 
         def loops(s):
             return sum(u == v for u, v in s.plus_arcs)
@@ -577,7 +577,8 @@ class TestStateKey:
 
 
 def _pair(state: BlockState) -> engine.Pair:
-    return tuple(() if m is None else m.components for m in state_forms(state))
+    forms = side_form(state.plus_kinds, state.plus_arcs), side_form(state.minus_kinds, state.minus_arcs)
+    return tuple(() if m is None else m.components for m in forms)
 
 
 class TestLastLevel:
@@ -602,6 +603,35 @@ class TestLastLevel:
                 assert [pair for _, pair in moves] == [_pair(t) for t in successors(s)]
                 slots[s] = Counter(pair for _, pair in moves)
             assert slots[copy] == slots[state]
+
+    def test_moves_match_union_find_reference(self):
+        # The legal band pairs of the same 444 states, listed by a union-find
+        # of the raw arcs: i <= j, and the two bands' arcs share a component
+        # on both sides.  `_read` must give them in the same order.
+        def components(kinds, arcs):
+            parent = list(range(len(kinds)))
+
+            def find(v):
+                while parent[v] != v:
+                    v = parent[v]
+                return v
+
+            for u, v in arcs:
+                parent[find(u)] = find(v)
+            return [find(v) for v in range(len(kinds))]
+
+        states = []
+        for block in minimal_block_catalog():
+            for entry in (block, block.reversed()):
+                states += [entry.state, *successors(entry.state)]
+        assert len(states) == 444
+        for state in states:
+            plus = components(state.plus_kinds, state.plus_arcs)
+            minus = components(state.minus_kinds, state.minus_arcs)
+            bands = state.bands
+            legal = [(i, j) for i, j in itertools.combinations_with_replacement(range(len(bands)), 2)
+                     if plus[bands[i][0]] == plus[bands[j][0]] and minus[bands[i][2]] == minus[bands[j][2]]]
+            assert [ij for ij, _ in engine._read(engine._Node(None, state))] == legal
 
     def test_last_level_keys_no_state(self, monkeypatch):
         # A depth-1 query keys only its root and the root's mirror, and adds
@@ -719,8 +749,8 @@ class TestBoundaryFeasible:
                     queries += [(entry, (5,), (5,), ((c,), (c,))) for c in enumerate_connected(5)]
         hits = 0
         for entry, caps_p, caps_m, target in queries:
-            closed = blocks._entry_feasible(entry, target, caps_p, caps_m)
-            walked = target in reachable_pairs_capped(entry.state, caps_p, caps_m, target)
+            closed = blocks._entry_feasible(entry, target)
+            walked = reachable_pairs_capped(entry.state, target)
             assert closed == walked, (entry.name, caps_p, caps_m, target)
             hits += closed
         assert len(queries) > 600 and 0 < hits < len(queries)
@@ -771,6 +801,23 @@ class TestBoundaryFeasible:
         assert boundary_feasible(lab("C", "s"), [circle, circle], [circle, circle])
         assert not boundary_feasible(lab("C", "s"), [two], [two])
 
+    def test_multi_component_forms_ask_no_query(self, monkeypatch):
+        # Moves never merge or split components, so a form of two or more
+        # components on either side is infeasible; it is answered without an
+        # answer-table entry and without a walk.
+        calls = []
+        walk = engine.reachable_pairs_capped
+        monkeypatch.setattr(engine, "reachable_pairs_capped", lambda *args: calls.append(args) or walk(*args))
+        blocks._feasible.cache_clear()
+        circle, f8 = family_minimal(1), family_minimal(2)
+        for multi in (parse_manifold("O|O"), manifold([CIRCLE, *f8.components])):
+            for label in (lab("C", "s"), lab("W", "s_s")):
+                for ins, outs in (([multi], [multi]), ([multi], [f8]), ([f8], [multi]),
+                                  ([family_A(3)], [multi]), ([family_A(3)], [multi, circle])):
+                    assert not boundary_feasible(label, ins, outs), (label, ins, outs)
+        assert blocks._feasible.cache_info().currsize == 0
+        assert calls == []
+
     def test_prune_matches_components_in_any_order(self):
         # Sorted targets rarely need it at catalog sizes, but a state's
         # components may match the target's in any order.
@@ -798,7 +845,7 @@ class TestBoundaryFeasible:
                                 queries.append((entry.state, caps_p, caps_m, target))
 
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
-        pruned = [t in reachable_pairs_capped(s, p, m, t) for s, p, m, t in queries]
+        pruned = [reachable_pairs_capped(s, t) for s, p, m, t in queries]
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         closures = {}
         for s, p, m, _ in queries:

@@ -11,7 +11,9 @@ from gsflows.branched import (
     ArcPosition,
     Branched1Manifold,
     BranchedComponent,
+    _CANON_CACHE_SIZE,
     _PARSE_CACHE_SIZE,
+    _canonical,
     _connected,
     _find,
     _identify,
@@ -612,6 +614,15 @@ class TestCanonicalLabelling:
             for _ in range(5):
                 assert canonical_component(k, relabel(k, ring, rng)) == comp
             assert sorted(Counter(comp.arcs).values()) == [2] * k
+
+    def test_canonical_table_is_bounded(self):
+        # One bounded table, keyed by sorted normalised arcs, serves
+        # `canonical_component` and `suppress`.  It holds more than the 6 242
+        # arc lists the weight-8 enumeration canonizes, so enumeration never
+        # evicts.
+        assert _canonical.cache_info().maxsize == _CANON_CACHE_SIZE == 1 << 14
+        comp = canonical_component(2, [(1, 0), (0, 1), (0, 1), (1, 0)])
+        assert _canonical(2, ((0, 1),) * 4)[0] is comp
 
     def test_labelling_separates_edge_labels_and_colours(self):
         path = [(0, 0, 1), (1, 1, 2)]
