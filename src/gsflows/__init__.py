@@ -47,7 +47,6 @@ from .branched import (
     family_B,
     family_minimal,
     identify_points,
-    is_isomorphic,
     manifold,
     parse_manifold,
     puncture,

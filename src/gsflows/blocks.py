@@ -275,53 +275,48 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One minimal isolating block with its boundary forms and flow bands."""
+    """One minimal isolating block with its boundary forms and flow bands.
+
+    Its sides are read once (`engine.read_sides`); a reversal takes its
+    block's reading with the sides swapped.
+    """
 
     name: str
     label: VertexLabel
     state: BlockState
     orientable: bool | None = None
     provisional: bool = False
+    sides: tuple[engine.Side, engine.Side] | None = field(default=None, repr=False, compare=False)
+    #: Entering and exiting boundary forms, None for an empty side.
+    n_plus: Branched1Manifold | None = field(init=False)
+    n_minus: Branched1Manifold | None = field(init=False)
     #: Sorted component weights of the entering and exiting boundaries.
     min_in: tuple[int, ...] = field(init=False)
     min_out: tuple[int, ...] = field(init=False)
     e_plus: int = field(init=False)
     e_minus: int = field(init=False)
+    #: Component pairs (entering, exiting) joined by some flow band, indexed
+    #: as the components of `n_plus` and `n_minus`.
+    routing: frozenset[tuple[int, int]] = field(init=False)
     #: Whether the block grows into exactly the pairs with equal sides (see
     #: the module docstring).
     diagonal: bool = field(init=False)
+    #: Fold degrees of the label on the entering and exiting sides.
+    beta_in: int = field(init=False)
+    beta_out: int = field(init=False)
 
     def __post_init__(self) -> None:
-        st = self.state
-        ins = tuple(sorted(engine.side_weights(st.plus_kinds, st.plus_arcs)))
-        outs = tuple(sorted(engine.side_weights(st.minus_kinds, st.minus_arcs)))
-        for name, value in (("min_in", ins), ("min_out", outs), ("e_plus", len(ins)), ("e_minus", len(outs)),
-                            ("diagonal", _is_diagonal(st))):
+        sides = self.sides or engine.read_sides(self.state)
+        (ins, plus_at), (outs, minus_at) = sides
+        routing = frozenset((p[0], m[0]) for p, m in zip(plus_at, minus_at))
+        beta_in, beta_out = fold_degrees(self.label.kind, self.label.nature)
+        for name, value in (("sides", sides), ("n_plus", Branched1Manifold(ins) if ins else None),
+                            ("n_minus", Branched1Manifold(outs) if outs else None),
+                            # Canonical components sort by order, so their weights come sorted.
+                            ("min_in", tuple(c.weight for c in ins)), ("min_out", tuple(c.weight for c in outs)),
+                            ("e_plus", len(ins)), ("e_minus", len(outs)), ("routing", routing),
+                            ("diagonal", _is_diagonal(self.state)), ("beta_in", beta_in), ("beta_out", beta_out)):
             object.__setattr__(self, name, value)
-
-    @property
-    def n_plus(self) -> Branched1Manifold | None:
-        return engine.side_form(self.state.plus_kinds, self.state.plus_arcs)
-
-    @property
-    def n_minus(self) -> Branched1Manifold | None:
-        return engine.side_form(self.state.minus_kinds, self.state.minus_arcs)
-
-    @property
-    def beta_in(self) -> int:
-        return fold_degrees(self.label.kind, self.label.nature)[0]
-
-    @property
-    def beta_out(self) -> int:
-        return fold_degrees(self.label.kind, self.label.nature)[1]
-
-    @property
-    def routing(self) -> frozenset[tuple[int, int]]:
-        """Component pairs (entering, exiting) joined by some flow band."""
-        st = self.state
-        pc = engine._component_of(st.plus_kinds, st.plus_arcs)
-        mc = engine._component_of(st.minus_kinds, st.minus_arcs)
-        return frozenset((pc[pu], mc[mu]) for pu, _, mu, _ in st.bands)
 
     def reversed(self) -> "CatalogEntry":
         return CatalogEntry(
@@ -330,6 +325,7 @@ class CatalogEntry:
             self.state.reversed(),
             self.orientable,
             self.provisional,
+            self.sides[::-1],
         )
 
 

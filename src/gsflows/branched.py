@@ -7,8 +7,10 @@ multigraph on V vertices is always V + 1.  A manifold is a disjoint union of
 at most four components.
 
 Isomorphism is plain multigraph isomorphism; for these spaces it is
-homeomorphism, and `enumerate_connected` counts classes under it.  It grows
-the connected forms weight by weight from the circle by the point
+homeomorphism, and `enumerate_connected` counts classes under it.
+Components are stored canonically and in sorted order, so two manifolds are
+isomorphic exactly when they are equal.  `enumerate_connected` grows the
+connected forms weight by weight from the circle by the point
 identification rewrite (`identify_points`), keeping one canonical
 representative of each class, up to `MAX_ENUM_WEIGHT`.  The rewrite writes
 the joined component as a 4-regular arc list and canonizes it once.
@@ -332,14 +334,6 @@ def weight(m: Branched1Manifold) -> tuple[list[int], int]:
     return per, sum(per)
 
 
-def is_isomorphic(x: Branched1Manifold, y: Branched1Manifold) -> bool:
-    """Componentwise multigraph isomorphism, multiplicities and loops included.
-
-    Components are stored canonically, so this is encoding equality.
-    """
-    return x.encode() == y.encode()
-
-
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_manifold(text: str) -> Branched1Manifold:
     """Inverse of Branched1Manifold.encode.
@@ -463,11 +457,6 @@ def _identify(comps: list[BranchedComponent], at1: tuple[int, int],
     return tuple(sorted(rest + [canonical_component(w + 1, arcs)]))
 
 
-def manifold_from_arcs(edges: list[list[int]]) -> Branched1Manifold:
-    """Rebuild a manifold from labelled arcs, suppressing degree-2 vertices."""
-    return Branched1Manifold(suppress(edges)[0])
-
-
 def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], list[tuple[int, int]]]:
     """Suppress the degree-2 vertices of labelled arcs.
 
@@ -476,9 +465,9 @@ def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], lis
     one arc is 0.  Parallel arcs, loops included, are swapped by an
     automorphism of their component, so the walks between two branch points
     may take that pair's canonical arcs in any order.  Its callers are the
-    engine's state readers (`engine._move_pairs`, and `engine.side_form`
-    through `manifold_from_arcs`) and `split_off`; point identification
-    (`_identify`) makes no degree-2 vertex and does not call it.
+    engine's one reader of a block side (`engine.read_sides`) and
+    `split_off`; point identification (`_identify`) makes no degree-2 vertex
+    and does not call it.
     """
     # half_edges[v]: (edge index, index of the far end within the edge)
     half_edges: dict[int, list[tuple[int, int]]] = {}
@@ -594,9 +583,9 @@ def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:
         edges = [list(arc) for arc in c.arcs]
         for n, (i, k) in enumerate(ends):
             edges[i][k] = x if n in (0, partner) else y
-        m = manifold_from_arcs(edges)
-        if len(m.components) == 1:
-            out.add(m.components[0])
+        comps = suppress(edges)[0]
+        if len(comps) == 1:
+            out.add(comps[0])
     return sorted(out)
 
 

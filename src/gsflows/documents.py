@@ -152,10 +152,12 @@ def serialize_graph(g: LyapunovGraph) -> str:
 
 
 def export_dot(g: LyapunovGraph) -> str:
-    """Graphviz digraph: one node per vertex, one arc per edge."""
+    """Graphviz digraph: one node per vertex, one arc per edge; ids escape backslashes and quotes."""
     g = g.canonical()
     lines = ["digraph lyapunov {"]
+    names = {vid: vid.replace("\\", "\\\\").replace('"', '\\"') for vid in g.vertices}
     for vid, label in g.vertices.items():
+        vid = names[vid]
         lines.append(f'  "{vid}" [label="{vid}\\n({label.kind},{label.nature})"];')
     opens = 0
     for e in g.edges:
@@ -167,7 +169,7 @@ def export_dot(g: LyapunovGraph) -> str:
                 lines.append(f'  "{name}" [shape=point, label=""];')
                 ends.append(name)
             else:
-                ends.append(end)
+                ends.append(names[end])
         lines.append(f'  "{ends[0]}" -> "{ends[1]}" [label="{e.weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -211,8 +213,16 @@ def report_to_json(report: dict) -> str:
 
 
 def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
-    """Recover manifold values from a report's certificate strings."""
+    """Recover manifold values from a report's certificate strings.
+
+    A certificate of another shape raises ValueError naming the offending key.
+    """
     cert = report.get("certificate") or {}
+    if not isinstance(cert, dict):
+        raise ValueError(f"'certificate' must map edge indices to forms, got {type(cert).__name__}")
+    bad = next((k for k, v in cert.items() if not isinstance(v, str)), None)
+    if bad is not None:
+        raise ValueError(f"certificate {bad!r}: form must be a string, got {type(cert[bad]).__name__}")
     return {int(k): parse_manifold(v) for k, v in cert.items()}
 
 

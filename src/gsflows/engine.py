@@ -36,9 +36,11 @@ Boundary pairs are compared as tuples of canonical components, one sorted
 tuple per side, () for an empty side; text encodings are made only at the
 API edge (`blocks.passageway_closure`).
 
-A node reads its moves once (`_read`, through `_move_pairs`, which the
-enumerator `successors` uses too): one suppression per side gives the node's
-canonical forms and the canonical arc each band lies on.  The legal band
+One routine reads a state's sides, `read_sides`: one suppression per side
+gives its sorted canonical components and the canonical arc each band lies
+on.  The catalog (`blocks.CatalogEntry`) reads its boundary forms, weights
+and routing off it, and a node reads its moves once off it (`_read`, through
+`_move_pairs`, which the enumerator `successors` uses too).  The legal band
 pairs are those whose arcs lie on the same component on both sides, and each
 comes with the boundary pair of the successor it gives, taken off those
 forms.  This is sound at every level:
@@ -101,13 +103,10 @@ from functools import cached_property
 from itertools import permutations
 
 from .branched import (
-    Branched1Manifold,
     BranchedComponent,
     canonical_labelling,
     down_set,
-    _find,
     identify_arcs,
-    manifold_from_arcs,
     suppress,
 )
 
@@ -143,29 +142,15 @@ class BlockState:
                           tuple((mu, mv, pu, pv) for pu, pv, mu, mv in self.bands))
 
 
-def _component_of(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> list[int]:
-    parent = list(range(len(kinds)))
-    for u, v in arcs:
-        parent[_find(parent, u)] = _find(parent, v)
-    roots: dict[int, int] = {}
-    return [roots.setdefault(_find(parent, v), len(roots)) for v in range(len(kinds))]
+#: A side's sorted canonical components, and per band the (component, arc)
+#: place its arc lies on; () and () for an empty side.
+Side = tuple[tuple[BranchedComponent, ...], tuple[tuple[int, int], ...]]
 
 
-def side_weights(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> list[int]:
-    """Per-component weights: branch points + 1."""
-    comp = _component_of(kinds, arcs)
-    n = max(comp) + 1 if comp else 0
-    weights = [1] * n
-    for v, kind in enumerate(kinds):
-        if kind == BRANCH:
-            weights[comp[v]] += 1
-    return weights
-
-
-def side_form(kinds: tuple[str, ...], arcs: tuple[tuple[int, int], ...]) -> Branched1Manifold | None:
-    if not kinds:
-        return None
-    return manifold_from_arcs(arcs)
+def read_sides(state: BlockState) -> tuple[Side, Side]:
+    """The entering and exiting sides read into components, one `suppress` each."""
+    (plus, plus_at), (minus, minus_at) = suppress(state.plus_arcs), suppress(state.minus_arcs)
+    return (plus, tuple(plus_at[len(state.plus_dead):])), (minus, tuple(minus_at[len(state.minus_dead):]))
 
 
 def successors(state: BlockState) -> list[BlockState]:
@@ -322,18 +307,14 @@ def _read(node: _Node) -> tuple[tuple[tuple[int, int], Pair], ...]:
 def _move_pairs(state: BlockState) -> tuple[Pair, tuple[tuple[tuple[int, int], Pair], ...]]:
     """The state's boundary pair, and each move with its successor's pair.
 
-    One suppression per side serves both.  The moves are the band pairs
-    (i, j), i <= j, whose arcs lie on the same component on both sides (a
-    band pairs with itself).  The successors' pairs are read off the state's
+    One `read_sides` serves both.  The moves are the band pairs (i, j),
+    i <= j, whose arcs lie on the same component on both sides (a band
+    pairs with itself).  The successors' pairs are read off the state's
     own canonical forms: on each side, a move replaces the component
     carrying its two bands by `identify_arcs` on the canonical arcs the
     bands lie on.
     """
-    sides = []
-    for kinds, dead, arcs in ((state.plus_kinds, state.plus_dead, state.plus_arcs),
-                              (state.minus_kinds, state.minus_dead, state.minus_arcs)):
-        comps, place = suppress(arcs) if kinds else ((), [])
-        sides.append((comps, place[len(dead):]))
+    sides = read_sides(state)
     (_, plus_at), (_, minus_at) = sides
     n = len(state.bands)
     moves = tuple(((i, j), tuple(_moved(comps, at[i], at[j]) for comps, at in sides))

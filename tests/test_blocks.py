@@ -28,12 +28,12 @@ from gsflows.branched import (
     family_minimal,
     manifold,
     parse_manifold,
+    suppress,
 )
 from gsflows import engine
 from gsflows.engine import (
     BlockState,
     reachable_pairs_capped,
-    side_form,
     state_key,
     successors,
 )
@@ -318,6 +318,20 @@ class TestCatalog:
         full = entry["D_sss_22"].routing
         assert len(full) == 4
 
+    def test_reversal_swaps_its_blocks_reading(self, monkeypatch):
+        # A reversed state keeps the band order and swaps the sides, so a
+        # reversal takes its block's reading swapped and suppresses nothing.
+        calls = []
+        monkeypatch.setattr(engine, "suppress", lambda arcs: calls.append(arcs) or suppress(arcs))
+        catalog = minimal_block_catalog()
+        reversals = [block.reversed() for block in catalog]
+        assert calls == []
+        for block, rev in zip(catalog, reversals):
+            assert rev.sides == engine.read_sides(rev.state)
+            assert (rev.n_plus, rev.n_minus) == (block.n_minus, block.n_plus)
+            assert (rev.min_in, rev.min_out) == (block.min_out, block.min_in)
+            assert rev.routing == {(m, p) for p, m in block.routing}
+
     def test_entries_for_reversal(self):
         assert {e.e_plus for e in entries_for(lab("R", "s"))} >= {1, 2}
         names = {e.name for e in entries_for(lab("D", "r"))}
@@ -558,10 +572,9 @@ class TestStateKey:
 
     def test_band_pairings_stay_apart(self):
         entry = next(e for e in minimal_block_catalog() if e.name == "R_s_11")
-        f8 = family_minimal(2).encode()
+        f8 = family_minimal(2).components
         nxt = successors(entry.state)
-        forms = [(side_form(s.plus_kinds, s.plus_arcs), side_form(s.minus_kinds, s.minus_arcs)) for s in nxt]
-        assert all(tuple(m.encode() for m in pair) == (f8, f8) for pair in forms)
+        assert all((suppress(s.plus_arcs)[0], suppress(s.minus_arcs)[0]) == (f8, f8) for s in nxt)
 
         def loops(s):
             return sum(u == v for u, v in s.plus_arcs)
@@ -577,8 +590,7 @@ class TestStateKey:
 
 
 def _pair(state: BlockState) -> engine.Pair:
-    forms = side_form(state.plus_kinds, state.plus_arcs), side_form(state.minus_kinds, state.minus_arcs)
-    return tuple(() if m is None else m.components for m in forms)
+    return suppress(state.plus_arcs)[0], suppress(state.minus_arcs)[0]
 
 
 class TestLastLevel:

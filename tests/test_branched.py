@@ -29,7 +29,6 @@ from gsflows.branched import (
     figure_eight,
     identify_arcs,
     identify_points,
-    is_isomorphic,
     manifold,
     parse_manifold,
     puncture,
@@ -92,10 +91,10 @@ class TestWeight:
 
 class TestIsomorphism:
     def test_weight_separates(self):
-        assert not is_isomorphic(manifold([figure_eight()]), circle_manifold())
+        assert manifold([figure_eight()]) != circle_manifold()
 
     def test_two_weight_three_types_differ(self):
-        assert not is_isomorphic(manifold([THREE_A]), manifold([THREE_B]))
+        assert manifold([THREE_A]) != manifold([THREE_B])
 
     def test_relabelled_copy(self):
         rng = random.Random(9)
@@ -144,21 +143,21 @@ class TestEnumerate:
 class TestIdentifyPoints:
     def test_circle_to_figure_eight(self):
         m = identify_points(circle_manifold(), ArcPosition(0, 0, 0), ArcPosition(0, 0, 1))
-        assert is_isomorphic(m, manifold([figure_eight()]))
+        assert m == manifold([figure_eight()])
 
     def test_figure_eight_petals_to_crossing_pair(self):
         f8 = manifold([figure_eight()])
         m = identify_points(f8, ArcPosition(0, 0, 0), ArcPosition(0, 1, 0))
-        assert is_isomorphic(m, manifold([THREE_A]))
+        assert m == manifold([THREE_A])
 
     def test_same_petal_gives_loop_chain(self):
         f8 = manifold([figure_eight()])
         m = identify_points(f8, ArcPosition(0, 0, 0), ArcPosition(0, 0, 1))
-        assert is_isomorphic(m, manifold([THREE_B]))
+        assert m == manifold([THREE_B])
 
     def test_two_circles_merge(self):
         m = identify_points(circle_manifold(2), ArcPosition(0, 0, 0), ArcPosition(1, 0, 0))
-        assert is_isomorphic(m, manifold([figure_eight()]))
+        assert m == manifold([figure_eight()])
         assert len(m.components) == 1 and m.total_weight == 2
 
     def test_coincident_positions_rejected(self):
@@ -415,8 +414,8 @@ class TestPuncture:
 class TestFamilies:
     def test_minimal_members(self):
         assert family_minimal(1) == circle_manifold()
-        assert is_isomorphic(family_minimal(2), manifold([figure_eight()]))
-        assert is_isomorphic(family_minimal(3), manifold([THREE_A]))
+        assert family_minimal(2) == manifold([figure_eight()])
+        assert family_minimal(3) == manifold([THREE_A])
         chain5 = family_minimal(5).components[0]
         assert (chain5.order, len(chain5.arcs)) == (4, 8)
         octa = family_minimal(7).components[0]
@@ -442,7 +441,7 @@ class TestFamilies:
                 for p2 in all_positions(prev):
                     if p1 != p2:
                         moves.append(identify_points(prev, p1, p2))
-            assert any(is_isomorphic(m, target) for m in moves)
+            assert target in moves
 
     def test_family_B_puncture_predicates(self):
         for w in range(3, 11):
@@ -460,9 +459,9 @@ class TestFamilies:
                 )
 
     def test_agreement_at_low_weights(self):
-        assert is_isomorphic(family_A(1), family_B(1))
-        assert is_isomorphic(family_A(2), family_B(2))
-        assert is_isomorphic(family_B(3), family_minimal(3))
+        assert family_A(1) == family_B(1)
+        assert family_A(2) == family_B(2)
+        assert family_B(3) == family_minimal(3)
 
     def test_weight_three_classes_exhausted(self):
         codes = {family_A(3).encode(), family_B(3).encode(), family_minimal(3).encode()}
@@ -536,7 +535,7 @@ class TestEncoding:
 
 class TestStrandMode:
     def test_plain_isomorphism_ignores_strands(self):
-        assert is_isomorphic(manifold([figure_eight()]), manifold([figure_eight()]))
+        assert manifold([figure_eight()]) == manifold([figure_eight()])
 
 
 class TestCanonicalAgainstBruteForce:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -107,6 +108,19 @@ def test_catalog_totals(capsys):
     assert main(["catalog", "--type", "W"]) == EX_OK
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4  # three entries plus the totals line
+
+
+@pytest.mark.parametrize(
+    ("args", "digest"),
+    [
+        (["catalog"], "ce11524343e583204500a1d31ec7f16c32f594990e63c7d8ee11f7fee9aa0eb5"),
+        (["catalog", "--json"], "f7fdb055865cc31cf5a286cbb3be5291f4890bc74958492698ce5a5a5edb780a"),
+    ],
+)
+def test_catalog_output_is_pinned(capsys, args, digest):
+    # Boundary forms, weights and routing of all 33 blocks, byte for byte.
+    assert main(args) == EX_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_export_dot(sphere_file, capsys):

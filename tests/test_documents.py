@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -201,6 +202,17 @@ class TestDot:
         dot = export_dot(g)
         assert dot.count("shape=point") == 2
 
+    def test_ids_are_escaped(self):
+        ids = ['a"b', "c\\", 'd\\"e', "plain"]
+        doc = "gsgraph v1\n" + "".join(f"vertex {v} R s\n" for v in ids)
+        doc += "".join(f"edge {u} {v} 1\n" for u, v in zip(ids, ids[1:])) + "edge OPEN a\"b 1\n"
+        dot = export_dot(parse_graph(doc))
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        for line in dot.splitlines():
+            assert '"' not in quoted.sub("", line), line
+        names = re.findall(r'^  ("(?:[^"\\]|\\.)*") \[label="', dot, re.M)
+        assert sorted(re.sub(r"\\(.)", r"\1", n[1:-1]) for n in names) == sorted(ids)
+
 
 class TestReport:
     def test_report_fields_and_certificate_round_trip(self):
@@ -235,6 +247,14 @@ class TestReport:
         report = {"version": 2, "certificate": {"0": "O", "1": form}}
         with pytest.raises(ValueError, match="vertex ids"):
             report_certificate(report)
+
+    @pytest.mark.parametrize(
+        ("certificate", "key"),
+        [({"0": 5}, "'0'"), ({"0": ["O"]}, "'0'"), (["O"], "'certificate'")],
+    )
+    def test_certificate_of_the_wrong_shape_is_rejected(self, certificate, key):
+        with pytest.raises(ValueError, match=key):
+            report_certificate({"version": 2, "certificate": certificate})
 
     def test_fractional_formatting(self):
         g = parse_graph(SPHERE_DOC)
