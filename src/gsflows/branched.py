@@ -13,7 +13,11 @@ isomorphic exactly when they are equal.  `enumerate_connected` grows the
 connected forms weight by weight from the circle by the point
 identification rewrite (`identify_points`), keeping one canonical
 representative of each class, up to `MAX_ENUM_WEIGHT`.  The rewrite writes
-the joined component as a 4-regular arc list and canonizes it once.
+the joined component as a 4-regular arc list and canonizes it once.  A
+same-component identification (`identify_arcs`) is memoised per arc-pair
+orbit: the canonizer's automorphisms, which each canonical component
+carries, and the swaps of parallel arcs map every arc pair to the least
+pair of its orbit, and only that pair is rewritten.
 `suppress` reads arc lists that carry degree-2 vertices, as block states
 and `split_off` make them, into canonical components.
 
@@ -26,7 +30,7 @@ every connected form that identifications can grow into it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 MAX_COMPONENTS = 4
@@ -35,10 +39,17 @@ MAX_ENUM_WEIGHT = 8
 
 @dataclass(frozen=True, order=True)
 class BranchedComponent:
-    """Circle (order 0) or connected 4-regular multigraph on `order` vertices."""
+    """Circle (order 0) or connected 4-regular multigraph on `order` vertices.
+
+    `autos` holds vertex automorphisms of the arcs as the canonizer found
+    them, each listing the image of every vertex; they generate a group of
+    symmetries, not necessarily all of them, and take no part in
+    comparison, hashing or repr.
+    """
 
     order: int
     arcs: tuple[tuple[int, int], ...]
+    autos: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order == 0:
@@ -149,14 +160,15 @@ def _refine(lab: list[int], rank: list[int], size: list[int], adj: list[list], d
         dirty = marked
 
 
-def canonical_labelling(colors: list, edges: list[tuple]) -> tuple[tuple, list[int]]:
-    """Canonical key and labelling of a vertex-coloured, edge-labelled graph.
+def canonical_labelling(colors: list, edges: list[tuple]) -> tuple[tuple, list[int], list[list[int]]]:
+    """Canonical key, labelling and automorphisms of a vertex-coloured, edge-labelled graph.
 
     `colors[v]` is any sortable value; `edges` holds (label, a, b) triples
     with sortable labels, undirected, repeats allowed.  The key lists the
     whole relabelled graph, so two graphs have equal keys exactly when they
     are isomorphic, and `labelling[v]` is the new name of vertex v in the
-    least leaf.
+    least leaf.  The automorphisms are those the search found and pruned
+    with, each listing the image of every vertex.
 
     The search individualises each vertex of the first non-singleton cell in
     turn and refines.  Two leaves with equal relabelled graphs give an
@@ -263,7 +275,7 @@ def canonical_labelling(colors: list, edges: list[tuple]) -> tuple[tuple, list[i
         return None
 
     descend(lab, rank, size, [])
-    return (head, best[0]), list(best[1])
+    return (head, best[0]), list(best[1]), autos
 
 
 def _find(parent, x):
@@ -301,18 +313,22 @@ def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> Bran
 def _canonical(order: int, norm: tuple[tuple[int, int], ...]) -> tuple[BranchedComponent, tuple[int, ...]]:
     """The canonical component of sorted normalised arcs, and its labelling.
 
-    labelling[v] is the canonical name of input vertex v.
+    labelling[v] is the canonical name of input vertex v.  The component
+    carries the search's automorphisms, renamed: g on the input is
+    labelling . g . labelling^-1 on canonical names.
     """
     loops = [0] * order
     for u, v in norm:
         if u == v:
             loops[u] += 1
     edges = [(m, u, v) for (u, v), m in Counter(a for a in norm if a[0] != a[1]).items()]
-    _, label = canonical_labelling(loops, edges)
+    _, label, autos = canonical_labelling(loops, edges)
     relabelled = sorted(
         (label[u], label[v]) if label[u] <= label[v] else (label[v], label[u]) for u, v in norm
     )
-    return BranchedComponent(order, tuple(relabelled)), tuple(label)
+    named = sorted(range(order), key=label.__getitem__)  # named[x]: the input vertex named x
+    autos = tuple(tuple(label[g[v]] for v in named) for g in autos)
+    return BranchedComponent(order, tuple(relabelled), autos), tuple(label)
 
 
 def manifold(components: list[BranchedComponent] | tuple) -> Branched1Manifold:
@@ -414,9 +430,40 @@ def identify_arcs(c: BranchedComponent, i: int, j: int) -> BranchedComponent:
     """One same-component identification: a point of arc i of c with one of arc j, i <= j.
 
     i == j takes both points on arc i, which gives the loop form whichever
-    order the points are in.  Memoised per (c, i, j).
+    order the points are in.  The result depends only on the orbit of
+    (i, j) under the symmetries of c: the vertex automorphisms `c.autos`
+    acting on arc classes (vertex pairs), and the homeomorphisms that swap
+    parallel arcs or loops.  So (i, j) is mapped to the least arc pair of
+    its orbit, with i == j, two arcs of one class and arcs of two classes
+    kept apart, and only that pair is rewritten.  A component with no
+    automorphisms has one-element orbits on arc classes.  Memoised per
+    (c, i, j), so each orbit is rewritten once.
     """
+    least = _least_pair(c, i, j)
+    if least != (i, j):
+        return identify_arcs(c, *least)
     return _identify([c], (0, i), (0, j))[0]
+
+
+def _least_pair(c: BranchedComponent, i: int, j: int) -> tuple[int, int]:
+    """The least arc pair in the orbit of (i, j), i <= j, under the symmetries of c.
+
+    The orbit is taken on arc classes; a class's arcs are consecutive in the
+    sorted arcs, so a pair of two arcs of one class is least at its first two.
+    """
+    if c.is_circle:
+        return i, j
+    orbit, todo = {(c.arcs[i], c.arcs[j])}, [(c.arcs[i], c.arcs[j])]
+    while todo:
+        pair = todo.pop()
+        for g in c.autos:
+            image = tuple(sorted((g[p], g[q]) if g[p] <= g[q] else (g[q], g[p]) for p, q in pair))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    a, b = min(orbit)
+    first = c.arcs.index(a)
+    return first, (first + (i != j) if a == b else c.arcs.index(b))
 
 
 @cache
@@ -594,8 +641,16 @@ def down_set(c: BranchedComponent) -> frozenset[BranchedComponent]:
     """Every connected form that same-component identifications grow into c.
 
     The closure of c under `split_off`, c included, memoised per component.
+    An automorphism carries one branch point's splits onto another's, so
+    only the least branch point of each orbit under `c.autos` is split.
     """
-    return frozenset([c]).union(*(down_set(p) for v in range(c.order) for p in split_off(c, v)))
+    parent = list(range(c.order))
+    for g in c.autos:
+        for v, w in enumerate(g):
+            a, b = _find(parent, v), _find(parent, w)
+            parent[max(a, b)] = min(a, b)
+    firsts = [v for v in range(c.order) if parent[v] == v]
+    return frozenset([c]).union(*(down_set(p) for v in firsts for p in split_off(c, v)))
 
 
 @dataclass(frozen=True)

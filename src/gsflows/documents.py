@@ -152,19 +152,26 @@ def serialize_graph(g: LyapunovGraph) -> str:
 
 
 def export_dot(g: LyapunovGraph) -> str:
-    """Graphviz digraph: one node per vertex, one arc per edge; ids escape backslashes and quotes."""
+    """Graphviz digraph: one node per vertex and per open edge end, one arc per edge.
+
+    Ids escape backslashes and quotes.
+    """
     g = g.canonical()
     lines = ["digraph lyapunov {"]
     names = {vid: vid.replace("\\", "\\\\").replace('"', '\\"') for vid in g.vertices}
     for vid, label in g.vertices.items():
         vid = names[vid]
         lines.append(f'  "{vid}" [label="{vid}\\n({label.kind},{label.nature})"];')
+    # Open ends are points, named by a prefix that begins no vertex id.
+    prefix = "__open"
+    while any(vid.startswith(prefix) for vid in g.vertices):
+        prefix = "_" + prefix
     opens = 0
     for e in g.edges:
         ends = []
         for end in (e.src, e.dst):
             if end is None:
-                name = f"__open{opens}"
+                name = f"{prefix}{opens}"
                 opens += 1
                 lines.append(f'  "{name}" [shape=point, label=""];')
                 ends.append(name)
@@ -215,14 +222,20 @@ def report_to_json(report: dict) -> str:
 def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
     """Recover manifold values from a report's certificate strings.
 
-    A certificate of another shape raises ValueError naming the offending key.
+    A report or certificate of another shape raises ValueError naming the
+    offending key.  An edge index is written in plain decimal ('0', '12'),
+    so no two keys name one edge.
     """
+    if not isinstance(report, dict):
+        raise ValueError(f"a report must be a JSON object, got {type(report).__name__}")
     cert = report.get("certificate") or {}
     if not isinstance(cert, dict):
         raise ValueError(f"'certificate' must map edge indices to forms, got {type(cert).__name__}")
-    bad = next((k for k, v in cert.items() if not isinstance(v, str)), None)
-    if bad is not None:
-        raise ValueError(f"certificate {bad!r}: form must be a string, got {type(cert[bad]).__name__}")
+    for k, v in cert.items():
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and str(int(k)) == k):
+            raise ValueError(f"certificate {k!r}: key must be an edge index in plain decimal")
+        if not isinstance(v, str):
+            raise ValueError(f"certificate {k!r}: form must be a string, got {type(v).__name__}")
     return {int(k): parse_manifold(v) for k, v in cert.items()}
 
 

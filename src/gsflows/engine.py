@@ -23,14 +23,15 @@ passageway move, and each application raises the weight of one component on
 each side by one.
 
 Every reachability query walks one process-wide graph with a node per
-isomorphism class of states, so a state's moves are read at most once per
-process.  Closures walk it breadth first and stop at the first move beyond
-the bound; feasibility queries walk it depth first under per-component
-weight caps.  A state and its reversal share one exploration: a query on the
-one with the greater key is answered as the mirrored query on the other.
-State isomorphism must respect sides, vertex kinds, dead arcs and the band
-pairing, so states are keyed as coloured multigraphs with one auxiliary node
-per band.
+root state and per isomorphism class of successors, so a state's moves are
+read at most once per process.  Closures walk it breadth first and stop at
+the first move beyond the bound; feasibility queries walk it depth first
+under per-component weight caps.  Roots are not keyed: a state and its
+reversal share one root node, the lesser of the two in the order of their
+catalog-row fields, and a query on the greater one is answered as the
+mirrored query on the lesser.  Successor isomorphism must respect sides,
+vertex kinds, dead arcs and the band pairing, so successors are keyed as
+coloured multigraphs with one auxiliary node per band.
 
 Boundary pairs are compared as tuples of canonical components, one sorted
 tuple per side, () for an empty side; text encodings are made only at the
@@ -61,9 +62,9 @@ each side replaced by its identification (`branched.identify_arcs`, the
 table `enumerate_connected` grows forms with).  A successor is built and
 keyed only when a walk is about to read its own moves (`StateSet.child`),
 and its node takes its pair from the move that made it, which then holds
-it in `_Node.succ`.  Each distinct root state object is keyed once
-(`StateSet.add`); successors are keyed once per move taken and are kept
-only as nodes.
+it in `_Node.succ`.  A root state gets its node by the state itself
+(`StateSet.add`), with no key; successors are keyed once per move taken
+and are kept only as nodes.
 
 Every feasibility query is its target pair, and its walk is pruned to
 states that can still grow into it.  Each move identifies two points of one
@@ -118,9 +119,12 @@ MARKER = "k"
 Pair = tuple[tuple[BranchedComponent, ...], tuple[BranchedComponent, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BlockState:
-    """Entering/exiting boundary multigraphs with their flow bands."""
+    """Entering/exiting boundary multigraphs with their flow bands.
+
+    States are ordered by their catalog-row fields, in order.
+    """
 
     plus_kinds: tuple[str, ...]
     minus_kinds: tuple[str, ...]
@@ -217,12 +221,11 @@ def state_key(state: BlockState) -> tuple:
 
 
 class _Node:
-    """One isomorphism class of block states in the state graph."""
+    """One isomorphism class of block states in the state graph, or one root state."""
 
-    __slots__ = ("key", "state", "comps", "moves", "succ")
+    __slots__ = ("state", "comps", "moves", "succ")
 
-    def __init__(self, key: tuple, state: BlockState) -> None:
-        self.key = key
+    def __init__(self, state: BlockState) -> None:
         self.state = state
         #: Boundary pair, filled from the move slot that made the node, or when its moves are read.
         self.comps: Pair | None = None
@@ -235,29 +238,23 @@ class _Node:
 class StateSet:
     """Graph of block states up to structure-preserving isomorphism.
 
-    There is one node per canonical key, so a state's moves are read, and
-    each of its successors keyed, at most once however many queries reach it.
+    There is one node per root state and one per canonical key of a
+    successor, so a state's moves are read, and each of its successors
+    keyed, at most once however many queries reach it.
     """
 
     def __init__(self) -> None:
+        # Successor nodes by canonical key.
         self._nodes: dict[tuple, _Node] = {}
-        # Every root state added before, with its node, so that each is keyed
-        # once.  Successors are not kept here: `_Node.succ` serves every later
-        # look-up of a move.
+        # Root nodes by state, unkeyed.  Successors are not kept here:
+        # `_Node.succ` serves every later look-up of a move.
         self._states: dict[BlockState, _Node] = {}
 
     def add(self, state: BlockState) -> _Node:
+        """The root node of the state, made when first met; roots are not keyed."""
         node = self._states.get(state)
         if node is None:
-            node = self._states[state] = self._node(state)
-        return node
-
-    def _node(self, state: BlockState) -> _Node:
-        """The node of the state's canonical key, made when first met."""
-        key = state_key(state)
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = _Node(key, state)
+            node = self._states[state] = _Node(state)
         return node
 
     def child(self, node: _Node, k: int) -> _Node:
@@ -268,9 +265,13 @@ class StateSet:
         succ = node.succ[k]
         if succ is None:
             (i, j), pair = node.moves[k]
-            succ = node.succ[k] = self._node(_apply(node.state, i, j))
-            if succ.comps is None:
+            state = _apply(node.state, i, j)
+            key = state_key(state)
+            succ = self._nodes.get(key)
+            if succ is None:
+                succ = self._nodes[key] = _Node(state)
                 succ.comps = pair
+            node.succ[k] = succ
         return succ
 
     def expand(self, node: _Node) -> tuple[_Node, ...]:
@@ -280,11 +281,13 @@ class StateSet:
     def root(self, state: BlockState) -> tuple[_Node, bool]:
         """The node to explore from, and whether it is the state's mirror image.
 
-        A state and its reversal get the same exploration: a query on the
-        state with the lesser key, else the mirrored query on its reversal.
+        A state and its reversal share one root, the lesser of the two in
+        field order; a query on the greater one is answered as the mirrored
+        query on the lesser.  Reversal is an involution, so both
+        orientations choose the same root.
         """
-        node, mirror = self.add(state), self.add(state.reversed())
-        return (node, False) if node.key <= mirror.key else (mirror, True)
+        mirror = state.reversed()
+        return (self.add(mirror), True) if mirror < state else (self.add(state), False)
 
 
 #: The process-wide state graph behind every reachability query.

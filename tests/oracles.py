@@ -158,6 +158,19 @@ def multigraphs_isomorphic(c1, c2) -> bool:
     return False
 
 
+def is_automorphism(colours: list, edges: list[tuple], g: list[int]) -> bool:
+    """Whether vertex map g is a permutation keeping every colour and the
+    multiset of labelled, undirected edges."""
+    n = len(colours)
+    if sorted(g) != list(range(n)) or any(colours[g[v]] != colours[v] for v in range(n)):
+        return False
+
+    def multiset(image):
+        return sorted((lbl, *sorted((image[a], image[b]))) for lbl, a, b in edges)
+
+    return multiset(g) == multiset(range(n))
+
+
 def has_oriented_cycle(vertices, arcs) -> bool:
     """Whether the arcs (src, dst) between `vertices` close an oriented cycle.
 

@@ -21,6 +21,7 @@ from gsflows.blocks import (
 from gsflows.branched import (
     CIRCLE,
     BranchedComponent,
+    canonical_labelling,
     down_set,
     enumerate_connected,
     family_A,
@@ -51,6 +52,7 @@ from gsflows.model import (
     reverse_semigraph,
 )
 from gsflows.realize import lemma_familyB_ok, lemma_firstfamily_ok, realize, verify_certificate
+from oracles import is_automorphism
 
 T = SingularityType
 N = Nature
@@ -570,6 +572,22 @@ class TestStateKey:
             for _ in range(3):
                 assert state_key(relabel_state(state, rng)) == key
 
+    def test_generators_are_automorphisms(self):
+        # Every catalog state and reversal, under seeded random relabellings:
+        # each generator the canonizer returns for its auxiliary graph maps
+        # that coloured, edge-labelled graph onto itself.
+        rng = random.Random(43)
+        states = [s for e in minimal_block_catalog() for s in (e.state, e.state.reversed())]
+        assert len(states) == 66
+        generators = 0
+        for state in states:
+            for _ in range(3):
+                colours, edges = engine._state_units(relabel_state(state, rng))
+                autos = canonical_labelling(colours, edges)[2]
+                assert all(is_automorphism(colours, edges, g) for g in autos), state
+                generators += len(autos)
+        assert generators > 0
+
     def test_band_pairings_stay_apart(self):
         entry = next(e for e in minimal_block_catalog() if e.name == "R_s_11")
         f8 = family_minimal(2).components
@@ -609,7 +627,7 @@ class TestLastLevel:
             copy = relabel_state(state, rng)
             slots = {}
             for s in (state, copy):
-                node = engine._Node(None, s)
+                node = engine._Node(s)
                 moves = engine._read(node)
                 assert node.comps == _pair(s)
                 assert [pair for _, pair in moves] == [_pair(t) for t in successors(s)]
@@ -643,11 +661,12 @@ class TestLastLevel:
             bands = state.bands
             legal = [(i, j) for i, j in itertools.combinations_with_replacement(range(len(bands)), 2)
                      if plus[bands[i][0]] == plus[bands[j][0]] and minus[bands[i][2]] == minus[bands[j][2]]]
-            assert [ij for ij, _ in engine._read(engine._Node(None, state))] == legal
+            assert [ij for ij, _ in engine._read(engine._Node(state))] == legal
 
     def test_last_level_keys_no_state(self, monkeypatch):
-        # A depth-1 query keys only its root and the root's mirror, and adds
-        # no node for a state at the target's depth.
+        # A depth-1 query keys no state: roots are not keyed, and a state at
+        # the target's depth is only compared, so the graph gains no
+        # successor node.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         blocks._feasible.cache_clear()
         keyed = []
@@ -660,8 +679,9 @@ class TestLastLevel:
         label = lab("W", "s_s")
         assert boundary_feasible(label, [family_A(3)], [family_minimal(2), family_minimal(1)])
         entry = next(e for e in entries_for(label) if e.e_minus == 2)
-        assert keyed == [entry.state, entry.state.reversed()]
-        assert {n.state for n in engine._GRAPH._nodes.values()} <= set(keyed)
+        assert keyed == []
+        assert engine._GRAPH._nodes == {}
+        assert set(engine._GRAPH._states) == {min(entry.state, entry.state.reversed())}
 
 
 class TestBoundaryFeasible:

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +42,7 @@ from gsflows.branched import (
 from oracles import (
     brute_force_components,
     count_components_burnside,
+    is_automorphism,
     matrix_of_component,
     multigraphs_isomorphic,
 )
@@ -132,6 +136,17 @@ class TestEnumerate:
     def test_counts_above_oracle_range(self):
         # 359 at weight 8 matches a one-off Burnside count, too slow for the suite.
         assert [len(enumerate_connected(w)) for w in (7, 8)] == [97, 359]
+
+    def test_fresh_enumeration_canonizes_once_per_orbit(self):
+        # A fresh interpreter enumerating weight 6 canonizes at most the 129
+        # arc lists measured once identifications were memoised per arc-pair
+        # orbit (263 when they were memoised per arc pair).
+        code = ("from gsflows import branched as b; m = b._canonical.cache_info().misses; "
+                "b.enumerate_connected(6); print(b._canonical.cache_info().misses - m)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": str(src)})
+        assert int(out.stdout) <= 129
 
     def test_bound(self):
         with pytest.raises(ValueError):
@@ -317,20 +332,22 @@ class TestIdentifyWithoutSuppression:
     def test_rewrite_never_suppresses(self, monkeypatch):
         # The rewrite writes a 4-regular arc list directly, so it never needs
         # the degree-2 suppression walk, for same-component identifications
-        # and cross joins alike, circles included.
+        # and cross joins alike, circles included.  Every form up to weight 6
+        # and every arc pair: the identification memoised per arc-pair orbit
+        # is the raw rewrite at the pair asked for.
         import gsflows.branched as branched
 
         calls = []
         suppress = branched.suppress
         monkeypatch.setattr(branched, "suppress", lambda edges: calls.append(edges) or suppress(edges))
-        forms, count = _forms_to(5), 0
+        forms, count = _forms_to(6), 0
         for form in forms:
             n = _arc_count(form)
             for i in range(n):
                 for j in range(i, n):
-                    assert identify_arcs.__wrapped__(form, i, j) == identify_arcs(form, i, j)
+                    assert identify_arcs(form, i, j) == _identify([form], (0, i), (0, j))[0]
                     count += 1
-                for other in forms[:4]:
+                for other in forms[:4] if form.weight <= 5 else ():
                     for j in range(_arc_count(other)):
                         assert _join.__wrapped__(form, i, other, j) == _join(form, i, other, j)
                         count += 1
@@ -554,7 +571,7 @@ class TestCanonicalAgainstBruteForce:
 
 
 def assert_labelling_invariant(colours, edges, data):
-    key, labelling = canonical_labelling(colours, edges)
+    key, labelling, _ = canonical_labelling(colours, edges)
     n = len(colours)
     assert sorted(labelling) == list(range(n))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
@@ -614,6 +631,28 @@ class TestCanonicalLabelling:
                 assert canonical_component(k, relabel(k, ring, rng)) == comp
             assert sorted(Counter(comp.arcs).values()) == [2] * k
 
+    def test_generators_are_automorphisms(self):
+        # Seeded random relabellings of every form up to weight 7, coloured
+        # by loop counts and labelled by arc multiplicities as `_canonical`
+        # reads them: each generator maps the graph onto itself, and so does
+        # each renamed generator a canonical component carries.
+        rng = random.Random(7)
+        generators = 0
+        for form in _forms_to(7)[1:]:
+            for _ in range(2):
+                arcs = relabel(form.order, form.arcs, rng)
+                loops = [0] * form.order
+                for u, v in arcs:
+                    loops[u] += u == v
+                edges = [(m, u, v) for (u, v), m in Counter(tuple(sorted(a)) for a in arcs if a[0] != a[1]).items()]
+                autos = canonical_labelling(loops, edges)[2]
+                assert all(is_automorphism(loops, edges, g) for g in autos), form
+                comp = canonical_component(form.order, arcs)
+                whole = [(0, u, v) for u, v in comp.arcs]
+                assert all(is_automorphism([0] * comp.order, whole, g) for g in comp.autos), form
+                generators += len(autos)
+        assert generators > 100
+
     def test_canonical_table_is_bounded(self):
         # One bounded table, keyed by sorted normalised arcs, serves
         # `canonical_component` and `suppress`.  It holds more than the 6 242
@@ -625,7 +664,7 @@ class TestCanonicalLabelling:
 
     def test_labelling_separates_edge_labels_and_colours(self):
         path = [(0, 0, 1), (1, 1, 2)]
-        key, labelling = canonical_labelling(["x", "y", "z"], path)
+        key, labelling, _ = canonical_labelling(["x", "y", "z"], path)
         assert labelling == [0, 1, 2]
         assert canonical_labelling(["z", "y", "x"], [(1, 0, 1), (0, 1, 2)])[0] == key
         assert canonical_labelling(["x", "y", "z"], [(1, 0, 1), (0, 1, 2)])[0] != key

@@ -202,6 +202,19 @@ class TestDot:
         dot = export_dot(g)
         assert dot.count("shape=point") == 2
 
+    def test_open_end_names_avoid_vertex_ids(self):
+        # A vertex may take the name an open end's point would have had: the
+        # point gets another name, every node is declared once, and the open
+        # edge starts at a point, not at that vertex.
+        doc = ("gsgraph v1\nvertex __open0 R s\nvertex a R a\nvertex r R r\n"
+               "edge r __open0 1\nedge __open0 a 1\nedge OPEN a 1\n")
+        dot = export_dot(parse_graph(doc))
+        declared = re.findall(r'^  ("[^"]*") \[', dot, re.M)
+        assert len(declared) == len(set(declared)) == 4
+        points = re.findall(r'^  ("[^"]*") \[shape=point', dot, re.M)
+        assert len(points) == 1 and points[0] != '"__open0"'
+        assert f'  {points[0]} -> "a" [label="1"];' in dot.splitlines()
+
     def test_ids_are_escaped(self):
         ids = ['a"b', "c\\", 'd\\"e', "plain"]
         doc = "gsgraph v1\n" + "".join(f"vertex {v} R s\n" for v in ids)
@@ -255,6 +268,17 @@ class TestReport:
     def test_certificate_of_the_wrong_shape_is_rejected(self, certificate, key):
         with pytest.raises(ValueError, match=key):
             report_certificate({"version": 2, "certificate": certificate})
+
+    @pytest.mark.parametrize("report", [["O"], "x", None])
+    def test_report_that_is_not_an_object_is_rejected(self, report):
+        with pytest.raises(ValueError, match="JSON object"):
+            report_certificate(report)
+
+    @pytest.mark.parametrize("key", ["01", "-1", "+1", "x", " 1", "1.0", "", "\u0661"])
+    def test_key_that_is_not_a_plain_edge_index_is_rejected(self, key):
+        # '01' would name edge 1 beside '1', and the later key would win.
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            report_certificate({"version": 2, "certificate": {"1": "O", key: "0:0,0:0"}})
 
     def test_fractional_formatting(self):
         g = parse_graph(SPHERE_DOC)
