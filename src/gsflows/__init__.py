@@ -33,7 +33,6 @@ from .model import (
     reverse_nature,
     reverse_semigraph,
     semigraph,
-    semigraphs,
     total_folds,
     validate_graph,
 )
@@ -55,7 +54,6 @@ from .branched import (
 from .blocks import (
     CatalogEntry,
     LocalVerdict,
-    ShapeEntry,
     boundary_feasible,
     catalog_counts,
     entries_for,

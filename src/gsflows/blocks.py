@@ -13,9 +13,10 @@ flags.
 
 The shape catalog is read off the block catalog: the admissible semi-graph
 shapes (label, indegree, outdegree) are those of the blocks and their
-reversals, and the minimal weights of a shape are the sorted component
-weights of its blocks.  The weight-condition table is the blocks' own shapes
-plus the two double-crossing shapes that no block realizes.
+reversals, each given by the first catalog entry that has it, and the
+minimal weights of a shape are that entry's sorted component weights.  The
+weight-condition table is the blocks' own shapes plus the two
+double-crossing shapes that no block realizes.
 
 Local verdicts follow a fixed cascade: the Poincare-Hopf residual, the
 degree inequalities, the known non-realizable shape exclusions, shape
@@ -80,26 +81,6 @@ _T = SingularityType
 _N = Nature
 
 
-@dataclass(frozen=True)
-class ShapeEntry:
-    """Admissible semi-graph shape with its weight relation and minima."""
-
-    label: VertexLabel
-    e_plus: int
-    e_minus: int
-    min_in: tuple[int, ...]
-    min_out: tuple[int, ...]
-
-    @property
-    def delta(self) -> int:
-        """Forced value of B+ - B-."""
-        return sum(self.min_in) - sum(self.min_out)
-
-    @property
-    def equation(self) -> str:
-        return _equation(self.e_plus, self.e_minus, self.delta)
-
-
 def _equation(e_plus: int, e_minus: int, delta: int) -> str:
     """Text of the relation B+ - B- = delta for a shape of these degrees."""
     if e_minus == 0:
@@ -119,23 +100,21 @@ def _equation(e_plus: int, e_minus: int, delta: int) -> str:
 
 
 @lru_cache(maxsize=1)
-def _shapes() -> dict[tuple[VertexLabel, int, int], ShapeEntry]:
-    """One shape per (label, e+, e-) of the catalog blocks and their reversals, in catalog order."""
-    shapes: dict[tuple[VertexLabel, int, int], ShapeEntry] = {}
+def _shapes() -> dict[tuple[VertexLabel, int, int], CatalogEntry]:
+    """The first of the catalog blocks and their reversals with each (label, e+, e-), in catalog order."""
+    shapes: dict[tuple[VertexLabel, int, int], CatalogEntry] = {}
     for block in minimal_block_catalog():
         for e in (block, block.reversed()):
-            key = (e.label, e.e_plus, e.e_minus)
-            if key not in shapes:
-                shapes[key] = ShapeEntry(*key, e.min_in, e.min_out)
+            shapes.setdefault((e.label, e.e_plus, e.e_minus), e)
     return shapes
 
 
-def shape_catalog() -> tuple[ShapeEntry, ...]:
-    """All admissible shapes: those of the catalog blocks and of their reversals."""
+def shape_catalog() -> tuple[CatalogEntry, ...]:
+    """All admissible shapes, each as the first block or reversal that has it."""
     return tuple(_shapes().values())
 
 
-def shape_for(label: VertexLabel, e_plus: int, e_minus: int) -> ShapeEntry | None:
+def shape_for(label: VertexLabel, e_plus: int, e_minus: int) -> CatalogEntry | None:
     return _shapes().get((label, e_plus, e_minus))
 
 

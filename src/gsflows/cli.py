@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .blocks import catalog_counts, local_realizable, minimal_block_catalog
+from .blocks import catalog_counts, minimal_block_catalog
 from .branched import enumerate_connected
 from .documents import (
     ParseError,
@@ -29,7 +29,7 @@ from .documents import (
     serialize_graph,
 )
 from .generator import gen_random_gs_graph
-from .model import SingularityType, incidence, parse_type, ph_residual, semigraphs
+from .model import SingularityType, parse_type, ph_residual
 from .realize import NOT_REALIZABLE, REALIZABLE, InvalidGraphError, classify_graph, realize
 
 EX_OK = 0
@@ -61,21 +61,19 @@ def _load(path: str):
 
 def _cmd_validate(args) -> int:
     g = _load(args.file)
-    table = incidence(g)
-    report = table[2]
-    for item in report:
-        print(f"violation: {item}")
-    if report:
+    try:
+        status = classify_graph(g)
+    except InvalidGraphError as err:
+        for item in err.report:
+            print(f"violation: {item}")
         print("structurally invalid")
         return EX_FAIL
     print(f"structure: ok ({len(g.vertices)} vertices, {len(g.edges)} edges)")
-    all_ok = True
-    for vid, sg in sorted(semigraphs(g, table).items()):
-        verdict = local_realizable(sg)
-        status = verdict.status if verdict.ok else f"no ({verdict.reason})"
-        print(f"vertex {vid} ({sg.label}): residual={ph_residual(sg)} verdict={status}")
-        all_ok = all_ok and verdict.ok
-    return EX_OK if all_ok else EX_FAIL
+    for vid, sg in sorted(status.semigraphs.items()):
+        verdict = status.verdicts[vid]
+        text = verdict.status if verdict.ok else f"no ({verdict.reason})"
+        print(f"vertex {vid} ({sg.label}): residual={ph_residual(sg)} verdict={text}")
+    return EX_OK if status.is_gs else EX_FAIL
 
 
 def _cmd_realize(args) -> int:

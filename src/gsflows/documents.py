@@ -236,7 +236,13 @@ def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
             raise ValueError(f"certificate {k!r}: key must be an edge index in plain decimal")
         if not isinstance(v, str):
             raise ValueError(f"certificate {k!r}: form must be a string, got {type(v).__name__}")
-    return {int(k): parse_manifold(v) for k, v in cert.items()}
+    forms = {}
+    for k, v in cert.items():
+        try:
+            forms[int(k)] = parse_manifold(v)
+        except ValueError as err:
+            raise ValueError(f"certificate {k!r}: {err}") from None
+    return forms
 
 
 CATALOG_VERSION = 2

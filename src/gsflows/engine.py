@@ -24,14 +24,14 @@ each side by one.
 
 Every reachability query walks one process-wide graph with a node per
 root state and per isomorphism class of successors, so a state's moves are
-read at most once per process.  Closures walk it breadth first and stop at
-the first move beyond the bound; feasibility queries walk it depth first
-under per-component weight caps.  Roots are not keyed: a state and its
-reversal share one root node, the lesser of the two in the order of their
-catalog-row fields, and a query on the greater one is answered as the
-mirrored query on the lesser.  Successor isomorphism must respect sides,
-vertex kinds, dead arcs and the band pairing, so successors are keyed as
-coloured multigraphs with one auxiliary node per band.
+read at most once per process.  One depth-first walk, `_walk`, serves every
+query: closures take every move within the bound, feasibility queries only
+the moves that stay under per-component weight caps.  Roots are not keyed:
+a state and its reversal share one root node, the lesser of the two in the
+order of their catalog-row fields, and a query on the greater one is
+answered as the mirrored query on the lesser.  Successor isomorphism must
+respect sides, vertex kinds, dead arcs and the band pairing, so successors
+are keyed as coloured multigraphs with one auxiliary node per band.
 
 Boundary pairs are compared as tuples of canonical components, one sorted
 tuple per side, () for an empty side; text encodings are made only at the
@@ -40,11 +40,11 @@ API edge (`blocks.passageway_closure`).
 One routine reads a state's sides, `read_sides`: one suppression per side
 gives its sorted canonical components and the canonical arc each band lies
 on.  The catalog (`blocks.CatalogEntry`) reads its boundary forms, weights
-and routing off it, and a node reads its moves once off it (`_read`, through
-`_move_pairs`, which the enumerator `successors` uses too).  The legal band
-pairs are those whose arcs lie on the same component on both sides, and each
-comes with the boundary pair of the successor it gives, taken off those
-forms.  This is sound at every level:
+and routing off it, and a node reads its moves off it once, when a walk
+first expands it (`_Node.read`, through `_move_pairs`, which the enumerator
+`successors` uses too).  The legal band pairs are those whose arcs lie on
+the same component on both sides, and each comes with the boundary pair of
+the successor it gives, taken off those forms.  This is sound at every level:
 
 - `_apply(i, j)` adds one branch point on each side by identifying an
   interior point of band i's arc with one of band j's arc;
@@ -60,9 +60,9 @@ forms.  This is sound at every level:
 So each successor's pair is the parent's pair with the moved component on
 each side replaced by its identification (`branched.identify_arcs`, the
 table `enumerate_connected` grows forms with).  A successor is built and
-keyed only when a walk is about to read its own moves (`StateSet.child`),
-and its node takes its pair from the move that made it, which then holds
-it in `_Node.succ`.  A root state gets its node by the state itself
+keyed only when a walk takes the move that gives it (`StateSet.child`),
+and that move's slot in `_Node.succ` then holds it; it is read only when a
+walk expands it.  A root state gets its node by the state itself
 (`StateSet.add`), with no key; successors are keyed once per move taken
 and are kept only as nodes.
 
@@ -80,8 +80,8 @@ target.  So a walk keys no state it prunes and none at its last level.
 Closures are not pruned and serve as the unpruned reference: weights only
 grow, so every state on a path to the target already fits the target's
 component weights, and capped reachability of a target is membership in the
-closure at its combined weight.  They read their last level off the level
-before it too.
+closure at its combined weight.  Closures read their last level off the
+level before it too.
 
 Blocks whose bands carry the entering boundary onto the exiting one need no
 walk (`blocks.CatalogEntry.diagonal`: no dead arcs, only circles, and a
@@ -221,18 +221,28 @@ def state_key(state: BlockState) -> tuple:
 
 
 class _Node:
-    """One isomorphism class of block states in the state graph, or one root state."""
+    """One isomorphism class of block states in the state graph, or one root state.
+
+    A node is read once, when a walk first expands it (`read`), so a node a
+    walk leaves on its stack when it stops at a hit is never read.
+    """
 
     __slots__ = ("state", "comps", "moves", "succ")
 
     def __init__(self, state: BlockState) -> None:
         self.state = state
-        #: Boundary pair, filled from the move slot that made the node, or when its moves are read.
+        #: Boundary pair, and (band pair, successor's boundary pair) per move.
         self.comps: Pair | None = None
-        #: (band pair, successor's boundary pair) per move, filled when first read.
         self.moves: tuple[tuple[tuple[int, int], Pair], ...] | None = None
         #: Successor node per move, each filled when a walk first takes that move.
         self.succ: list[_Node | None] | None = None
+
+    def read(self) -> tuple[tuple[tuple[int, int], Pair], ...]:
+        """The node's moves; the first call reads its pair and moves (`_move_pairs`)."""
+        if self.moves is None:
+            self.comps, self.moves = _move_pairs(self.state)
+            self.succ = [None] * len(self.moves)
+        return self.moves
 
 
 class StateSet:
@@ -258,28 +268,20 @@ class StateSet:
         return node
 
     def child(self, node: _Node, k: int) -> _Node:
-        """The successor by the node's k-th move, built and keyed when first taken.
-
-        It takes its boundary pair from the move's slot.
-        """
+        """The successor by the node's k-th move, built and keyed when first taken."""
         succ = node.succ[k]
         if succ is None:
-            (i, j), pair = node.moves[k]
+            (i, j), _ = node.moves[k]
             state = _apply(node.state, i, j)
             key = state_key(state)
             succ = self._nodes.get(key)
             if succ is None:
                 succ = self._nodes[key] = _Node(state)
-                succ.comps = pair
             node.succ[k] = succ
         return succ
 
-    def expand(self, node: _Node) -> tuple[_Node, ...]:
-        """Every distinct successor node."""
-        return tuple(dict.fromkeys(self.child(node, k) for k in range(len(_read(node)))))
-
     def root(self, state: BlockState) -> tuple[_Node, bool]:
-        """The node to explore from, and whether it is the state's mirror image.
+        """The node to explore from, read, and whether it is the state's mirror image.
 
         A state and its reversal share one root, the lesser of the two in
         field order; a query on the greater one is answered as the mirrored
@@ -287,24 +289,13 @@ class StateSet:
         orientations choose the same root.
         """
         mirror = state.reversed()
-        return (self.add(mirror), True) if mirror < state else (self.add(state), False)
+        node, mirrored = (self.add(mirror), True) if mirror < state else (self.add(state), False)
+        node.read()
+        return node, mirrored
 
 
 #: The process-wide state graph behind every reachability query.
 _GRAPH = StateSet()
-
-
-def _read(node: _Node) -> tuple[tuple[tuple[int, int], Pair], ...]:
-    """The node's moves with their successors' boundary pairs, read once.
-
-    The first reading also fills the node's own pair, unless its move slot did.
-    """
-    if node.moves is None:
-        comps, node.moves = _move_pairs(node.state)
-        if node.comps is None:
-            node.comps = comps
-        node.succ = [None] * len(node.moves)
-    return node.moves
 
 
 def _move_pairs(state: BlockState) -> tuple[Pair, tuple[tuple[tuple[int, int], Pair], ...]]:
@@ -357,17 +348,39 @@ def _fits(weights: tuple[tuple[int, ...], ...], caps: tuple[tuple[int, ...], ...
     )
 
 
+def _walk(root: _Node, depth: int, keep):
+    """Each node fewer than `depth` moves from the root, read, once, depth
+    first, with its level.
+
+    A successor is built only when it lies within the bound and `keep`
+    accepts the boundary pair its move gives.  Every state's depth is fixed
+    by its weights, so a plain visited set keeps the walk exhaustive.
+    """
+    seen = {root}
+    stack = [(root, 0)] if depth > 0 else []
+    while stack:
+        node, level = stack.pop()
+        node.read()
+        yield node, level
+        if level + 1 < depth:
+            for k, (_, pair) in enumerate(node.moves):
+                if keep(pair):
+                    succ = _GRAPH.child(node, k)
+                    if succ not in seen:
+                        seen.add(succ)
+                        stack.append((succ, level + 1))
+
+
 def reachable_pairs_capped(initial: BlockState, target: Pair) -> bool:
     """Whether the state grows into the target pair.
 
     Components never merge under the shape-preserving move and their
     weights only grow, so any state already exceeding the sorted target
-    weights on either side is a dead end.  Every state's depth is fixed by
-    its weights, so depth-first traversal with a plain visited set is
-    exhaustive.  A node's successors are judged by the pairs read off its
-    own forms (`_read`): one that exceeds the target's weights or cannot
-    grow into the target is never built, one at the target's depth is only
-    compared with it, and the traversal stops at the first hit.
+    weights on either side is a dead end.  A node's successors are judged
+    by the pairs read off its own forms (`_Node.read`): one that exceeds
+    the target's weights or cannot grow into the target is never built, one
+    at the target's depth is only compared with it, and the walk stops at
+    the first hit.
     """
     root, mirrored = _GRAPH.root(initial)
     return _capped_walk(root, (target[1], target[0]) if mirrored else target)
@@ -375,7 +388,6 @@ def reachable_pairs_capped(initial: BlockState, target: Pair) -> bool:
 
 def _capped_walk(root: _Node, target: Pair) -> bool:
     caps = _weights(target)
-    _read(root)
     weights = _weights(root.comps)
     depth = sum(caps[0]) - sum(weights[0])
     if depth < 0 or not _fits(weights, caps):
@@ -383,20 +395,12 @@ def _capped_walk(root: _Node, target: Pair) -> bool:
     if depth == 0:
         return root.comps == target
     downs = tuple(tuple(map(down_set, side)) for side in target)
-    seen = {root}
-    stack = [(root, 1)]
-    while stack:
-        node, d = stack.pop()
-        for k, (_, pair) in enumerate(_read(node)):
-            if d == depth:
-                if pair == target:
-                    return True
-            elif _fits(_weights(pair), caps) and _can_grow_into(pair, downs):
-                succ = _GRAPH.child(node, k)
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, d + 1))
-    return False
+
+    def keep(pair: Pair) -> bool:
+        return _fits(_weights(pair), caps) and _can_grow_into(pair, downs)
+
+    return any(any(pair == target for _, pair in node.moves)
+               for node, level in _walk(root, depth, keep) if level == depth - 1)
 
 
 def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pair], bool]:
@@ -406,19 +410,16 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pa
     search off while further moves were still available.
     """
     root, mirrored = _GRAPH.root(initial)
-    _read(root)
     total = sum(map(sum, _weights(root.comps)))
     if total > max_combined_weight:
         return set(), False
-    level, pairs = [root], {root.comps}
-    for step in range((max_combined_weight - total) // 2):
-        if step:
-            level = list(dict.fromkeys(s for node in level for s in _GRAPH.expand(node)))
-        pairs.update(pair for node in level for _, pair in _read(node))
-    # The last level's pairs are read off `level`, one move short of it.
-    # Every band can take a loop move, and successors keep their parents'
-    # bands, so a band in `level` shows that the bound cut the search off.
-    complete = not any(node.state.bands for node in level)
+    pairs = {root.comps}
+    # Each move adds two to the combined weight; the last level's pairs are
+    # read off the nodes one move short of it.
+    for node, _ in _walk(root, (max_combined_weight - total) // 2, lambda pair: True):
+        pairs.update(pair for _, pair in node.moves)
     if mirrored:
         pairs = {(q, p) for p, q in pairs}
-    return pairs, complete
+    # Every band can take a loop move, and successors keep their parents'
+    # bands, so the bound cuts the search off exactly when the root has one.
+    return pairs, not root.state.bands

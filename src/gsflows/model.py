@@ -348,24 +348,6 @@ def semigraph(g: LyapunovGraph, vid: str) -> SemiGraph:
     return SemiGraph(g.vertices[vid], ins, outs)
 
 
-def semigraphs(g: LyapunovGraph, table: tuple | None = None) -> dict[str, SemiGraph]:
-    """Every vertex's semi-graph, read off `incidence`, or off the `table`
-    that a caller already has from it.
-
-    Equal to ``{vid: semigraph(g, vid) for vid in g.vertices}``: weights in
-    edge order, and a vertex of degree 0 raises the same error.
-    """
-    ins, outs, _ = table or incidence(g)
-    weights = [w for _, _, w in g.edges]
-    sgs = {}
-    for vid, label in g.vertices.items():
-        if not ins[vid] and not outs[vid]:
-            raise ValueError(f"vertex {vid!r} has degree 0")
-        sgs[vid] = SemiGraph(label, tuple([weights[i] for i in ins[vid]]),
-                             tuple([weights[i] for i in outs[vid]]))
-    return sgs
-
-
 def ph_residual(sg: SemiGraph) -> int:
     """Deviation from the Poincare-Hopf condition; zero iff it holds.
 

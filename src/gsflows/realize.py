@@ -69,7 +69,14 @@ Certificate = dict[int, Branched1Manifold]
 
 
 class InvalidGraphError(ValueError):
-    """The graph is structurally invalid, or open where a closed one is needed."""
+    """The graph is structurally invalid, or open where a closed one is needed.
+
+    `report` lists the structural violations (`incidence`), none for an open graph.
+    """
+
+    def __init__(self, message: str, report: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.report = report or []
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def _incidence(g: LyapunovGraph) -> tuple[dict[str, list[int]], dict[str, list[i
     report names a violation."""
     ins, outs, report = incidence(g)
     if report:
-        raise InvalidGraphError("graph is structurally invalid: " + "; ".join(report))
+        raise InvalidGraphError("graph is structurally invalid: " + "; ".join(report), report)
     return ins, outs
 
 
@@ -301,12 +308,18 @@ def verify_certificate(g: LyapunovGraph, cert: Certificate) -> bool:
 
     Every edge needs a connected form carrying the edge weight, and every
     vertex boundary must be block-feasible.  A graph that `realize` rejects,
-    structurally invalid or open, raises `InvalidGraphError`.
+    structurally invalid or open, raises `InvalidGraphError`; a certificate
+    that misses an edge, or names a key that is no edge index, raises
+    ValueError.
     """
     ins, outs = _incidence(g)
     if not g.is_closed():
         raise InvalidGraphError("certificates are defined for closed graphs")
-    for i in range(len(g.edges)):
+    edges = range(len(g.edges))
+    for k in cert:
+        if k not in edges:
+            raise ValueError(f"certificate names {k!r}, which is not an edge index of the graph")
+    for i in edges:
         if i not in cert:
             raise ValueError(f"certificate misses edge {i}")
     for i, e in enumerate(g.edges):

@@ -70,8 +70,9 @@ class TestShapeCatalog:
     def test_lookup_present(self):
         entry = shape_for(lab("D", "ss_s"), 2, 1)
         assert entry is not None
-        assert entry.equation == "B+ - 3 = B-"
         assert entry.min_in == (2, 2) and entry.min_out == (1,)
+        row = next(r for r in ph_condition_rows() if (r.label, r.e_plus, r.e_minus) == (entry.label, 2, 1))
+        assert row.text == "B+ - 3 = B-"
 
     def test_lookup_absent(self):
         assert shape_for(lab("D", "ss_s"), 2, 3) is None
@@ -94,7 +95,7 @@ class TestShapeCatalog:
             for b_in in itertools.product(range(1, 7), repeat=entry.e_plus):
                 for b_out in itertools.product(range(1, 7), repeat=entry.e_minus):
                     s = SemiGraph(entry.label, b_in, b_out)
-                    holds = sum(b_in) - sum(b_out) == entry.delta
+                    holds = sum(b_in) - sum(b_out) == sum(entry.min_in) - sum(entry.min_out)
                     assert (ph_residual(s) == 0) == holds
 
     def test_min_weights_pointwise_least_among_realizable(self):
@@ -523,12 +524,42 @@ class TestClosures:
                 dm = parse_manifold(minus).total_weight - m0
                 assert dp == dm >= 0
 
+    @pytest.mark.parametrize("extra", range(5))
+    def test_closure_matches_breadth_first_reference(self, extra, monkeypatch):
+        # Every catalog block and its reversal, every bound from its combined
+        # weight up to that weight + 4: the depth-first walk over the state
+        # graph gives the pairs of a level-by-level closure that builds every
+        # successor state, reads each level's own sides and shares nothing
+        # with the state graph.  The bound cuts the search off exactly when
+        # the block has a band.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        for block in minimal_block_catalog():
+            for entry in (block, block.reversed()):
+                bound = sum(entry.min_in) + sum(entry.min_out) + extra
+                pairs, complete = engine.closure_pairs(entry.state, bound)
+                assert pairs == _breadth_first_closure(entry.state, bound), (entry.name, bound)
+                assert complete == (not entry.state.bands), entry.name
+
     def test_reversed_block_has_mirrored_closure(self):
         for entry in minimal_block_catalog():
             forward = passageway_closure(entry, max_total_weight=7)
             backward = passageway_closure(entry.reversed(), max_total_weight=7)
             assert backward.pairs == {(q, p) for p, q in forward.pairs}, entry.name
             assert backward.complete == forward.complete, entry.name
+
+
+def _breadth_first_closure(state: BlockState, bound: int) -> set:
+    """Boundary pairs within the combined-weight bound, level by level: each
+    level is every successor of the one before, one state per `state_key`."""
+    def pair(s):
+        (plus, _), (minus, _) = engine.read_sides(s)
+        return plus, minus
+
+    level, pairs = [state], {pair(state)}
+    for _ in range((bound - sum(c.weight for side in pair(state) for c in side)) // 2):
+        level = list({state_key(t): t for s in level for t in successors(s)}.values())
+        pairs.update(map(pair, level))
+    return pairs
 
 
 def relabel_state(state: BlockState, rng: random.Random) -> BlockState:
@@ -628,7 +659,7 @@ class TestLastLevel:
             slots = {}
             for s in (state, copy):
                 node = engine._Node(s)
-                moves = engine._read(node)
+                moves = node.read()
                 assert node.comps == _pair(s)
                 assert [pair for _, pair in moves] == [_pair(t) for t in successors(s)]
                 slots[s] = Counter(pair for _, pair in moves)
@@ -637,7 +668,7 @@ class TestLastLevel:
     def test_moves_match_union_find_reference(self):
         # The legal band pairs of the same 444 states, listed by a union-find
         # of the raw arcs: i <= j, and the two bands' arcs share a component
-        # on both sides.  `_read` must give them in the same order.
+        # on both sides.  A node's reading must give them in the same order.
         def components(kinds, arcs):
             parent = list(range(len(kinds)))
 
@@ -661,7 +692,7 @@ class TestLastLevel:
             bands = state.bands
             legal = [(i, j) for i, j in itertools.combinations_with_replacement(range(len(bands)), 2)
                      if plus[bands[i][0]] == plus[bands[j][0]] and minus[bands[i][2]] == minus[bands[j][2]]]
-            assert [ij for ij, _ in engine._read(engine._Node(state))] == legal
+            assert [ij for ij, _ in engine._Node(state).read()] == legal
 
     def test_last_level_keys_no_state(self, monkeypatch):
         # A depth-1 query keys no state: roots are not keyed, and a state at
@@ -740,10 +771,10 @@ class TestBoundaryFeasible:
 
     def test_chain_audit_node_count(self, monkeypatch):
         # The Thm7 Whitney chain r -> s_u^7 -> s_s^7 -> a (maximum edge
-        # weight 8) verifies from a fresh state graph and leaves at most the
-        # 70 nodes measured when each successor was first judged by the pair
-        # read off its parent, before keying (731 when every successor was
-        # keyed).
+        # weight 8) verifies from a fresh state graph and leaves the 66
+        # successor nodes, from 2 roots, of a walk that judges each successor
+        # by the pair read off its parent before building it (731 nodes when
+        # every successor was keyed); a walk that built more would show here.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         blocks._feasible.cache_clear()
         g = LyapunovGraph()
@@ -756,7 +787,7 @@ class TestBoundaryFeasible:
         verdict = realize(g)
         assert verdict.theorem == "Thm7"
         assert verify_certificate(g, verdict.certificate)
-        assert len(engine._GRAPH._nodes) <= 70
+        assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (66, 2)
 
     def test_closed_form_agrees_with_engine(self, monkeypatch):
         # Every diagonal entry and its reversal, every pair of per-side cap

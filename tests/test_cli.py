@@ -223,8 +223,9 @@ def test_realize_validates_once(sphere_file, capsys, monkeypatch):
 
 
 def test_validate_makes_one_incidence_pass(sphere_file, capsys, monkeypatch):
-    # The report and the semi-graphs are both read off one `incidence` pass.
-    modules = [importlib.import_module(f"gsflows.{name}") for name in ("model", "cli")]
+    # The report and the semi-graphs are both read off one `incidence` pass,
+    # the classification's.
+    modules = [importlib.import_module(f"gsflows.{name}") for name in ("model", "realize")]
     incidence = modules[0].incidence
     calls = []
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from gsflows.branched import CIRCLE, family_A, manifold
 from gsflows.documents import (
     ParseError,
     export_dot,
@@ -279,6 +280,26 @@ class TestReport:
         # '01' would name edge 1 beside '1', and the later key would win.
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             report_certificate({"version": 2, "certificate": {"1": "O", key: "0:0,0:0"}})
+
+    @pytest.mark.parametrize("form", ["O|", "x", "0:1,0:1"])
+    def test_malformed_form_names_its_key(self, form):
+        with pytest.raises(ValueError, match="^certificate '3': "):
+            report_certificate({"version": 2, "certificate": {"0": "O", "3": form}})
+
+    @pytest.mark.parametrize(
+        ("certificate", "key"),
+        [
+            ({0: manifold([CIRCLE]), 7: family_A(5), -3: family_A(2)}, "7"),
+            ({0: manifold([CIRCLE]), -3: family_A(2)}, "-3"),
+            (report_certificate({"certificate": {"0": "O", "1": "O"}}), "1"),
+        ],
+        ids=["seven", "minus-three", "report"],
+    )
+    def test_certificate_naming_no_edge_is_rejected(self, certificate, key):
+        # The sphere has one edge, and edge 0's form fits it: only the key
+        # that names no edge of the graph can reject the certificate.
+        with pytest.raises(ValueError, match=f"names {key}, which is not an edge index"):
+            verify_certificate(parse_graph(SPHERE_DOC), certificate)
 
     def test_fractional_formatting(self):
         g = parse_graph(SPHERE_DOC)

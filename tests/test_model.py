@@ -26,11 +26,11 @@ from gsflows.model import (
     reverse_nature,
     reverse_semigraph,
     semigraph,
-    semigraphs,
     total_folds,
     validate_graph,
 )
 from gsflows.generator import gen_random_gs_graph
+from gsflows.realize import InvalidGraphError, classify_graph
 from oracles import has_oriented_cycle
 
 T = SingularityType
@@ -237,14 +237,14 @@ class TestSemigraph:
     def test_one_pass_matches_projection(self, minimal):
         for seed in range(40):
             g = gen_random_gs_graph(seed, size=4 + seed, minimal=minimal)
-            assert semigraphs(g) == {vid: semigraph(g, vid) for vid in g.vertices}
+            assert classify_graph(g).semigraphs == {vid: semigraph(g, vid) for vid in g.vertices}
 
     def test_one_pass_keeps_edge_order_with_open_ends(self):
         g = graph(
             [("v", "D", "ss_s"), ("p", "D", "r"), ("q", "R", "a")],
             [(OPEN, "v", 2), ("p", "v", 1), ("v", "q", 3), ("p", OPEN, 4), ("v", OPEN, 5)],
         )
-        sgs = semigraphs(g)
+        sgs = classify_graph(g).semigraphs
         assert list(sgs) == ["v", "p", "q"]
         assert sgs == {vid: semigraph(g, vid) for vid in g.vertices}
         assert (sgs["v"].in_weights, sgs["v"].out_weights) == ((2, 1), (3, 5))
@@ -252,8 +252,9 @@ class TestSemigraph:
 
     def test_one_pass_rejects_isolated_vertex(self):
         g = graph([("v", "R", "a"), ("w", "R", "a")], [(OPEN, "v", 1)])
-        with pytest.raises(ValueError, match="vertex 'w' has degree 0"):
-            semigraphs(g)
+        with pytest.raises(InvalidGraphError, match="vertex w: isolated") as err:
+            classify_graph(g)
+        assert err.value.report == ["vertex w: isolated (semi-graphs need degree >= 1)"]
 
 
 class TestPoincareHopf:
