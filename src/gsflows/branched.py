@@ -44,14 +44,18 @@ class BranchedComponent:
     `autos` holds vertex automorphisms of the arcs as the canonizer found
     them, each listing the image of every vertex; they generate a group of
     symmetries, not necessarily all of them, and take no part in
-    comparison, hashing or repr.
+    comparison, hashing or repr.  The hash, `hash((order, arcs))` as a
+    dataclass would compute it, is computed once, at construction: every
+    feasibility table key and down-set look-up hashes components.
     """
 
     order: int
     arcs: tuple[tuple[int, int], ...]
     autos: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.order, self.arcs)))
         if self.order == 0:
             if self.arcs:
                 raise ValueError("a circle carries no arcs")
@@ -77,6 +81,9 @@ class BranchedComponent:
     def weight(self) -> int:
         # E - V + 1 with E = 2V, so V + 1; the circle contributes 1.
         return self.order + 1
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def encode(self) -> str:
         if self.is_circle:

@@ -11,6 +11,9 @@ connected canonical form.  When no condition applies, a bounded exhaustive
 search over per-edge form assignments either produces a certificate, proves
 non-realizability within the bound, or reports the question as open.  The
 search and the certificate audit share one assignment routine, `_assign`.
+It assigns connected components, not manifolds: a form of two or more
+components never reaches it, and each vertex check is one query of the
+feasibility table on the target pair read off its edges' components.
 
 `classify_graph` reads one `model.incidence` table: its report decides
 validity, and its edge index lists give each vertex's weights and, for the
@@ -37,10 +40,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .blocks import LocalVerdict, boundary_feasible, local_realizable
+from .blocks import LocalVerdict, _feasible, local_realizable
 from .branched import (
     MAX_ENUM_WEIGHT,
     Branched1Manifold,
+    BranchedComponent,
     enumerate_connected,
     family_A,
     family_B,
@@ -322,46 +326,57 @@ def verify_certificate(g: LyapunovGraph, cert: Certificate) -> bool:
     for i in edges:
         if i not in cert:
             raise ValueError(f"certificate misses edge {i}")
-    for i, e in enumerate(g.edges):
-        if len(cert[i].components) != 1 or cert[i].total_weight != e.weight:
+    comps = [cert[i].components for i in edges]
+    for c, e in zip(comps, g.edges):
+        if len(c) != 1 or c[0].weight != e.weight:
             return False
-    return _assign(g, ins, outs, [[cert[i]] for i in range(len(g.edges))]) is not None
+    return _assign(g, ins, outs, [[c[0]] for c in comps]) is not None
 
 
 def _search(g: LyapunovGraph, ins: dict[str, list[int]],
             outs: dict[str, list[int]]) -> Certificate | None:
     """Exhaustive per-edge assignment over all forms of each edge weight.
 
-    Returns the first block-feasible assignment found, or None.
+    Returns the first block-feasible assignment found, or None.  Forms are
+    tried in the order of their text encodings, and each distinct form found
+    is wrapped as a manifold once.
     """
-    by_weight = {
-        w: sorted((manifold([c]) for c in enumerate_connected(w)), key=lambda m: m.encode())
-        for w in {e.weight for e in g.edges}
-    }
-    return _assign(g, ins, outs, [by_weight[e.weight] for e in g.edges])
+    by_weight = {w: sorted(enumerate_connected(w), key=BranchedComponent.encode)
+                 for w in {e.weight for e in g.edges}}
+    found = _assign(g, ins, outs, [by_weight[e.weight] for e in g.edges])
+    if found is None:
+        return None
+    wrapped = {c: manifold([c]) for c in set(found)}
+    return {i: wrapped[c] for i, c in enumerate(found)}
 
 
 def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[int]],
-            candidates: list[list[Branched1Manifold]]) -> Certificate | None:
-    """The first choice of one candidate form per edge that makes every
-    vertex block-feasible, or None.
+            candidates: list[list[BranchedComponent]]) -> list[BranchedComponent] | None:
+    """The first choice of one candidate component per edge that makes every
+    vertex block-feasible, as a list indexed by edge, or None.
 
     `ins` and `outs` are the graph's edge index lists (`incidence`).  Edges
     are assigned by index and candidates tried in list order; a vertex is
     checked once its last incident edge has a form, and a vertex without
-    edges before any edge.  The backtracking is iterative, so the depth is
+    edges before any edge.  The checks are listed per slot, the index of
+    that last edge plus one (slot 0 for no edge), as (label, entering edge
+    indices, exiting edge indices), and a check is one query of the
+    feasibility table (`blocks._feasible`) on the target pair read off the
+    assigned components.  The backtracking is iterative, so the depth is
     not bounded by the recursion limit.
     """
-    check_after: dict[int, list[str]] = {i: [] for i in range(-1, len(g.edges))}
-    for vid in g.vertices:
-        check_after[max(ins[vid] + outs[vid], default=-1)].append(vid)
-    forms: list[Branched1Manifold | None] = [None] * len(g.edges)
+    checks: list[list[tuple]] = [[] for _ in range(len(g.edges) + 1)]
+    for vid, label in g.vertices.items():
+        checks[max(ins[vid] + outs[vid], default=-1) + 1].append((label, ins[vid], outs[vid]))
+    forms: list[BranchedComponent | None] = [None] * len(g.edges)
 
-    def feasible_at(vid: str) -> bool:
-        return boundary_feasible(g.vertices[vid], [forms[i] for i in ins[vid]],
-                                 [forms[i] for i in outs[vid]])
+    def holds(slot: int) -> bool:
+        for label, a, b in checks[slot]:
+            if not _feasible(label, (tuple(sorted([forms[i] for i in a])), tuple(sorted([forms[i] for i in b])))):
+                return False
+        return True
 
-    if not all(feasible_at(vid) for vid in check_after[-1]):
+    if not holds(0):
         return None
     tried = [0] * len(g.edges)
     idx = 0
@@ -372,9 +387,9 @@ def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[in
             continue
         forms[idx] = candidates[idx][tried[idx]]
         tried[idx] += 1
-        if all(feasible_at(vid) for vid in check_after[idx]):
+        if holds(idx + 1):
             idx += 1
-    return None if idx < 0 else dict(enumerate(forms))
+    return None if idx < 0 else forms
 
 
 def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVerdict:

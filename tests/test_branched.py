@@ -112,6 +112,17 @@ class TestIsomorphism:
             relabeled = canonical_component(comp.order, [(perm[u], perm[v]) for u, v in comp.arcs])
             assert relabeled == comp
 
+    def test_hash_is_that_of_order_and_arcs(self):
+        # The hash computed at construction is the dataclass hash of the
+        # compared fields, so set and dict orders are those of that hash,
+        # and `autos` takes no part in it.
+        forms = [c for w in range(1, 7) for c in enumerate_connected(w)]
+        assert any(c.autos for c in forms)
+        for c in forms:
+            assert hash(c) == hash((c.order, c.arcs))
+            bare = BranchedComponent(c.order, c.arcs)
+            assert bare == c and bare.autos == () and hash(bare) == hash(c)
+
     def test_equivalence_on_enumeration(self):
         for w in range(2, 6):
             forms = enumerate_connected(w)

@@ -1,17 +1,28 @@
 import functools
+from collections import Counter
 import importlib
 import time
 
 import pytest
 
-from gsflows.branched import MAX_ENUM_WEIGHT, family_A, family_B, family_minimal, parse_manifold
+from gsflows.branched import (
+    CIRCLE,
+    MAX_ENUM_WEIGHT,
+    enumerate_connected,
+    family_A,
+    family_B,
+    family_minimal,
+    manifold,
+    parse_manifold,
+)
 from gsflows.cli import EX_OK, main
 from gsflows.documents import serialize_graph
 from gsflows.generator import gen_random_gs_graph
-from gsflows.blocks import local_realizable
+from gsflows.blocks import boundary_feasible, local_realizable
 from gsflows.model import (
     Edge,
     LyapunovGraph,
+    Nature,
     SemiGraph,
     SingularityType,
     VertexLabel,
@@ -21,6 +32,7 @@ from gsflows.model import (
     euler_gs,
     fold_balance,
     fold_degrees,
+    incidence,
     nature_totals,
     parse_nature,
     parse_type,
@@ -33,6 +45,7 @@ from gsflows.realize import (
     UNKNOWN,
     CONDITIONS,
     InvalidGraphError,
+    _search,
     check_condition,
     classify_graph,
     lemma_familyB_ok,
@@ -496,6 +509,100 @@ class TestVerifyCertificate:
         for g in (cyclic, open_graph):
             with pytest.raises(InvalidGraphError):
                 realize(g)
+
+
+def _audit_by_vertex(g, cert):
+    """`verify_certificate`'s definition read vertex by vertex: one connected
+    form of the edge weight on every edge, and `boundary_feasible` on the
+    lists of forms around every vertex."""
+    ins, outs, _ = incidence(g)
+    forms_fit = all(len(cert[i].components) == 1 and cert[i].total_weight == e.weight
+                    for i, e in enumerate(g.edges))
+    return forms_fit and all(
+        boundary_feasible(label, [cert[i] for i in ins[v]], [cert[i] for i in outs[v]])
+        for v, label in g.vertices.items()
+    )
+
+
+def _manifold_search(g):
+    """Depth-first assignment of one-component manifolds per edge, in order
+    of their encodings, checking each vertex with `boundary_feasible` once its
+    last incident edge has a form: the first full assignment, or None."""
+    ins, outs, _ = incidence(g)
+    candidates = [sorted((manifold([c]) for c in enumerate_connected(e.weight)), key=lambda m: m.encode())
+                  for e in g.edges]
+    last = {v: max(ins[v] + outs[v], default=-1) for v in g.vertices}
+    forms = [None] * len(g.edges)
+
+    def checked(idx):
+        return all(boundary_feasible(g.vertices[v], [forms[i] for i in ins[v]], [forms[i] for i in outs[v]])
+                   for v in g.vertices if last[v] == idx)
+
+    def extend(idx):
+        if idx == len(g.edges):
+            return True
+        for m in candidates[idx]:
+            forms[idx] = m
+            if checked(idx) and extend(idx + 1):
+                return True
+        return False
+
+    return dict(enumerate(forms)) if checked(-1) and extend(0) else None
+
+
+def _light_graphs():
+    """Generated graphs, minimal and general, whose edges weigh at most 5."""
+    for seed in range(120):
+        g = gen_random_gs_graph(seed, size=4 + seed % 5, minimal=seed % 2 == 0)
+        if max(e.weight for e in g.edges) <= 5:
+            yield g
+
+
+class TestComponentAssignment:
+    def test_audit_is_the_per_vertex_conjunction(self):
+        tampers = Counter()
+        for g in _light_graphs():
+            verdict = realize(g, search_bound=5)
+            if not verdict.realizable:
+                continue
+            cert = verdict.certificate
+            assert verify_certificate(g, cert) and _audit_by_vertex(g, cert)
+            bad = {}
+            for i, e in enumerate(g.edges):
+                # The double-crossing attractor block is rigid: only the
+                # minimal form of weight 3 enters it.
+                if e.weight == 3 and g.vertices[e.dst] == VertexLabel(SingularityType.DOUBLE, Nature.A):
+                    bad["rigid-attractor"] = {**cert, i: family_A(3)}
+                    break
+            heaviest = max(range(len(g.edges)), key=lambda i: g.edges[i].weight)
+            w = g.edges[heaviest].weight
+            bad["wrong-weight"] = {**cert, heaviest: family_A(w + 1)}
+            if w >= 2:
+                bad["two-component"] = {**cert, heaviest: manifold([CIRCLE, *family_B(w - 1).components])}
+            for why, tampered in bad.items():
+                tampers[why] += 1
+                assert not verify_certificate(g, tampered) and not _audit_by_vertex(g, tampered), why
+            with pytest.raises(ValueError, match="misses edge"):
+                verify_certificate(g, {i: m for i, m in cert.items() if i != heaviest})
+        assert min(tampers[why] for why in ("rigid-attractor", "wrong-weight", "two-component")) >= 3
+
+    def test_search_matches_manifold_backtracking(self):
+        searched = found = 0
+        for g in _light_graphs():
+            ins, outs, _ = incidence(g)
+            cert = _search(g, ins, outs)
+            assert cert == _manifold_search(g)
+            searched += 1
+            if cert is not None:
+                found += 1
+                # Each distinct form is one manifold object, encoded once in a report.
+                assert len({id(m) for m in cert.values()}) == len(set(cert.values()))
+        assert searched > 60 and 0 < found < searched
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    def test_search_only_matches_manifold_backtracking(self, bound):
+        expected = _manifold_search(SEARCH_ONLY) if bound >= 5 else None
+        assert realize(SEARCH_ONLY, search_bound=bound).certificate == expected
 
 
 class TestSearchAgreement:
