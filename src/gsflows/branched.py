@@ -759,8 +759,9 @@ def family_B(w: int) -> Branched1Manifold:
     chain = _chain_component(w - 1)
     n = chain.order
     arcs = list(chain.arcs)
-    # Subdivide one arc of a terminal triple and hang a loop on it.
-    terminal = arcs[0]
+    # Subdivide one arc of a terminal triple, the only arcs of multiplicity
+    # at least 3, and hang a loop on it.
+    terminal = next(arc for arc in arcs if arcs.count(arc) >= 3)
     arcs.remove(terminal)
     arcs.extend([(terminal[0], n), (terminal[1], n), (n, n)])
     return manifold([canonical_component(n + 1, arcs)])

@@ -412,7 +412,7 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pa
     root, mirrored = _GRAPH.root(initial)
     total = sum(map(sum, _weights(root.comps)))
     if total > max_combined_weight:
-        return set(), False
+        return set(), not root.state.bands
     pairs = {root.comps}
     # Each move adds two to the combined weight; the last level's pairs are
     # read off the nodes one move short of it.

@@ -29,6 +29,7 @@ from gsflows.branched import (
     family_minimal,
     manifold,
     parse_manifold,
+    split_off,
     suppress,
 )
 from gsflows import engine
@@ -540,12 +541,64 @@ class TestClosures:
                 assert pairs == _breadth_first_closure(entry.state, bound), (entry.name, bound)
                 assert complete == (not entry.state.bands), entry.name
 
+    def test_bound_below_combined_weight(self):
+        # Below its own combined weight a block reaches no pair.  The search
+        # is complete exactly when the block has no band, and so no move.
+        bandless = []
+        for block in minimal_block_catalog():
+            if not block.state.bands:
+                bandless.append(block.name)
+            for entry in (block, block.reversed()):
+                complete = not entry.state.bands
+                for bound in range(sum(entry.min_in) + sum(entry.min_out)):
+                    assert engine.closure_pairs(entry.state, bound) == (set(), complete), (entry.name, bound)
+                    closure = passageway_closure(entry, bound)
+                    assert (closure.pairs, closure.complete) == (frozenset(), complete), (entry.name, bound)
+        assert bandless == ["R_a", "C_a", "W_a", "D_a", "T_a"]
+
+    @pytest.mark.parametrize("name, bound, count", [
+        ("W_ss_11", 5, 3), ("W_ss_11", 7, 9), ("W_ss_11", 9, 29), ("W_ss_11", 11, 112),
+        ("W_ss_12", 6, 2), ("W_ss_12", 8, 6), ("W_ss_12", 10, 17), ("W_ss_12", 12, 59),
+    ])
+    def test_whitney_saddle_closure_is_one_point_splits(self, name, bound, count):
+        # W_ss_11 reaches exactly the pairs (X, Y) with Y a connected
+        # one-point split of X (`split_off`), and W_ss_12 exactly the splits
+        # of X into two components, within the bound.  Pinned as groundwork
+        # for a closed-form rule; no verdict reads it yet.
+        entry = next(e for e in minimal_block_catalog() if e.name == name)
+        expected = set()
+        for w in range(2, (bound + 1) // 2 + 1):
+            for x in enumerate_connected(w):
+                for v in range(x.order):
+                    if name == "W_ss_11":
+                        splits = {(y,) for y in split_off(x, v)}
+                    else:
+                        splits = {y for y in _point_splits(x, v) if len(y) == 2}
+                    expected.update(((x,), y) for y in splits if w + sum(c.weight for c in y) <= bound)
+        pairs, _ = engine.closure_pairs(entry.state, bound)
+        assert pairs == expected
+        assert len(pairs) == count
+
     def test_reversed_block_has_mirrored_closure(self):
         for entry in minimal_block_catalog():
             forward = passageway_closure(entry, max_total_weight=7)
             backward = passageway_closure(entry.reversed(), max_total_weight=7)
             assert backward.pairs == {(q, p) for p, q in forward.pairs}, entry.name
             assert backward.complete == forward.complete, entry.name
+
+
+def _point_splits(c: BranchedComponent, v: int) -> set[tuple[BranchedComponent, ...]]:
+    """Every result of splitting branch point v of c into two interior
+    points, one per pairing of its four arc ends, as sorted components;
+    `split_off` keeps only the connected ones."""
+    ends = [(i, k) for i, arc in enumerate(c.arcs) for k in (0, 1) if arc[k] == v]
+    out = set()
+    for partner in (1, 2, 3):
+        edges = [list(arc) for arc in c.arcs]
+        for n, (i, k) in enumerate(ends):
+            edges[i][k] = c.order if n in (0, partner) else c.order + 1
+        out.add(tuple(sorted(suppress(edges)[0])))
+    return out
 
 
 def _breadth_first_closure(state: BlockState, bound: int) -> set:
@@ -771,7 +824,7 @@ class TestBoundaryFeasible:
 
     def test_chain_audit_node_count(self, monkeypatch):
         # The Thm7 Whitney chain r -> s_u^7 -> s_s^7 -> a (maximum edge
-        # weight 8) verifies from a fresh state graph and leaves the 66
+        # weight 8) verifies from a fresh state graph and leaves the 74
         # successor nodes, from 2 roots, of a walk that judges each successor
         # by the pair read off its parent before building it (731 nodes when
         # every successor was keyed); a walk that built more would show here.
@@ -787,7 +840,7 @@ class TestBoundaryFeasible:
         verdict = realize(g)
         assert verdict.theorem == "Thm7"
         assert verify_certificate(g, verdict.certificate)
-        assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (66, 2)
+        assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (74, 2)
 
     def test_closed_form_agrees_with_engine(self, monkeypatch):
         # Every diagonal entry and its reversal, every pair of per-side cap
@@ -920,19 +973,14 @@ class TestBoundaryFeasible:
 
 
 class TestDegreeTwoFamilySweep:
-    @pytest.mark.parametrize(
-        "family, failures",
-        [(family_A, set()), (family_B, {("D,sa", 8, 6), ("D,sr", 6, 8)})],
-        ids=["family_A", "family_B"],
-    )
-    def test_uniform_family_forms(self, family, failures):
-        """One entering and one exiting edge, weights 1 to 8, every label but
-        the triple crossings: the vertices `local_realizable` accepts, and
-        those whose two family forms no block realizes.
+    @pytest.mark.parametrize("family", [family_A, family_B], ids=["family_A", "family_B"])
+    def test_uniform_family_forms(self, family):
+        """One entering and one exiting edge, weights 1 to 10, every label but
+        the triple crossings: some block realizes the two family forms at
+        every vertex `local_realizable` accepts.
 
-        The family_B failures are ROADMAP item 1's open discrepancy between
-        the uniform certificates and the catalog.  They are pinned so that
-        any change to them shows; this test does not claim they are right.
+        The theorems' certificates are these forms, so a shape listed here
+        would be a `realizable` verdict whose certificate fails its audit.
         """
         accepted, infeasible = 0, set()
         for kind in SingularityType:
@@ -940,14 +988,14 @@ class TestDegreeTwoFamilySweep:
                 continue
             for nature in ADMISSIBLE_NATURES[kind]:
                 label = VertexLabel(kind, nature)
-                for w_in, w_out in itertools.product(range(1, 9), repeat=2):
+                for w_in, w_out in itertools.product(range(1, 11), repeat=2):
                     if not local_realizable(SemiGraph(label, (w_in,), (w_out,))).ok:
                         continue
                     accepted += 1
                     if not boundary_feasible(label, [family(w_in)], [family(w_out)]):
                         infeasible.add((str(label), w_in, w_out))
-        assert accepted == 54
-        assert infeasible == failures
+        assert accepted == 70
+        assert infeasible == set()
 
 
 def _partitions(total: int, parts: int) -> list[tuple[int, ...]]:

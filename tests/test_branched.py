@@ -486,6 +486,19 @@ class TestFamilies:
                     for r in split
                 )
 
+    def test_families_split_back_one_weight(self):
+        # Each form splits (`split_off`) into the family's form one weight
+        # lower, and an even-weight circle-chain form is a split of the next,
+        # odd, chain: a Whitney saddle block grows between consecutive
+        # weights of a family only along such splits.
+        for w in range(2, 41):
+            for family in (family_A, family_B):
+                c = family(w).components[0]
+                assert any(family(w - 1).components[0] in split_off(c, v) for v in range(c.order)), (family, w)
+            if w % 2 == 0:
+                chain = family_B(w + 1).components[0]
+                assert any(family_B(w).components[0] in split_off(chain, v) for v in range(chain.order)), w
+
     def test_agreement_at_low_weights(self):
         assert family_A(1) == family_B(1)
         assert family_A(2) == family_B(2)

@@ -605,6 +605,29 @@ class TestComponentAssignment:
         assert realize(SEARCH_ONLY, search_bound=bound).certificate == expected
 
 
+def _whitney_chain(k):
+    """Thm7 chain r -> s_u^k -> s_s^k -> a; its maximum edge weight is k + 1."""
+    path = ["r", *(f"u{i}" for i in range(k)), *(f"s{i}" for i in range(k)), "a"]
+    kinds = {"r": ("R", "r"), "u": ("W", "s_u"), "s": ("W", "s_s"), "a": ("R", "a")}
+    weights = [*range(1, k + 2), *range(k, 0, -1)]
+    return G([(vid, *kinds[vid[0]]) for vid in path], list(zip(path, path[1:], weights)))
+
+
+class TestTheoremCertificatesVerify:
+    @pytest.mark.parametrize("make, theorem", [
+        (lambda: _whitney_chain(8), "Thm7"),
+        (lambda: gen_random_gs_graph(1573837159, size=22, minimal=False), "Thm8"),
+        (lambda: gen_random_gs_graph(730740100, size=16, minimal=False), "Thm10-ii"),
+    ], ids=["whitney-chain-w9", "thm8-n22", "thm10ii-n16"])
+    def test_certificate_passes_its_audit(self, make, theorem):
+        # Each of these carried an even-weight circle-chain form that no
+        # block realizes when that form's loop hung on a middle arc.
+        g = make()
+        verdict = realize(g)
+        assert verdict.status == REALIZABLE and verdict.theorem == theorem
+        assert verify_certificate(g, verdict.certificate)
+
+
 class TestSearchAgreement:
     def test_search_and_minimal_dispatch_agree(self):
         # Exhaustive assignment and the all-minimal condition both say yes.
