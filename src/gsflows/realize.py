@@ -372,7 +372,8 @@ def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[in
 
     def holds(slot: int) -> bool:
         for label, a, b in checks[slot]:
-            if not _feasible(label, (tuple(sorted([forms[i] for i in a])), tuple(sorted([forms[i] for i in b])))):
+            target = (tuple(sorted([forms[i] for i in a])), tuple(sorted([forms[i] for i in b])))
+            if not _feasible(label, target):
                 return False
         return True
 
