@@ -92,9 +92,9 @@ keeps the state diagonal, and every reachable pair has equal sides.  In the
 other, under sigma two entering points share a component exactly when their
 exit points do, so each entering circle can follow any growth path of
 `branched.enumerate_connected`, and every pair with equal sides is reached.
-`blocks.boundary_feasible` answers those blocks in closed form, and keeps
-each distinct query's answer for the life of the process, a table beside
-`_GRAPH`, so this module sees every other query once.
+The feasibility table (`blocks._feasible`) answers those blocks in closed
+form, and keeps each distinct query's answer for the life of the process, a
+table beside `_GRAPH`, so this module sees every other query once.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import functools
-from collections import Counter
 import importlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -601,6 +601,7 @@ class TestComponentAssignment:
 
     @pytest.mark.parametrize("bound", [4, 5])
     def test_search_only_matches_manifold_backtracking(self, bound):
+        # Below its weight-5 edge the bound leaves the graph unknown, unsearched.
         expected = _manifold_search(SEARCH_ONLY) if bound >= 5 else None
         assert realize(SEARCH_ONLY, search_bound=bound).certificate == expected
 
