@@ -26,14 +26,35 @@ time-reversed semi-graph.  A verdict is computed afresh on every call;
 `realize._vertex_facts` is the memo that keeps one per vertex shape.
 
 Boundary feasibility asks whether some block for a label grows, by the
-engine's passageway moves, into a given pair of branched 1-manifolds.  Most
-blocks answer by a capped walk of the engine's state graph.  A *diagonal*
-block answers in closed form: one with no dead arcs, only circles on its
-boundary, and a kind-preserving bijection sigma of entering onto exiting
-vertices that carries every band's entering arc onto that band's exiting
-arc, end to end (`CatalogEntry.diagonal`; a reversal is diagonal through
-sigma's inverse).  Such a block grows into exactly the pairs whose exiting
-side equals its entering side, component for component:
+engine's passageway moves, into a given pair of branched 1-manifolds.  Each
+block answers by one rule, read off its state when its catalog entry is
+built (`CatalogEntry.rule`, `_rule`); a reversal reads its own state, so its
+rule is the mirror of its block's:
+
+=============  =====================================  ======================
+rule           blocks                                 feasible targets
+=============  =====================================  ======================
+band-free      R_a, C_a, W_a, D_a, T_a                the block's own pair
+diagonal       C_s_11, R_s_11, C_s_22                 equal sides
+point split    W_ss_11, W_ss_12                       splits of X at a point
+arc sum        R_s_12                                 X an arc sum of Y1, Y2
+walk           the 22 D_sa_*, D_sss_* and T_ssa_*     a capped engine walk
+=============  =====================================  ======================
+
+Here X is the one component on the branch side (point split) or on the
+one-circle side (arc sum), and the other side holds the rest of the target.
+Each rule but the walk is proved below; the walk is exact by construction
+(`engine.reachable_pairs_capped`).
+
+*Band-free.*  A block with no band has no move, so it reaches only its own
+pair (`CatalogEntry.sides`).
+
+*Diagonal.*  One with no dead arcs, only circles on its boundary, and a
+kind-preserving bijection sigma of entering onto exiting vertices that
+carries every band's entering arc onto that band's exiting arc, end to end
+(a reversal is diagonal through sigma's inverse).  Such a block grows into
+exactly the pairs whose exiting side equals its entering side, component
+for component:
 
 * a move keeps the state diagonal.  `engine._apply` splits the band's two
   arcs at matching places, so sigma extended by the two new branch points
@@ -45,9 +66,53 @@ side equals its entering side, component for component:
   any growth path of `branched.enumerate_connected`, independently of the
   others, and every connected form grows from the circle.
 
-So a diagonal block is feasible for a target exactly when both sides hold
-the same components.  The cone and regular saddle blocks `C_s_11`, `R_s_11`
-and `C_s_22` are the diagonal ones.
+The two remaining rules rest on one lemma.  *Marked growth:* a connected
+component C with marked interior points, each perhaps with a direction of
+its arc, grows from a circle carrying the same marks by same-component
+identifications of unmarked points.  By reverse induction on the weight: a
+C that is not a circle has a branch point b, and b has a split whose result
+C' is connected (the splitting lemma for Eulerian graphs, H. Fleischner,
+*Eulerian Graphs and Related Topics*, 1990; pair b's arc ends as an Euler
+tour of C passes through b).  The marks and their directions lie away from
+b and pass to C' unchanged, C' grows from the marked circle, and
+identifying its two split points gives C back.  A circle with one mark,
+directed or not, or with two undirected marks is unique up to homeomorphism
+(a reflection reverses a direction), which is all the rules below use.  In
+both blocks no arc is dead and every vertex is a branch point or a marker,
+so every unmarked interior point lies on a band's arc, and identifying two
+of them on one component of the parts side is a move whenever the other
+side is connected, as it always is here.
+
+*Point split* (`W_ss_11`, `W_ss_12`; the branch side is the exiting side of
+a reversal).  The branch side is one branch point b carrying two band
+loops, and the other side two markers k0, k1, each band's arc running
+between them or looping at one.  Forward: identifying k0 with k1 gives the
+branch side, band arc onto band arc, and a move identifies matching points
+on both sides, so that stays true.  So every reachable pair is (X, Y) with
+Y a split of X at one branch point (`branched.point_splits`), connected for
+`W_ss_11`, of two components for `W_ss_12`.  Conversely, let Y be such a
+split of X, with split points x and y.  Marked growth, on Y with marks x
+and y, or on each of its two components with its one mark, grows it from
+the block's exiting side, and every step is a move; at the end the branch
+side is Y with x and y identified, that is X.  The bands fix no pairing at
+b: the pairing is Y's, and any Y is grown.
+
+*Arc sum* (`R_s_12`).  The one-circle side is a circle through two markers
+whose two arcs are band arcs; on the parts side each band is a loop at its
+own marker, so that side is two circles Y1, Y2.  Forward: each band arc of
+the circle is the exit circle of that band cut open at its marker, and a
+move identifies matching points away from the markers, so the circle side
+stays the sum of Y1 and Y2 cut open at their markers and joined end to end
+as the bands run (`branched.arc_sums`).  Conversely, given X, a sum of Y1
+and Y2 at one arc of each, put a directed mark at each cut point so that
+the bands join the ends as the sum does; reversing Y2's direction gives the
+other join.  Marked growth grows each Yi with its mark from its exit circle,
+every step a move, and the circle side is then X.
+
+So each of these blocks is feasible for a target exactly when its rule
+holds.  The test suite checks the rules against the walk on every target
+of every entry and reversal at combined weight 9 or less, and each rule's
+set against the block's closure up to combined weight 13.
 
 A query is its target pair: one connected component per edge, sorted per
 side.  Each distinct query (label, target pair) is answered once per
@@ -66,7 +131,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import engine
-from .branched import Branched1Manifold
+from .branched import Branched1Manifold, arc_sums, point_splits
 from .engine import BlockState
 from .model import (
     Nature,
@@ -280,9 +345,10 @@ class CatalogEntry:
     #: Component pairs (entering, exiting) joined by some flow band, indexed
     #: as the components of `n_plus` and `n_minus`.
     routing: frozenset[tuple[int, int]] = field(init=False)
-    #: Whether the block grows into exactly the pairs with equal sides (see
-    #: the module docstring).
-    diagonal: bool = field(init=False)
+    #: How `_entry_feasible` answers the block (see the module docstring):
+    #: the rule read off its state by `_rule`, and for a point split or an
+    #: arc sum the index of the side that holds the one component X.
+    rule: tuple[str, int] = field(init=False)
     #: Fold degrees of the label on the entering and exiting sides.
     beta_in: int = field(init=False)
     beta_out: int = field(init=False)
@@ -297,8 +363,12 @@ class CatalogEntry:
                             # Canonical components sort by order, so their weights come sorted.
                             ("min_in", tuple(c.weight for c in ins)), ("min_out", tuple(c.weight for c in outs)),
                             ("e_plus", len(ins)), ("e_minus", len(outs)), ("routing", routing),
-                            ("diagonal", _is_diagonal(self.state)), ("beta_in", beta_in), ("beta_out", beta_out)):
+                            ("rule", _rule(self.state)), ("beta_in", beta_in), ("beta_out", beta_out)):
             object.__setattr__(self, name, value)
+
+    @property
+    def diagonal(self) -> bool:
+        return self.rule[0] == DIAGONAL
 
     def reversed(self) -> "CatalogEntry":
         return CatalogEntry(
@@ -309,6 +379,32 @@ class CatalogEntry:
             self.provisional,
             self.sides[::-1],
         )
+
+
+#: The feasibility rules, one per catalog entry (see the module docstring).
+BAND_FREE, DIAGONAL, POINT_SPLIT, ARC_SUM, WALK = "band-free", "diagonal", "point split", "arc sum", "walk"
+
+
+def _rule(st: BlockState) -> tuple[str, int]:
+    """The state's feasibility rule, and the side of X for a point split or an arc sum.
+
+    A point split has one branch point on one side and two markers on the
+    other; an arc sum two markers on each side, band arcs joining them on
+    one and looping on the other.  Neither has dead arcs.
+    """
+    if not st.bands:
+        return BAND_FREE, 0
+    if _is_diagonal(st):
+        return DIAGONAL, 0
+    if not (st.plus_dead or st.minus_dead):
+        two = (engine.MARKER, engine.MARKER)
+        sides = ((st.plus_kinds, st.plus_arcs), (st.minus_kinds, st.minus_arcs))
+        for side, ((kinds, arcs), (other, other_arcs)) in enumerate((sides, sides[::-1])):
+            if kinds == (engine.BRANCH,) and other == two:
+                return POINT_SPLIT, side
+            if kinds == other == two and all(u != v for u, v in arcs) and all(u == v for u, v in other_arcs):
+                return ARC_SUM, side
+    return WALK, 0
 
 
 def _is_diagonal(st: BlockState) -> bool:
@@ -496,13 +592,25 @@ def _feasible(label: VertexLabel, target: engine.Pair) -> bool:
 
 
 def _entry_feasible(entry: CatalogEntry, target: engine.Pair) -> bool:
-    """Whether the block grows into the target pair, whose component weights cap its own."""
+    """Whether the block grows into the target pair, by the entry's rule.
+
+    A target of other component counts, or whose two sides grow by unequal
+    weights, is infeasible for every rule.
+    """
     if entry.e_plus != len(target[0]) or entry.e_minus != len(target[1]):
         return False
     plus, minus = (sum(c.weight for c in side) for side in target)
     k = plus - sum(entry.min_in)
     if k < 0 or minus - sum(entry.min_out) != k:
         return False
-    if entry.diagonal:
+    rule, side = entry.rule
+    if rule == WALK:
+        return engine.reachable_pairs_capped(entry.state, target)
+    if rule == BAND_FREE:
+        return target == (entry.sides[0][0], entry.sides[1][0])
+    if rule == DIAGONAL:
         return target[0] == target[1]
-    return engine.reachable_pairs_capped(entry.state, target)
+    (whole,), parts = target[side], target[1 - side]
+    if rule == POINT_SPLIT:
+        return parts in point_splits(whole)
+    return whole in arc_sums(*parts)

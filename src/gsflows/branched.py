@@ -622,11 +622,19 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
 def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:
     """Connected results of splitting branch point v into two interior points.
 
+    This is the inverse of a same-component `identify_points`: every result
+    weighs one less than c, and identifying its two new points gives c
+    back.  Disconnected results of `_split` are dropped; the rest are
+    returned distinct and sorted.
+    """
+    return sorted({s[0] for s in _split(c, v) if len(s) == 1})
+
+
+def _split(c: BranchedComponent, v: int) -> set[tuple[BranchedComponent, ...]]:
+    """Every result of splitting branch point v, as sorted components.
+
     The four arc ends at v are paired in each of the three ways, and each
-    pair is joined at a new interior point.  This is the inverse of a
-    same-component `identify_points`: every result weighs one less than c,
-    and identifying its two new points gives c back.  Disconnected results
-    are dropped; the rest are returned distinct and sorted.
+    pair is joined at a new interior point.
     """
     if c.is_circle or not 0 <= v < c.order:
         raise ValueError(f"component has no branch point {v}")
@@ -637,27 +645,60 @@ def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:
         edges = [list(arc) for arc in c.arcs]
         for n, (i, k) in enumerate(ends):
             edges[i][k] = x if n in (0, partner) else y
-        comps = suppress(edges)[0]
-        if len(comps) == 1:
-            out.add(comps[0])
-    return sorted(out)
+        out.add(suppress(edges)[0])
+    return out
 
 
 @cache
-def down_set(c: BranchedComponent) -> frozenset[BranchedComponent]:
-    """Every connected form that same-component identifications grow into c.
+def point_splits(c: BranchedComponent) -> frozenset[tuple[BranchedComponent, ...]]:
+    """Every result of splitting one branch point of c, as sorted components.
 
-    The closure of c under `split_off`, c included, memoised per component.
-    An automorphism carries one branch point's splits onto another's, so
-    only the least branch point of each orbit under `c.autos` is split.
+    A result is connected, one weight lighter than c, or has two components
+    whose weights sum to c's.  An automorphism carries one branch point's
+    splits onto another's, so only the least branch point of each orbit
+    under `c.autos` is split (`_split`).  Memoised per component; the
+    down-sets and the Whitney saddle rule (`blocks`) read it.
     """
     parent = list(range(c.order))
     for g in c.autos:
         for v, w in enumerate(g):
             a, b = _find(parent, v), _find(parent, w)
             parent[max(a, b)] = min(a, b)
-    firsts = [v for v in range(c.order) if parent[v] == v]
-    return frozenset([c]).union(*(down_set(p) for v in firsts for p in split_off(c, v)))
+    return frozenset().union(*(_split(c, v) for v in range(c.order) if parent[v] == v))
+
+
+@cache
+def down_set(c: BranchedComponent) -> frozenset[BranchedComponent]:
+    """Every connected form that same-component identifications grow into c.
+
+    The closure of c under `split_off`, c included, read off the connected
+    results of `point_splits`; memoised per component.
+    """
+    return frozenset([c]).union(*(down_set(s[0]) for s in point_splits(c) if len(s) == 1))
+
+
+def arc_sums(c: BranchedComponent, d: BranchedComponent) -> set[BranchedComponent]:
+    """Every sum of c and d along one arc of each.
+
+    One arc of each is cut open at an interior point and the four ends are
+    joined across, in either of the two ways; parallel arcs give the same
+    sums.  A circle has one arc, so a sum with a circle gives the other
+    component back.  The result weighs one less than c and d together.
+    """
+    if c.is_circle or d.is_circle:
+        return {d if c.is_circle else c}
+    n = c.order
+    out = set()
+    for u, v in set(c.arcs):
+        rest_c = list(c.arcs)
+        rest_c.remove((u, v))
+        for s, t in set(d.arcs):
+            rest_d = list(d.arcs)
+            rest_d.remove((s, t))
+            rest = rest_c + [(a + n, b + n) for a, b in rest_d]
+            for ends in (((u, s + n), (v, t + n)), ((u, t + n), (v, s + n))):
+                out.add(canonical_component(n + d.order, rest + list(ends)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,8 @@ def test_every_tag_and_pre_hook_reads_a_real_call(monkeypatch):
     monkeypatch.setattr(engine, "reachable_pairs_capped",
                         record("engine.reachable_pairs_capped", engine.reachable_pairs_capped))
     blocks._feasible.cache_clear()
-    query = (VertexLabel(parse_type("W"), parse_nature("s_s")), [family_A(3)],
+    # A double-crossing saddle block answers by a walk (D_sss_22).
+    query = (VertexLabel(parse_type("D"), parse_nature("ss_s")), [family_A(3), family_minimal(2)],
              [family_minimal(2), family_minimal(1)])
     calls["blocks.boundary_feasible"] = (query, blocks.boundary_feasible(*query))
     sphere = LyapunovGraph()

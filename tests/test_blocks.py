@@ -29,6 +29,7 @@ from gsflows.branched import (
     family_minimal,
     manifold,
     parse_manifold,
+    point_splits,
     split_off,
     suppress,
 )
@@ -46,6 +47,7 @@ from gsflows.model import (
     SemiGraph,
     SingularityType,
     VertexLabel,
+    degree_bounds_ok,
     fold_degrees,
     parse_nature,
     parse_type,
@@ -347,6 +349,28 @@ class TestCatalog:
         diagonal = {e.name for b in minimal_block_catalog() for e in (b, b.reversed()) if e.diagonal}
         assert diagonal == {f"{n}{r}" for n in ("C_s_11", "R_s_11", "C_s_22") for r in ("", "~rev")}
 
+    def test_rules(self):
+        # One feasibility rule per entry, read off its state; a reversal
+        # takes its block's rule with X on the other side.
+        rules = {e.name: e.rule for b in minimal_block_catalog() for e in (b, b.reversed())}
+        expected = {}
+        for name in rules:
+            block, rev = name.removesuffix("~rev"), int(name.endswith("~rev"))
+            if block in ("R_a", "C_a", "W_a", "D_a", "T_a"):
+                expected[name] = (blocks.BAND_FREE, 0)
+            elif block in ("C_s_11", "R_s_11", "C_s_22"):
+                expected[name] = (blocks.DIAGONAL, 0)
+            elif block in ("W_ss_11", "W_ss_12"):
+                expected[name] = (blocks.POINT_SPLIT, rev)
+            elif block == "R_s_12":
+                expected[name] = (blocks.ARC_SUM, rev)
+            else:
+                assert block.startswith(("D_sa_", "D_sss_", "T_ssa_")), block
+                expected[name] = (blocks.WALK, 0)
+        assert rules == expected
+        assert Counter(rule for rule, _ in rules.values()) == {
+            blocks.BAND_FREE: 10, blocks.DIAGONAL: 6, blocks.POINT_SPLIT: 4, blocks.ARC_SUM: 2, blocks.WALK: 44}
+
     def test_entries_for_is_built_once(self):
         label = lab("T", "ssr")
         assert entries_for(label) is entries_for(label)
@@ -557,27 +581,45 @@ class TestClosures:
         assert bandless == ["R_a", "C_a", "W_a", "D_a", "T_a"]
 
     @pytest.mark.parametrize("name, bound, count", [
-        ("W_ss_11", 5, 3), ("W_ss_11", 7, 9), ("W_ss_11", 9, 29), ("W_ss_11", 11, 112),
-        ("W_ss_12", 6, 2), ("W_ss_12", 8, 6), ("W_ss_12", 10, 17), ("W_ss_12", 12, 59),
+        ("W_ss_11", 5, 3), ("W_ss_11", 7, 9), ("W_ss_11", 9, 29), ("W_ss_11", 11, 112), ("W_ss_11", 13, 495),
+        ("W_ss_12", 6, 2), ("W_ss_12", 8, 6), ("W_ss_12", 10, 17), ("W_ss_12", 12, 59), ("W_ss_12", 13, 59),
     ])
     def test_whitney_saddle_closure_is_one_point_splits(self, name, bound, count):
         # W_ss_11 reaches exactly the pairs (X, Y) with Y a connected
-        # one-point split of X (`split_off`), and W_ss_12 exactly the splits
-        # of X into two components, within the bound.  Pinned as groundwork
-        # for a closed-form rule; no verdict reads it yet.
+        # one-point split of X (`split_off`, at every branch point), and
+        # W_ss_12 exactly the splits of X into two components
+        # (`point_splits`), within the bound: the point split rule's set.
+        # The reversal reaches the mirrored pairs.
         entry = next(e for e in minimal_block_catalog() if e.name == name)
         expected = set()
         for w in range(2, (bound + 1) // 2 + 1):
             for x in enumerate_connected(w):
-                for v in range(x.order):
-                    if name == "W_ss_11":
-                        splits = {(y,) for y in split_off(x, v)}
-                    else:
-                        splits = {y for y in _point_splits(x, v) if len(y) == 2}
-                    expected.update(((x,), y) for y in splits if w + sum(c.weight for c in y) <= bound)
+                if name == "W_ss_11":
+                    splits = {(y,) for v in range(x.order) for y in split_off(x, v)}
+                else:
+                    splits = {y for y in point_splits(x) if len(y) == 2}
+                expected.update(((x,), y) for y in splits if w + sum(c.weight for c in y) <= bound)
         pairs, _ = engine.closure_pairs(entry.state, bound)
         assert pairs == expected
         assert len(pairs) == count
+        assert engine.closure_pairs(entry.reversed().state, bound)[0] == {(y, x) for x, y in pairs}
+
+    @pytest.mark.parametrize("bound, count", [(9, 12), (11, 36), (13, 116)])
+    def test_regular_saddle_closure_is_arc_sums(self, bound, count):
+        # R_s_12 reaches exactly the pairs (X, (Y1, Y2)) with X a sum of Y1
+        # and Y2 along one arc of each, joined either way, within the bound:
+        # the arc sum rule's set, here from a test-local sum.  The reversal
+        # reaches the mirrored pairs.
+        entry = next(e for e in minimal_block_catalog() if e.name == "R_s_12")
+        expected = set()
+        for w1, w2 in itertools.combinations_with_replacement(range(1, (bound + 1) // 2 + 1), 2):
+            if 2 * (w1 + w2) - 1 <= bound:
+                for y1, y2 in itertools.product(enumerate_connected(w1), enumerate_connected(w2)):
+                    expected.update(((x,), tuple(sorted((y1, y2)))) for x in _arc_sums(y1, y2))
+        pairs, _ = engine.closure_pairs(entry.state, bound)
+        assert pairs == expected
+        assert len(pairs) == count
+        assert engine.closure_pairs(entry.reversed().state, bound)[0] == {(y, x) for x, y in pairs}
 
     def test_reversed_block_has_mirrored_closure(self):
         for entry in minimal_block_catalog():
@@ -587,17 +629,26 @@ class TestClosures:
             assert backward.complete == forward.complete, entry.name
 
 
-def _point_splits(c: BranchedComponent, v: int) -> set[tuple[BranchedComponent, ...]]:
-    """Every result of splitting branch point v of c into two interior
-    points, one per pairing of its four arc ends, as sorted components;
-    `split_off` keeps only the connected ones."""
-    ends = [(i, k) for i, arc in enumerate(c.arcs) for k in (0, 1) if arc[k] == v]
+def _arc_sums(c: BranchedComponent, d: BranchedComponent) -> set[BranchedComponent]:
+    """Every sum of c and d along one arc of each, by index: each arc is cut
+    open, its two ends are joined to d's at two new degree-2 points x and y,
+    either way round, and the result is read by `suppress`.  A circle cut
+    open is one arc from x to y."""
+    def pieces(comp, arc, base, near, far):
+        if comp.is_circle:
+            return [(near, far)]
+        (u, v), rest = comp.arcs[arc], [(a + base, b + base) for a, b in comp.arcs]
+        del rest[arc]
+        return rest + [(u + base, near), (far, v + base)]
+
+    x, y = c.order + d.order, c.order + d.order + 1
     out = set()
-    for partner in (1, 2, 3):
-        edges = [list(arc) for arc in c.arcs]
-        for n, (i, k) in enumerate(ends):
-            edges[i][k] = c.order if n in (0, partner) else c.order + 1
-        out.add(tuple(sorted(suppress(edges)[0])))
+    for i in range(max(len(c.arcs), 1)):
+        for j in range(max(len(d.arcs), 1)):
+            for ends in ((x, y), (y, x)):
+                comps, _ = suppress(pieces(c, i, 0, x, y) + pieces(d, j, c.order, *ends))
+                assert len(comps) == 1
+                out.add(comps[0])
     return out
 
 
@@ -748,11 +799,11 @@ class TestLastLevel:
             assert [ij for ij, _ in engine._Node(state).read()] == legal
 
     def test_last_level_keys_no_state(self, monkeypatch):
-        # A depth-1 query keys no state: roots are not keyed, and a state at
+        # A depth-1 walk keys no state: roots are not keyed, and a state at
         # the target's depth is only compared, so the graph gains no
-        # successor node.
+        # successor node.  The Whitney saddle answers by its rule, so the
+        # walk is asked of the engine directly.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
-        blocks._feasible.cache_clear()
         keyed = []
 
         def counting(state):
@@ -760,9 +811,9 @@ class TestLastLevel:
             return state_key(state)
 
         monkeypatch.setattr(engine, "state_key", counting)
-        label = lab("W", "s_s")
-        assert boundary_feasible(label, [family_A(3)], [family_minimal(2), family_minimal(1)])
-        entry = next(e for e in entries_for(label) if e.e_minus == 2)
+        entry = next(e for e in entries_for(lab("W", "s_s")) if e.e_minus == 2)
+        target = (family_A(3).components, tuple(sorted(family_minimal(2).components + family_minimal(1).components)))
+        assert engine.reachable_pairs_capped(entry.state, target)
         assert keyed == []
         assert engine._GRAPH._nodes == {}
         assert set(engine._GRAPH._states) == {min(entry.state, entry.state.reversed())}
@@ -783,11 +834,11 @@ class TestBoundaryFeasible:
         assert not boundary_feasible(lab("R", "a"), [family_minimal(1)], [family_minimal(1)])
 
     def test_states_are_expanded_once(self, monkeypatch):
-        # On a fresh state graph, the queries with caps (5,) -> (4,) and their
-        # mirrors with caps (4,) -> (5,) read no state's moves twice, and a
-        # second pass over the same queries reads nothing.
+        # On a fresh state graph, the Whitney saddle walks with caps (5,) ->
+        # (4,) and their mirrors with caps (4,) -> (5,) read no state's moves
+        # twice, and a second pass over the same walks reads nothing.  The
+        # block answers queries by its rule, so the engine is asked directly.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
-        blocks._feasible.cache_clear()
         calls = []
         move_pairs = engine._move_pairs
 
@@ -796,13 +847,12 @@ class TestBoundaryFeasible:
             return move_pairs(state)
 
         monkeypatch.setattr(engine, "_move_pairs", counting)
-        fives = [manifold([c]) for c in enumerate_connected(5)]
-        fours = [manifold([c]) for c in enumerate_connected(4)]
+        block = next(e for e in minimal_block_catalog() if e.name == "W_ss_11")
 
         def run():
-            for five, four in itertools.product(fives, fours):
-                boundary_feasible(lab("W", "s_s"), [five], [four])
-                boundary_feasible(lab("W", "s_u"), [four], [five])
+            for five, four in itertools.product(enumerate_connected(5), enumerate_connected(4)):
+                reachable_pairs_capped(block.state, ((five,), (four,)))
+                reachable_pairs_capped(block.reversed().state, ((four,), (five,)))
 
         run()
         keys = [state_key(s) for s in calls]
@@ -812,24 +862,36 @@ class TestBoundaryFeasible:
         assert calls == []
 
     def test_successors_are_kept_only_as_nodes(self, monkeypatch):
-        # The state table holds the roots a query starts from, catalog blocks
+        # The state table holds the roots a walk starts from, catalog blocks
         # and their reversals; every successor it keys lives in a node only.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
-        blocks._feasible.cache_clear()
+        block = next(e for e in minimal_block_catalog() if e.name == "W_ss_11")
         for five in enumerate_connected(5):
-            boundary_feasible(lab("W", "s_s"), [manifold([five])], [family_B(4)])
+            reachable_pairs_capped(block.state, ((five,), family_B(4).components))
         roots = {s for e in minimal_block_catalog() for s in (e.state, e.state.reversed())}
         assert set(engine._GRAPH._states) <= roots
         assert len(engine._GRAPH._nodes) > len(engine._GRAPH._states)
 
     def test_chain_audit_node_count(self, monkeypatch):
         # The Thm7 Whitney chain r -> s_u^7 -> s_s^7 -> a (maximum edge
-        # weight 8) verifies from a fresh state graph and leaves the 74
-        # successor nodes, from 2 roots, of a walk that judges each successor
-        # by the pair read off its parent before building it (731 nodes when
-        # every successor was keyed); a walk that built more would show here.
+        # weight 8) verifies from a fresh state graph and leaves no node: its
+        # blocks answer by their rules.  Replayed as engine walks, the same
+        # queries (on the regular attractor and the Whitney saddles) leave
+        # the 74 successor nodes, from 2 roots, of a walk that
+        # judges each successor by the pair read off its parent before
+        # building it (731 nodes when every successor was keyed); a walk that
+        # built more would show here.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         blocks._feasible.cache_clear()
+        asked = []
+        entry_feasible = blocks._entry_feasible
+
+        def recording(entry, target):
+            answer = entry_feasible(entry, target)
+            asked.append((entry, target, answer))
+            return answer
+
+        monkeypatch.setattr(blocks, "_entry_feasible", recording)
         g = LyapunovGraph()
         path = ["r", *(f"u{i}" for i in range(7)), *(f"s{i}" for i in range(7)), "a"]
         for vid in path:
@@ -840,6 +902,11 @@ class TestBoundaryFeasible:
         verdict = realize(g)
         assert verdict.theorem == "Thm7"
         assert verify_certificate(g, verdict.certificate)
+        assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (0, 0)
+        walked = [(entry, target, answer) for entry, target, answer in asked if _admissible(entry, target)]
+        assert {entry.rule[0] for entry, _, _ in walked} == {blocks.BAND_FREE, blocks.POINT_SPLIT}
+        for entry, target, answer in walked:
+            assert reachable_pairs_capped(entry.state, target) == answer
         assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (74, 2)
 
     def test_closed_form_agrees_with_engine(self, monkeypatch):
@@ -885,7 +952,87 @@ class TestBoundaryFeasible:
         for a, b in itertools.product(fives, fives):
             assert boundary_feasible(lab("C", "s"), [a], [b]) == (a == b)
 
+    def test_rules_agree_with_engine(self, monkeypatch):
+        # Every entry and reversal, every target of its component counts
+        # whose sides grow by equal weights, combined weight 9 or less: the
+        # entry's rule answers as the targeted walk on a fresh state graph.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        queries = []
+        for block in minimal_block_catalog():
+            for entry in (block, block.reversed()):
+                p0, m0 = sum(entry.min_in), sum(entry.min_out)
+                for k in range((9 - p0 - m0) // 2 + 1):
+                    for caps_p in _partitions(p0 + k, entry.e_plus):
+                        for caps_m in _partitions(m0 + k, entry.e_minus):
+                            for target in itertools.product(_side_targets(caps_p), _side_targets(caps_m)):
+                                queries.append((entry, target))
+        mismatched = [(e.name, t) for e, t in queries
+                      if blocks._entry_feasible(e, t) != reachable_pairs_capped(e.state, t)]
+        assert mismatched == []
+        assert len(queries) == 1514
+        hits = Counter(e.rule[0] for e, t in queries if blocks._entry_feasible(e, t))
+        assert all(hits[rule] > 0 for rule in (blocks.BAND_FREE, blocks.DIAGONAL, blocks.POINT_SPLIT,
+                                               blocks.ARC_SUM, blocks.WALK))
+
+    def test_band_free_queries_never_walk(self, monkeypatch):
+        # Attractors and repellers are decided by their band-free blocks
+        # alone: feasible exactly on the block's own pair.
+        _forbid_walks(monkeypatch)
+        hits = 0
+        for block in minimal_block_catalog():
+            if block.rule[0] != blocks.BAND_FREE:
+                continue
+            for entry in (block, block.reversed()):
+                own = tuple([manifold([c]) for c in comps] for comps, _ in entry.sides)
+                assert boundary_feasible(entry.label, *own)
+                hits += 1
+                for w in range(1, 6):
+                    for c in enumerate_connected(w):
+                        sides = ([manifold([c])], []) if entry.e_plus else ([], [manifold([c])])
+                        assert boundary_feasible(entry.label, *sides) == (sides == own), (entry.name, c)
+        assert hits == 10
+
+    def test_point_split_queries_never_walk(self, monkeypatch):
+        # Whitney saddles are decided by the point split rule alone: one
+        # component per side is feasible exactly on a connected split, at
+        # some branch point, and the mirror for the reversed nature.
+        _forbid_walks(monkeypatch)
+        fours = enumerate_connected(4)
+        hits = 0
+        for five in enumerate_connected(5):
+            splits = {y for v in range(five.order) for y in split_off(five, v)}
+            for four in fours:
+                expected = four in splits
+                assert boundary_feasible(lab("W", "s_s"), [manifold([five])], [manifold([four])]) == expected
+                assert boundary_feasible(lab("W", "s_u"), [manifold([four])], [manifold([five])]) == expected
+                hits += expected
+        assert 0 < hits < len(fours) * len(enumerate_connected(5))
+
+    def test_arc_sum_queries_never_walk(self, monkeypatch):
+        # Regular saddles are decided by the diagonal and arc sum rules
+        # alone: one component against two is feasible exactly on an arc
+        # sum, in either direction.  Both joins of the cut ends first give
+        # different sums at weights (4, 4).
+        _forbid_walks(monkeypatch)
+        hits = total = 0
+        for w1, w2 in ((1, 4), (2, 3), (4, 4)):
+            pairs = list(itertools.combinations_with_replacement(enumerate_connected(w1), 2)) if w1 == w2 \
+                else list(itertools.product(enumerate_connected(w1), enumerate_connected(w2)))
+            sums = {pair: _arc_sums(*pair) for pair in pairs}
+            candidates = set().union(*sums.values())
+            for (y1, y2), own in sums.items():
+                parts = [manifold([y1]), manifold([y2])]
+                for x in candidates:
+                    expected = x in own
+                    assert boundary_feasible(lab("R", "s"), [manifold([x])], parts) == expected
+                    assert boundary_feasible(lab("R", "s"), parts, [manifold([x])]) == expected
+                    hits += expected
+                    total += 1
+        assert 0 < hits < total
+
     def test_repeated_query_walks_once(self, monkeypatch):
+        # A double-crossing saddle query walks (D_sss_22); the same target
+        # with its forms in another order is answered from the table.
         calls = []
 
         def counting(*args):
@@ -894,11 +1041,11 @@ class TestBoundaryFeasible:
 
         monkeypatch.setattr(engine, "reachable_pairs_capped", counting)
         blocks._feasible.cache_clear()
-        f8, circle = family_minimal(2), family_minimal(1)
-        assert boundary_feasible(lab("W", "s_s"), [family_A(3)], [f8, circle])
+        f8, circle, a3 = family_minimal(2), family_minimal(1), family_A(3)
+        assert boundary_feasible(lab("D", "ss_s"), [a3, f8], [f8, circle])
         first = len(calls)
         assert first > 0
-        assert boundary_feasible(lab("W", "s_s"), [family_A(3)], [circle, f8])
+        assert boundary_feasible(lab("D", "ss_s"), [f8, a3], [circle, f8])
         assert len(calls) == first
 
     def test_mirror_queries_are_separate_keys(self):
@@ -972,6 +1119,40 @@ class TestBoundaryFeasible:
         assert pruned == unpruned
 
 
+class TestLocalAgainstBlocks:
+    def test_local_verdicts_match_block_feasibility(self):
+        """Every admissible label, every degree with e+ + e- <= 4 and every
+        edge weight up to 5 that passes the Poincare-Hopf residual and the
+        degree bounds: `local_realizable` says yes exactly when some choice
+        of one connected form per edge is block-feasible.
+        """
+        cases, disagree = 0, []
+        for kind in SingularityType:
+            for nature in ADMISSIBLE_NATURES[kind]:
+                label = VertexLabel(kind, nature)
+                for e_plus, e_minus in itertools.product(range(5), repeat=2):
+                    if not 0 < e_plus + e_minus <= 4:
+                        continue
+                    for ins, outs in itertools.product(_weights(e_plus), _weights(e_minus)):
+                        sg = SemiGraph(label, ins, outs)
+                        if ph_residual(sg) != 0 or not degree_bounds_ok(sg):
+                            continue
+                        cases += 1
+                        feasible = any(
+                            blocks._feasible(label, (tuple(sorted(p)), tuple(sorted(m))))
+                            for p in itertools.product(*map(enumerate_connected, ins))
+                            for m in itertools.product(*map(enumerate_connected, outs)))
+                        if feasible != local_realizable(sg).ok:
+                            disagree.append((str(label), ins, outs, feasible))
+        assert cases == 404
+        assert disagree == []
+
+
+def _weights(degree: int) -> list[tuple[int, ...]]:
+    """Sorted weight tuples of `degree` edges, each weight 1 to 5."""
+    return list(itertools.combinations_with_replacement(range(1, 6), degree))
+
+
 class TestDegreeTwoFamilySweep:
     @pytest.mark.parametrize("family", [family_A, family_B], ids=["family_A", "family_B"])
     def test_uniform_family_forms(self, family):
@@ -996,6 +1177,24 @@ class TestDegreeTwoFamilySweep:
                         infeasible.add((str(label), w_in, w_out))
         assert accepted == 70
         assert infeasible == set()
+
+
+def _forbid_walks(monkeypatch) -> None:
+    """A fresh state graph and answer table, with every engine walk an error."""
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+    monkeypatch.setattr(engine, "successors", no_walk)
+    monkeypatch.setattr(engine, "reachable_pairs_capped", no_walk)
+    blocks._feasible.cache_clear()
+
+
+def _admissible(entry, target) -> bool:
+    """Whether the target has the entry's component counts and grows both sides by one weight."""
+    counts = (entry.e_plus, entry.e_minus) == tuple(map(len, target))
+    growth = {sum(c.weight for c in side) - sum(m) for side, m in zip(target, (entry.min_in, entry.min_out))}
+    return counts and len(growth) == 1 and min(growth) >= 0
 
 
 def _partitions(total: int, parts: int) -> list[tuple[int, ...]]:
