@@ -42,9 +42,10 @@ walk           the 22 D_sa_*, D_sss_* and T_ssa_*     a capped engine walk
 =============  =====================================  ======================
 
 Here X is the one component on the branch side (point split) or on the
-one-circle side (arc sum), and the other side holds the rest of the target.
-Each rule but the walk is proved below; the walk is exact by construction
-(`engine.reachable_pairs_capped`).
+one-circle side (arc sum), and the other side, the parts side, holds the
+rest of the target.
+Each rule but the walk is proved below; the walk is the engine's own
+answer (`engine.reachable_pairs_capped`), whose prune loses no target.
 
 *Band-free.*  A block with no band has no move, so it reaches only its own
 pair (`CatalogEntry.sides`).
@@ -93,7 +94,7 @@ Y a split of X at one branch point (`branched.point_splits`), connected for
 `W_ss_11`, of two components for `W_ss_12`.  Conversely, let Y be such a
 split of X, with split points x and y.  Marked growth, on Y with marks x
 and y, or on each of its two components with its one mark, grows it from
-the block's exiting side, and every step is a move; at the end the branch
+the block's marker side, and every step is a move; at the end the branch
 side is Y with x and y identified, that is X.  The bands fix no pairing at
 b: the pairing is Y's, and any Y is grown.
 
@@ -579,9 +580,9 @@ def boundary_feasible(
 
 
 #: Distinct feasibility queries whose answers are kept.  The 308 operations
-#: of one cold round of the benchmark's `deep` workload (seed 1) ask 3 120
-#: queries of 86 distinct (label, target pair) keys, and the misses walk the
-#: engine 98 times.
+#: of one cold round of the benchmark's `deep` workload (seed 1) ask 4 409
+#: queries of 217 distinct (label, target pair) keys, and the misses call the
+#: engine's capped walk 168 times, 98 of them at the block's own weight.
 _FEASIBLE_CACHE_SIZE = 1 << 14
 
 

@@ -22,9 +22,12 @@ pair of its orbit, and only that pair is rewritten.
 and `split_off` make them, into canonical components.
 
 `split_off` inverts a same-component identification: it splits a branch
-point into two interior points, one per pairing of its four arc ends.  The
-down-set of a component (`down_set`), its closure under `split_off`, holds
-every connected form that identifications can grow into it.
+point into two interior points, one per pairing of its four arc ends.  One
+splitter, `point_splits`, lists every result of splitting one branch point
+of a component, connected or not, once per component.  The down-set of a
+component (`down_set`), its closure under `split_off`, holds every connected
+form that identifications can grow into it, and is read off the connected
+splits.  `arc_sums` joins two components along one arc of each.
 """
 
 from __future__ import annotations

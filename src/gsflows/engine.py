@@ -83,18 +83,18 @@ component weights, and capped reachability of a target is membership in the
 closure at its combined weight.  Closures read their last level off the
 level before it too.
 
-Blocks whose bands carry the entering boundary onto the exiting one need no
-walk (`blocks.CatalogEntry.diagonal`: no dead arcs, only circles, and a
-kind-preserving bijection sigma of entering onto exiting vertices that
-aligns every band's two arcs).  In one direction, `_apply` splits a band's
-two arcs at matching places, so sigma extended by the two new branch points
-keeps the state diagonal, and every reachable pair has equal sides.  In the
-other, under sigma two entering points share a component exactly when their
-exit points do, so each entering circle can follow any growth path of
-`branched.enumerate_connected`, and every pair with equal sides is reached.
-The feasibility table (`blocks._feasible`) answers those blocks in closed
-form, and keeps each distinct query's answer for the life of the process, a
-table beside `_GRAPH`, so this module sees every other query once.
+Only the double- and triple-crossing saddle blocks (`D_sa_*`, `D_sss_*`,
+`T_ssa_*`, 22 of the 33, and their reversals) are answered by a walk.  Every
+other block has a feasibility rule read off its state
+(`blocks.CatalogEntry.rule`), proved in the `blocks` docstring: a block
+without bands reaches only its own pair; a diagonal block, whose bands carry
+the entering boundary onto the exiting one, exactly the pairs with equal
+sides; a Whitney saddle the one-point splits of its branch side
+(`branched.point_splits`); and the regular saddle with two exits the arc
+sums (`branched.arc_sums`).  The feasibility table (`blocks._feasible`)
+answers those by their rules and keeps each distinct query's answer for the
+life of the process, a table beside `_GRAPH`, so this module sees each
+remaining query once.
 """
 
 from __future__ import annotations

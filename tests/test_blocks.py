@@ -581,8 +581,9 @@ class TestClosures:
         assert bandless == ["R_a", "C_a", "W_a", "D_a", "T_a"]
 
     @pytest.mark.parametrize("name, bound, count", [
-        ("W_ss_11", 5, 3), ("W_ss_11", 7, 9), ("W_ss_11", 9, 29), ("W_ss_11", 11, 112), ("W_ss_11", 13, 495),
-        ("W_ss_12", 6, 2), ("W_ss_12", 8, 6), ("W_ss_12", 10, 17), ("W_ss_12", 12, 59), ("W_ss_12", 13, 59),
+        ("W_ss_11", 3, 1), ("W_ss_11", 5, 3), ("W_ss_11", 7, 9), ("W_ss_11", 9, 29), ("W_ss_11", 11, 112),
+        ("W_ss_11", 13, 495), ("W_ss_12", 4, 1), ("W_ss_12", 6, 2), ("W_ss_12", 8, 6), ("W_ss_12", 10, 17),
+        ("W_ss_12", 12, 59), ("W_ss_12", 13, 59),
     ])
     def test_whitney_saddle_closure_is_one_point_splits(self, name, bound, count):
         # W_ss_11 reaches exactly the pairs (X, Y) with Y a connected
@@ -604,7 +605,7 @@ class TestClosures:
         assert len(pairs) == count
         assert engine.closure_pairs(entry.reversed().state, bound)[0] == {(y, x) for x, y in pairs}
 
-    @pytest.mark.parametrize("bound, count", [(9, 12), (11, 36), (13, 116)])
+    @pytest.mark.parametrize("bound, count", [(3, 1), (5, 2), (7, 5), (9, 12), (11, 36), (13, 116)])
     def test_regular_saddle_closure_is_arc_sums(self, bound, count):
         # R_s_12 reaches exactly the pairs (X, (Y1, Y2)) with X a sum of Y1
         # and Y2 along one arc of each, joined either way, within the bound:
