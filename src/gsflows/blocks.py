@@ -116,7 +116,13 @@ of every entry and reversal at combined weight 9 or less, and each rule's
 set against the block's closure up to combined weight 13.
 
 A query is its target pair: one connected component per edge, sorted per
-side.  Each distinct query (label, target pair) is answered once per
+side.  A query on a nature the catalog lists only through reversed blocks
+is answered as the mirrored query, the reversed label with the target's
+sides swapped, as `local_realizable` decides the reversed semi-graph.  So
+the reversal symmetry is applied here and nowhere in the engine: a capped
+walk is only ever asked of a catalog block's own state (the walk blocks'
+natures are not self-reversed), and a query and its mirror share one
+answer.  Each distinct query (label, target pair) is answered once per
 process and kept in `_feasible`'s table, process-wide like the engine's
 state graph: search backtracking and certificate audits ask the same vertex
 questions again and again.  `realize._assign` queries the table directly
@@ -367,10 +373,6 @@ class CatalogEntry:
                             ("rule", _rule(self.state)), ("beta_in", beta_in), ("beta_out", beta_out)):
             object.__setattr__(self, name, value)
 
-    @property
-    def diagonal(self) -> bool:
-        return self.rule[0] == DIAGONAL
-
     def reversed(self) -> "CatalogEntry":
         return CatalogEntry(
             self.name + "~rev",
@@ -580,15 +582,23 @@ def boundary_feasible(
 
 
 #: Distinct feasibility queries whose answers are kept.  The 308 operations
-#: of one cold round of the benchmark's `deep` workload (seed 1) ask 4 409
-#: queries of 217 distinct (label, target pair) keys, and the misses call the
-#: engine's capped walk 168 times, 98 of them at the block's own weight.
+#: of one cold round of the benchmark's `deep` workload (seed 1), replayed in
+#: one fresh process, ask 4 409 queries of 217 distinct (label, target pair)
+#: keys.  The table then holds 235 keys, 18 of them the mirrored keys that
+#: reversed-nature queries are answered under, and the misses call the
+#: engine's capped walk 113 times.
 _FEASIBLE_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=_FEASIBLE_CACHE_SIZE)
 def _feasible(label: VertexLabel, target: engine.Pair) -> bool:
-    """`boundary_feasible` on its target pair, once per process."""
+    """`boundary_feasible` on its target pair, once per process.
+
+    Natures the catalog lists only through reversed blocks are answered as
+    the mirrored query on the blocks themselves.
+    """
+    if label.nature in _REVERSED:
+        return _feasible(VertexLabel(label.kind, reverse_nature(label.nature)), target[::-1])
     return any(_entry_feasible(e, target) for e in entries_for(label))
 
 

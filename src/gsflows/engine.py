@@ -26,12 +26,10 @@ Every reachability query walks one process-wide graph with a node per
 root state and per isomorphism class of successors, so a state's moves are
 read at most once per process.  One depth-first walk, `_walk`, serves every
 query: closures take every move within the bound, feasibility queries only
-the moves that stay under per-component weight caps.  Roots are not keyed:
-a state and its reversal share one root node, the lesser of the two in the
-order of their catalog-row fields, and a query on the greater one is
-answered as the mirrored query on the lesser.  Successor isomorphism must
-respect sides, vertex kinds, dead arcs and the band pairing, so successors
-are keyed as coloured multigraphs with one auxiliary node per band.
+the moves that can still grow into their target.  Roots are not keyed: a
+root node is the state asked.  Successor isomorphism must respect sides,
+vertex kinds, dead arcs and the band pairing, so successors are keyed as
+coloured multigraphs with one auxiliary node per band.
 
 Boundary pairs are compared as tuples of canonical components, one sorted
 tuple per side, () for an empty side; text encodings are made only at the
@@ -68,15 +66,17 @@ and are kept only as nodes.
 
 Every feasibility query is its target pair, and its walk is pruned to
 states that can still grow into it.  Each move identifies two points of one
-component on each side, so components never merge and each grows by
-same-component point identifications: the target's component weights are
-the caps.  A state can reach the target pair only if its components fit
-under those caps and, on each side, lie in the down-sets
+component on each side, so components never merge or split and each grows
+by same-component point identifications.  A state can reach the target pair
+only if, on each side, its components lie one each in the down-sets
 (`branched.down_set`, the closure under `branched.split_off`) of distinct
-target components.  Both tests are necessary, so the prune never loses a
-reachable target; they are applied to a successor's pair before it is
-built, and a successor at the target's depth is only compared with the
-target.  So a walk keys no state it prunes and none at its last level.
+target components.  The test is necessary, so the prune never loses a
+reachable target; it is applied to a successor's pair before it is built,
+and a successor at the target's depth is only compared with the target.  So
+a walk keys no state it prunes and none at its last level.  The test also
+bounds weights: `split_off` lowers a component's weight by one, so a
+component in the down-set of a target component never weighs more than it,
+and a state that passes it fits under the target's component weights.
 Closures are not pruned and serve as the unpruned reference: weights only
 grow, so every state on a path to the target already fits the target's
 component weights, and capped reachability of a target is membership in the
@@ -84,17 +84,18 @@ closure at its combined weight.  Closures read their last level off the
 level before it too.
 
 Only the double- and triple-crossing saddle blocks (`D_sa_*`, `D_sss_*`,
-`T_ssa_*`, 22 of the 33, and their reversals) are answered by a walk.  Every
-other block has a feasibility rule read off its state
-(`blocks.CatalogEntry.rule`), proved in the `blocks` docstring: a block
-without bands reaches only its own pair; a diagonal block, whose bands carry
-the entering boundary onto the exiting one, exactly the pairs with equal
-sides; a Whitney saddle the one-point splits of its branch side
-(`branched.point_splits`); and the regular saddle with two exits the arc
-sums (`branched.arc_sums`).  The feasibility table (`blocks._feasible`)
-answers those by their rules and keeps each distinct query's answer for the
-life of the process, a table beside `_GRAPH`, so this module sees each
-remaining query once.
+`T_ssa_*`, 22 of the 33) are answered by a walk.  Every other block has a
+feasibility rule read off its state (`blocks.CatalogEntry.rule`), proved in
+the `blocks` docstring: a block without bands reaches only its own pair; a
+diagonal block, whose bands carry the entering boundary onto the exiting
+one, exactly the pairs with equal sides; a Whitney saddle the one-point
+splits of its branch side (`branched.point_splits`); and the regular saddle
+with two exits the arc sums (`branched.arc_sums`).  The feasibility table
+(`blocks._feasible`) answers those by their rules, answers a reversed
+nature's query as the mirrored query on its blocks, and keeps each distinct
+query's answer for the life of the process, a table beside `_GRAPH`.  The
+walk blocks' natures are not self-reversed, so this module sees each
+remaining query once, always on a catalog block's own state.
 """
 
 from __future__ import annotations
@@ -119,12 +120,9 @@ MARKER = "k"
 Pair = tuple[tuple[BranchedComponent, ...], tuple[BranchedComponent, ...]]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BlockState:
-    """Entering/exiting boundary multigraphs with their flow bands.
-
-    States are ordered by their catalog-row fields, in order.
-    """
+    """Entering/exiting boundary multigraphs with their flow bands."""
 
     plus_kinds: tuple[str, ...]
     minus_kinds: tuple[str, ...]
@@ -223,8 +221,9 @@ def state_key(state: BlockState) -> tuple:
 class _Node:
     """One isomorphism class of block states in the state graph, or one root state.
 
-    A node is read once, when a walk first expands it (`read`), so a node a
-    walk leaves on its stack when it stops at a hit is never read.
+    A node is read once, when it is added as a root or a walk first expands
+    it (`read`), so a successor a walk leaves on its stack when it stops at
+    a hit is never read.
     """
 
     __slots__ = ("state", "comps", "moves", "succ")
@@ -261,10 +260,11 @@ class StateSet:
         self._states: dict[BlockState, _Node] = {}
 
     def add(self, state: BlockState) -> _Node:
-        """The root node of the state, made when first met; roots are not keyed."""
+        """The root node of the state, made when first met, read; roots are not keyed."""
         node = self._states.get(state)
         if node is None:
             node = self._states[state] = _Node(state)
+        node.read()
         return node
 
     def child(self, node: _Node, k: int) -> _Node:
@@ -279,19 +279,6 @@ class StateSet:
                 succ = self._nodes[key] = _Node(state)
             node.succ[k] = succ
         return succ
-
-    def root(self, state: BlockState) -> tuple[_Node, bool]:
-        """The node to explore from, read, and whether it is the state's mirror image.
-
-        A state and its reversal share one root, the lesser of the two in
-        field order; a query on the greater one is answered as the mirrored
-        query on the lesser.  Reversal is an involution, so both
-        orientations choose the same root.
-        """
-        mirror = state.reversed()
-        node, mirrored = (self.add(mirror), True) if mirror < state else (self.add(state), False)
-        node.read()
-        return node, mirrored
 
 
 #: The process-wide state graph behind every reachability query.
@@ -326,25 +313,12 @@ def _moved(comps: tuple[BranchedComponent, ...], at_i: tuple[int, int],
     return tuple(sorted(grown))
 
 
-def _weights(pair: Pair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Each side's component weights, sorted as its components are."""
-    return tuple(c.weight for c in pair[0]), tuple(c.weight for c in pair[1])
-
-
 def _can_grow_into(pair: Pair, downs) -> bool:
-    """Whether each side's components lie in the down-sets of distinct target components."""
+    """Whether each side's components lie one each in the down-sets of distinct target components."""
     return all(
-        any(all(c in d for c, d in zip(comps, order)) for order in permutations(sets))
+        len(comps) == len(sets)
+        and any(all(c in d for c, d in zip(comps, order)) for order in permutations(sets))
         for comps, sets in zip(pair, downs)
-    )
-
-
-def _fits(weights: tuple[tuple[int, ...], ...], caps: tuple[tuple[int, ...], ...]) -> bool:
-    # Sorted pointwise comparison decides whether some assignment of state
-    # components to target components respects every weight ceiling.
-    return all(
-        len(side) == len(cap) and all(w <= c for w, c in zip(side, cap))
-        for side, cap in zip(weights, caps)
     )
 
 
@@ -374,33 +348,23 @@ def _walk(root: _Node, depth: int, keep):
 def reachable_pairs_capped(initial: BlockState, target: Pair) -> bool:
     """Whether the state grows into the target pair.
 
-    Components never merge under the shape-preserving move and their
-    weights only grow, so any state already exceeding the sorted target
-    weights on either side is a dead end.  A node's successors are judged
-    by the pairs read off its own forms (`_Node.read`): one that exceeds
-    the target's weights or cannot grow into the target is never built, one
-    at the target's depth is only compared with it, and the walk stops at
-    the first hit.
+    Components never merge under the shape-preserving move, so a state
+    whose components cannot grow into the target's (`_can_grow_into`) is a
+    dead end.  A node's successors are judged by the pairs read off its own
+    forms (`_Node.read`): one that cannot grow into the target is never
+    built, one at the target's depth is only compared with it, and the walk
+    stops at the first hit.
     """
-    root, mirrored = _GRAPH.root(initial)
-    return _capped_walk(root, (target[1], target[0]) if mirrored else target)
-
-
-def _capped_walk(root: _Node, target: Pair) -> bool:
-    caps = _weights(target)
-    weights = _weights(root.comps)
-    depth = sum(caps[0]) - sum(weights[0])
-    if depth < 0 or not _fits(weights, caps):
+    root = _GRAPH.add(initial)
+    downs = tuple(tuple(map(down_set, side)) for side in target)
+    if not _can_grow_into(root.comps, downs):
         return False
+    depth = sum(c.weight for c in target[0]) - sum(c.weight for c in root.comps[0])
     if depth == 0:
         return root.comps == target
-    downs = tuple(tuple(map(down_set, side)) for side in target)
-
-    def keep(pair: Pair) -> bool:
-        return _fits(_weights(pair), caps) and _can_grow_into(pair, downs)
-
     return any(any(pair == target for _, pair in node.moves)
-               for node, level in _walk(root, depth, keep) if level == depth - 1)
+               for node, level in _walk(root, depth, lambda pair: _can_grow_into(pair, downs))
+               if level == depth - 1)
 
 
 def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pair], bool]:
@@ -409,8 +373,8 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pa
     Returns (pairs, complete); complete is False when the bound cut the
     search off while further moves were still available.
     """
-    root, mirrored = _GRAPH.root(initial)
-    total = sum(map(sum, _weights(root.comps)))
+    root = _GRAPH.add(initial)
+    total = sum(c.weight for side in root.comps for c in side)
     if total > max_combined_weight:
         return set(), not root.state.bands
     pairs = {root.comps}
@@ -418,8 +382,6 @@ def closure_pairs(initial: BlockState, max_combined_weight: int) -> tuple[set[Pa
     # read off the nodes one move short of it.
     for node, _ in _walk(root, (max_combined_weight - total) // 2, lambda pair: True):
         pairs.update(pair for _, pair in node.moves)
-    if mirrored:
-        pairs = {(q, p) for p, q in pairs}
     # Every band can take a loop move, and successors keep their parents'
     # bands, so the bound cuts the search off exactly when the root has one.
     return pairs, not root.state.bands

@@ -346,7 +346,8 @@ class TestCatalog:
     def test_diagonal_entries(self):
         # The cone and regular saddles whose bands carry each entering arc
         # straight onto an exiting arc, and their reversals, and no others.
-        diagonal = {e.name for b in minimal_block_catalog() for e in (b, b.reversed()) if e.diagonal}
+        diagonal = {e.name for b in minimal_block_catalog() for e in (b, b.reversed())
+                    if e.rule[0] == blocks.DIAGONAL}
         assert diagonal == {f"{n}{r}" for n in ("C_s_11", "R_s_11", "C_s_22") for r in ("", "~rev")}
 
     def test_rules(self):
@@ -817,7 +818,7 @@ class TestLastLevel:
         assert engine.reachable_pairs_capped(entry.state, target)
         assert keyed == []
         assert engine._GRAPH._nodes == {}
-        assert set(engine._GRAPH._states) == {min(entry.state, entry.state.reversed())}
+        assert set(engine._GRAPH._states) == {entry.state}
 
 
 class TestBoundaryFeasible:
@@ -922,7 +923,7 @@ class TestBoundaryFeasible:
         queries = []
         for block in minimal_block_catalog():
             for entry in (block, block.reversed()):
-                if not entry.diagonal:
+                if entry.rule[0] != blocks.DIAGONAL:
                     continue
                 caps = list(itertools.combinations_with_replacement(range(1, 5), entry.e_plus))
                 for caps_p, caps_m in itertools.product(caps, caps):
@@ -971,9 +972,43 @@ class TestBoundaryFeasible:
                       if blocks._entry_feasible(e, t) != reachable_pairs_capped(e.state, t)]
         assert mismatched == []
         assert len(queries) == 1514
+        # The engine has no mirror of its own: each walk block's reversal,
+        # walked from its own state, reaches exactly the mirrored targets.
+        walked = [(e, t) for e, t in queries if e.rule[0] == blocks.WALK and not e.name.endswith("~rev")]
+        unmirrored = [(e.name, t) for e, t in walked
+                      if reachable_pairs_capped(e.state.reversed(), t[::-1]) != reachable_pairs_capped(e.state, t)]
+        assert unmirrored == []
+        assert len(walked) > 0 and any(reachable_pairs_capped(e.state, t) for e, t in walked)
         hits = Counter(e.rule[0] for e, t in queries if blocks._entry_feasible(e, t))
         assert all(hits[rule] > 0 for rule in (blocks.BAND_FREE, blocks.DIAGONAL, blocks.POINT_SPLIT,
                                                blocks.ARC_SUM, blocks.WALK))
+
+    def test_reversed_natures_ask_the_blocks(self, monkeypatch):
+        # Every label of a nature the catalog lists only through reversed
+        # blocks, every weight-admissible target of its entries at combined
+        # weight 9 or less: the table answers as its reversed entries do,
+        # each by its own rule or walk, and the engine is asked only about
+        # catalog blocks' own states, every walk block's among them.
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        blocks._feasible.cache_clear()
+        queries = []
+        for label in {e.label for b in minimal_block_catalog() for e in (b, b.reversed())}:
+            if label.nature not in blocks._REVERSED:
+                continue
+            for entry in entries_for(label):
+                p0, m0 = sum(entry.min_in), sum(entry.min_out)
+                for k in range((9 - p0 - m0) // 2 + 1):
+                    for caps_p in _partitions(p0 + k, entry.e_plus):
+                        for caps_m in _partitions(m0 + k, entry.e_minus):
+                            queries += [(label, t) for t in itertools.product(_side_targets(caps_p),
+                                                                               _side_targets(caps_m))]
+        queries = list(dict.fromkeys(queries))
+        answers = [blocks._feasible(label, t) for label, t in queries]
+        walk_blocks = {b.state for b in minimal_block_catalog() if b.rule[0] == blocks.WALK}
+        assert set(engine._GRAPH._states) == walk_blocks
+        direct = [any(blocks._entry_feasible(e, t) for e in entries_for(label)) for label, t in queries]
+        assert answers == direct
+        assert 0 < sum(answers) < len(answers)
 
     def test_band_free_queries_never_walk(self, monkeypatch):
         # Attractors and repellers are decided by their band-free blocks
@@ -1059,7 +1094,11 @@ class TestBoundaryFeasible:
         assert not boundary_feasible(lab("W", "s_s"), [m3], [f8, circle])
         assert not boundary_feasible(lab("W", "s_u"), [f8, circle], [m3])
         assert not boundary_feasible(lab("W", "s_u"), [a3], [f8, circle])
-        assert blocks._feasible.cache_info().currsize == 5
+        # A W s_u query is answered as its mirror, a W s_s query: the second
+        # and fourth find their answers under the first and third keys, and
+        # the fifth adds its mirror's key too, so five queries leave six keys.
+        info = blocks._feasible.cache_info()
+        assert (info.currsize, info.hits) == (6, 2)
         # Two circles as one form or as two: the same target, other caps.
         two = parse_manifold("O|O")
         assert boundary_feasible(lab("C", "s"), [circle, circle], [circle, circle])

@@ -6,10 +6,10 @@ Each top-level function, class, method and module-level assignment in
 outside its own definition line.  Dunder methods are called implicitly and
 are exempt.
 
-Each backticked identifier in a comment or docstring of `src/gsflows`,
-dotted or called, must name something the package binds, a builtin, a
-catalog block or a benchmark workload, so that prose citing a removed name
-fails here.
+Each backticked identifier in a comment or docstring of `src/gsflows`, or
+in README.md, dotted or called, must name something the package binds, a
+builtin, a catalog block, a benchmark workload, or a singularity type or
+nature word, so that prose citing a removed name fails here.
 """
 
 import ast
@@ -94,20 +94,23 @@ def _bound_names() -> set[str]:
 
 def test_every_cited_name_exists():
     from gsflows.blocks import minimal_block_catalog
+    from gsflows.model import Nature, SingularityType
 
     known = _bound_names() | {e.name for e in minimal_block_catalog()}
     known |= {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]}
+    known |= {word.value for word in (*SingularityType, *Nature)}
     # `name`, `a.b.name` or `name(args)`; other spans (subscripts, commands,
     # expressions) are not names.
     cited = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", re.S)
+    prose = [(path.name, text) for path in sorted(PACKAGE.glob("*.py")) for text in _prose(path)]
+    prose.append(("README.md", (ROOT / "README.md").read_text(encoding="utf-8")))
     unknown = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for text in _prose(path):
-            for span in re.findall(r"`([^`]+)`", text):
-                match = cited.fullmatch(span)
-                if match is None:
-                    continue
-                parts = match.group(1).split(".")
-                if not hasattr(builtins, parts[0]) and not known.issuperset(parts):
-                    unknown.append(f"{path.name}: `{span}`")
+    for where, text in prose:
+        for span in re.findall(r"`([^`]+)`", text):
+            match = cited.fullmatch(span)
+            if match is None:
+                continue
+            parts = match.group(1).split(".")
+            if not hasattr(builtins, parts[0]) and not known.issuperset(parts):
+                unknown.append(f"{where}: `{span}`")
     assert not unknown, "cited but not defined: " + ", ".join(unknown)
