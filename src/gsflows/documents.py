@@ -228,7 +228,9 @@ def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
     """
     if not isinstance(report, dict):
         raise ValueError(f"a report must be a JSON object, got {type(report).__name__}")
-    cert = report.get("certificate") or {}
+    cert = report.get("certificate")
+    if cert is None:
+        cert = {}
     if not isinstance(cert, dict):
         raise ValueError(f"'certificate' must map edge indices to forms, got {type(cert).__name__}")
     for k, v in cert.items():

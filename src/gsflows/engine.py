@@ -38,11 +38,11 @@ API edge (`blocks.passageway_closure`).
 One routine reads a state's sides, `read_sides`: one suppression per side
 gives its sorted canonical components and the canonical arc each band lies
 on.  The catalog (`blocks.CatalogEntry`) reads its boundary forms, weights
-and routing off it, and a node reads its moves off it once, when a walk
-first expands it (`_Node.read`, through `_move_pairs`, which the enumerator
-`successors` uses too).  The legal band pairs are those whose arcs lie on
-the same component on both sides, and each comes with the boundary pair of
-the successor it gives, taken off those forms.  This is sound at every level:
+and routing off it, and a node reads its moves off it once, when it is
+made (through `_move_pairs`, which the enumerator `successors` uses too).
+The legal band pairs are those whose arcs lie on the same component on
+both sides, and each comes with the boundary pair of the successor it
+gives, taken off those forms.  This is sound at every level:
 
 - `_apply(i, j)` adds one branch point on each side by identifying an
   interior point of band i's arc with one of band j's arc;
@@ -57,12 +57,12 @@ the successor it gives, taken off those forms.  This is sound at every level:
 
 So each successor's pair is the parent's pair with the moved component on
 each side replaced by its identification (`branched.identify_arcs`, the
-table `enumerate_connected` grows forms with).  A successor is built and
-keyed only when a walk takes the move that gives it (`StateSet.child`),
-and that move's slot in `_Node.succ` then holds it; it is read only when a
-walk expands it.  A root state gets its node by the state itself
-(`StateSet.add`), with no key; successors are keyed once per move taken
-and are kept only as nodes.
+table `enumerate_connected` grows forms with).  A walk stacks the moves
+it keeps, not their successors; a successor is built, keyed and read only
+when a walk takes its move off the stack (`StateSet.child`), and that
+move's slot in `_Node.succ` then holds it.  A root state gets its node by
+the state itself (`StateSet.add`), with no key; successors are keyed once
+per move taken and are kept only as nodes.
 
 Every feasibility query is its target pair, and its walk is pruned to
 states that can still grow into it.  Each move identifies two points of one
@@ -221,9 +221,9 @@ def state_key(state: BlockState) -> tuple:
 class _Node:
     """One isomorphism class of block states in the state graph, or one root state.
 
-    A node is read once, when it is added as a root or a walk first expands
-    it (`read`), so a successor a walk leaves on its stack when it stops at
-    a hit is never read.
+    A node is made when a query asks its state as a root or a walk takes
+    the move that gives it, and reads its pair and moves then, so a move a
+    walk leaves on its stack when it stops at a hit makes no node.
     """
 
     __slots__ = ("state", "comps", "moves", "succ")
@@ -231,17 +231,9 @@ class _Node:
     def __init__(self, state: BlockState) -> None:
         self.state = state
         #: Boundary pair, and (band pair, successor's boundary pair) per move.
-        self.comps: Pair | None = None
-        self.moves: tuple[tuple[tuple[int, int], Pair], ...] | None = None
+        self.comps, self.moves = _move_pairs(state)
         #: Successor node per move, each filled when a walk first takes that move.
-        self.succ: list[_Node | None] | None = None
-
-    def read(self) -> tuple[tuple[tuple[int, int], Pair], ...]:
-        """The node's moves; the first call reads its pair and moves (`_move_pairs`)."""
-        if self.moves is None:
-            self.comps, self.moves = _move_pairs(self.state)
-            self.succ = [None] * len(self.moves)
-        return self.moves
+        self.succ: list[_Node | None] = [None] * len(self.moves)
 
 
 class StateSet:
@@ -260,15 +252,14 @@ class StateSet:
         self._states: dict[BlockState, _Node] = {}
 
     def add(self, state: BlockState) -> _Node:
-        """The root node of the state, made when first met, read; roots are not keyed."""
+        """The root node of the state, made when first met; roots are not keyed."""
         node = self._states.get(state)
         if node is None:
             node = self._states[state] = _Node(state)
-        node.read()
         return node
 
     def child(self, node: _Node, k: int) -> _Node:
-        """The successor by the node's k-th move, built and keyed when first taken."""
+        """The successor by the node's k-th move, built, keyed and read when first taken."""
         succ = node.succ[k]
         if succ is None:
             (i, j), _ = node.moves[k]
@@ -323,26 +314,27 @@ def _can_grow_into(pair: Pair, downs) -> bool:
 
 
 def _walk(root: _Node, depth: int, keep):
-    """Each node fewer than `depth` moves from the root, read, once, depth
-    first, with its level.
+    """Each node fewer than `depth` moves from the root, once, depth first,
+    with its level.
 
-    A successor is built only when it lies within the bound and `keep`
-    accepts the boundary pair its move gives.  Every state's depth is fixed
-    by its weights, so a plain visited set keeps the walk exhaustive.
+    Below the root the stack holds moves, as (parent, k, level): a move is
+    stacked only when it lies within the bound and `keep` accepts the
+    boundary pair it gives, and its successor is made only when the walk
+    takes it off the stack.  Every state's depth is fixed by its weights, so
+    a plain visited set keeps the walk exhaustive.
     """
-    seen = {root}
-    stack = [(root, 0)] if depth > 0 else []
+    seen = set()
+    stack = [(root, None, 0)] if depth > 0 else []
     while stack:
-        node, level = stack.pop()
-        node.read()
+        node, k, level = stack.pop()
+        if k is not None:
+            node = _GRAPH.child(node, k)
+        if node in seen:
+            continue
+        seen.add(node)
         yield node, level
         if level + 1 < depth:
-            for k, (_, pair) in enumerate(node.moves):
-                if keep(pair):
-                    succ = _GRAPH.child(node, k)
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append((succ, level + 1))
+            stack += [(node, k, level + 1) for k, (_, pair) in enumerate(node.moves) if keep(pair)]
 
 
 def reachable_pairs_capped(initial: BlockState, target: Pair) -> bool:
@@ -351,7 +343,7 @@ def reachable_pairs_capped(initial: BlockState, target: Pair) -> bool:
     Components never merge under the shape-preserving move, so a state
     whose components cannot grow into the target's (`_can_grow_into`) is a
     dead end.  A node's successors are judged by the pairs read off its own
-    forms (`_Node.read`): one that cannot grow into the target is never
+    forms (`_move_pairs`): one that cannot grow into the target is never
     built, one at the target's depth is only compared with it, and the walk
     stops at the first hit.
     """

@@ -765,7 +765,7 @@ class TestLastLevel:
             slots = {}
             for s in (state, copy):
                 node = engine._Node(s)
-                moves = node.read()
+                moves = node.moves
                 assert node.comps == _pair(s)
                 assert [pair for _, pair in moves] == [_pair(t) for t in successors(s)]
                 slots[s] = Counter(pair for _, pair in moves)
@@ -798,7 +798,7 @@ class TestLastLevel:
             bands = state.bands
             legal = [(i, j) for i, j in itertools.combinations_with_replacement(range(len(bands)), 2)
                      if plus[bands[i][0]] == plus[bands[j][0]] and minus[bands[i][2]] == minus[bands[j][2]]]
-            assert [ij for ij, _ in engine._Node(state).read()] == legal
+            assert [ij for ij, _ in engine._Node(state).moves] == legal
 
     def test_last_level_keys_no_state(self, monkeypatch):
         # A depth-1 walk keys no state: roots are not keyed, and a state at
@@ -879,10 +879,11 @@ class TestBoundaryFeasible:
         # weight 8) verifies from a fresh state graph and leaves no node: its
         # blocks answer by their rules.  Replayed as engine walks, the same
         # queries (on the regular attractor and the Whitney saddles) leave
-        # the 74 successor nodes, from 2 roots, of a walk that
-        # judges each successor by the pair read off its parent before
-        # building it (731 nodes when every successor was keyed); a walk that
-        # built more would show here.
+        # the 8 successor nodes, from 2 roots, of a walk that judges each
+        # move by the pair read off its parent and makes a successor only
+        # when it takes that move off its stack (74 nodes when each kept
+        # move's successor was made as it was stacked, 731 when every
+        # successor was keyed); a walk that built more would show here.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         blocks._feasible.cache_clear()
         asked = []
@@ -909,7 +910,34 @@ class TestBoundaryFeasible:
         assert {entry.rule[0] for entry, _, _ in walked} == {blocks.BAND_FREE, blocks.POINT_SPLIT}
         for entry, target, answer in walked:
             assert reachable_pairs_capped(entry.state, target) == answer
-        assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (74, 2)
+        assert (len(engine._GRAPH._nodes), len(engine._GRAPH._states)) == (8, 2)
+
+    def test_walks_make_only_the_nodes_they_take(self, monkeypatch):
+        # An accepting walk stops at its first hit with moves still on its
+        # stack.  A successor is made only when a walk takes its move off
+        # the stack, so every node on a fresh state graph was yielded by a
+        # walk.  The targets are pairs of the D_sa saddle blocks' closures
+        # two or more moves from the root, so each walk has a stack to leave.
+        targets = []
+        for block in minimal_block_catalog():
+            if block.rule[0] == blocks.WALK and block.name.startswith("D_sa"):
+                total = sum(block.min_in) + sum(block.min_out)
+                pairs, _ = engine.closure_pairs(block.state, total + 6)
+                targets += [(block.state, t) for t in sorted(pairs)
+                            if sum(c.weight for side in t for c in side) >= total + 4]
+        monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
+        yielded = set()
+        walk = engine._walk
+
+        def recording(root, depth, keep):
+            for node, level in walk(root, depth, keep):
+                yielded.add(node)
+                yield node, level
+
+        monkeypatch.setattr(engine, "_walk", recording)
+        assert targets and all(reachable_pairs_capped(state, t) for state, t in targets)
+        made = set(engine._GRAPH._nodes.values())
+        assert made and made <= yielded
 
     def test_closed_form_agrees_with_engine(self, monkeypatch):
         # Every diagonal entry and its reversal, every pair of per-side cap
@@ -957,7 +985,9 @@ class TestBoundaryFeasible:
     def test_rules_agree_with_engine(self, monkeypatch):
         # Every entry and reversal, every target of its component counts
         # whose sides grow by equal weights, combined weight 9 or less: the
-        # entry's rule answers as the targeted walk on a fresh state graph.
+        # entry's rule answers as the targeted walk on a fresh state graph,
+        # and a walk entry, whose rule is that walk, answers as membership in
+        # its unpruned closure at combined weight 9.
         monkeypatch.setattr(engine, "_GRAPH", engine.StateSet())
         queries = []
         for block in minimal_block_catalog():
@@ -968,10 +998,14 @@ class TestBoundaryFeasible:
                         for caps_m in _partitions(m0 + k, entry.e_minus):
                             for target in itertools.product(_side_targets(caps_p), _side_targets(caps_m)):
                                 queries.append((entry, target))
-        mismatched = [(e.name, t) for e, t in queries
-                      if blocks._entry_feasible(e, t) != reachable_pairs_capped(e.state, t)]
+        closures = {e.state: engine.closure_pairs(e.state, 9)[0] for e, _ in queries if e.rule[0] == blocks.WALK}
+
+        def reference(e, t):
+            return t in closures[e.state] if e.rule[0] == blocks.WALK else reachable_pairs_capped(e.state, t)
+
+        mismatched = [(e.name, t) for e, t in queries if blocks._entry_feasible(e, t) != reference(e, t)]
         assert mismatched == []
-        assert len(queries) == 1514
+        assert len(queries) == 1514 and len(closures) == 44
         # The engine has no mirror of its own: each walk block's reversal,
         # walked from its own state, reaches exactly the mirrored targets.
         walked = [(e, t) for e, t in queries if e.rule[0] == blocks.WALK and not e.name.endswith("~rev")]

@@ -264,11 +264,16 @@ class TestReport:
 
     @pytest.mark.parametrize(
         ("certificate", "key"),
-        [({"0": 5}, "'0'"), ({"0": ["O"]}, "'0'"), (["O"], "'certificate'")],
+        [({"0": 5}, "'0'"), ({"0": ["O"]}, "'0'"), (["O"], "'certificate'"),
+         ([], "'certificate'"), ("", "'certificate'"), (0, "'certificate'"), (False, "'certificate'")],
     )
     def test_certificate_of_the_wrong_shape_is_rejected(self, certificate, key):
         with pytest.raises(ValueError, match=key):
             report_certificate({"version": 2, "certificate": certificate})
+
+    @pytest.mark.parametrize("report", [{"version": 2}, {"version": 2, "certificate": None}])
+    def test_missing_or_null_certificate_is_empty(self, report):
+        assert report_certificate(report) == {}
 
     @pytest.mark.parametrize("report", [["O"], "x", None])
     def test_report_that_is_not_an_object_is_rejected(self, report):

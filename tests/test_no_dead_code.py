@@ -1,10 +1,12 @@
 """Every name the library defines is read somewhere, and every name its prose cites exists.
 
 Each top-level function, class, method and module-level assignment in
-`src/gsflows` must appear, as a whole word, in some file under `src/` or
-`tests/` (package `__init__.py` files excepted, since they only re-export)
-outside its own definition line.  Dunder methods are called implicitly and
-are exempt.
+`src/gsflows` must appear, as a whole word, in the code of some file under
+`src/` or `tests/` (package `__init__.py` files excepted, since they only
+re-export) outside its own definition line.  Code is names and string
+literals, since tests monkeypatch names by string; comments and docstrings
+are not, so prose citing a name cannot keep its definition alive.  Dunder
+methods are called implicitly and are exempt.
 
 Each backticked identifier in a comment or docstring of `src/gsflows`, or
 in README.md, dotted or called, must name something the package binds, a
@@ -46,14 +48,20 @@ def _definitions(path: Path):
 
 
 def _word_sites() -> dict[str, set[tuple[Path, int]]]:
+    """Where each word is read in code: names, and words of string literals that are not docstrings."""
     sites: dict[str, set[tuple[Path, int]]] = defaultdict(set)
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
     for path in files:
         if path.name == "__init__.py":
             continue
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            for word in re.findall(r"\w+", line):
-                sites[word].add((path, lineno))
+        source = path.read_text(encoding="utf-8")
+        docstrings = {(node.body[0].lineno, node.body[0].col_offset) for node in ast.walk(ast.parse(source))
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME or token.type == tokenize.STRING and token.start not in docstrings:
+                for word in re.findall(r"\w+", token.string):
+                    sites[word].add((path, token.start[0]))
     return sites
 
 
