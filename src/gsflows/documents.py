@@ -223,8 +223,8 @@ def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
     """Recover manifold values from a report's certificate strings.
 
     A report or certificate of another shape raises ValueError naming the
-    offending key.  An edge index is written in plain decimal ('0', '12'),
-    so no two keys name one edge.
+    offending key.  An edge index is written in plain decimal ('0', '12'):
+    ASCII digits with no leading zero, so no two keys name one edge.
     """
     if not isinstance(report, dict):
         raise ValueError(f"a report must be a JSON object, got {type(report).__name__}")
@@ -234,7 +234,7 @@ def report_certificate(report: dict) -> dict[int, Branched1Manifold]:
     if not isinstance(cert, dict):
         raise ValueError(f"'certificate' must map edge indices to forms, got {type(cert).__name__}")
     for k, v in cert.items():
-        if not (isinstance(k, str) and k.isascii() and k.isdigit() and str(int(k)) == k):
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and (k[0] != "0" or k == "0")):
             raise ValueError(f"certificate {k!r}: key must be an edge index in plain decimal")
         if not isinstance(v, str):
             raise ValueError(f"certificate {k!r}: form must be a string, got {type(v).__name__}")

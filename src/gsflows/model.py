@@ -19,7 +19,11 @@ of per-label terms (`label_terms`), stated once from the label table, so a
 caller that already visits every vertex can add them up on the way.  The
 table also gives one shared `VertexLabel` per admissible label
 (`LABELS_BY_WORDS`, keyed by the two words a document spells it with), so
-that parsing builds no label object for a canonical spelling.
+that parsing builds no label object for a canonical spelling.  A label
+computes its hash, the dataclass value `hash((kind, nature))`, once, when it
+is made, since every feasibility table query hashes its label.  `incidence`
+and `validate_graph` never hash a label, so they also report on a label
+made without its constructor.
 
 The two label enums hash by identity (`object.__hash__`) instead of by
 member name, since labels key dicts, sets and caches on every path.  This
@@ -164,14 +168,22 @@ _INDICES = {key: ConleyIndex(*row[0]) for key, row in _LABELS.items()}
 
 @dataclass(frozen=True)
 class VertexLabel:
-    """Pair (chart type, nature) attached to a graph vertex."""
+    """Pair (chart type, nature) attached to a graph vertex.
+
+    Its hash, `hash((kind, nature))`, is computed once, at construction.
+    """
 
     kind: SingularityType
     nature: Nature
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.nature not in ADMISSIBLE_NATURES[self.kind]:
             raise ValueError(f"nature {self.nature} not admissible for type {self.kind}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.nature)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.kind},{self.nature}"

@@ -13,7 +13,10 @@ non-realizability within the bound, or reports the question as open.  The
 search and the certificate audit share one assignment routine, `_assign`.
 It assigns connected components, not manifolds: a form of two or more
 components never reaches it, and each vertex check is one query of the
-feasibility table on the target pair read off its edges' components.
+feasibility table on the target pair read off its edges' components.  A
+vertex's check slot is read off the last entries of its edge index lists,
+which are in edge order, and a side of one edge is its component as a
+1-tuple, unsorted; only sides of two or more edges sort.
 
 `classify_graph` reads one `model.incidence` table: its report decides
 validity, and its edge index lists give each vertex's weights and, for the
@@ -36,6 +39,7 @@ sweep.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -314,23 +318,27 @@ def verify_certificate(g: LyapunovGraph, cert: Certificate) -> bool:
     vertex boundary must be block-feasible.  A graph that `realize` rejects,
     structurally invalid or open, raises `InvalidGraphError`; a certificate
     that misses an edge, or names a key that is no edge index, raises
-    ValueError.
+    ValueError.  A key is an edge index only when its type is `int`: `1.0`,
+    `True` and `"1"` name no edge, though the first two equal 1.  The keys
+    are read in one pass, and the edges' forms in another, which hands each
+    edge's one component to `_assign` as its only candidate.
     """
     ins, outs = _incidence(g)
     if not g.is_closed():
         raise InvalidGraphError("certificates are defined for closed graphs")
-    edges = range(len(g.edges))
+    n = len(g.edges)
     for k in cert:
-        if k not in edges:
+        if type(k) is not int or not 0 <= k < n:
             raise ValueError(f"certificate names {k!r}, which is not an edge index of the graph")
-    for i in edges:
-        if i not in cert:
-            raise ValueError(f"certificate misses edge {i}")
-    comps = [cert[i].components for i in edges]
-    for c, e in zip(comps, g.edges):
-        if len(c) != 1 or c[0].weight != e.weight:
+    if len(cert) < n:
+        raise ValueError(f"certificate misses edge {next(i for i in range(n) if i not in cert)}")
+    candidates = []
+    for i, (_, _, w) in enumerate(g.edges):
+        c = cert[i].components
+        if len(c) != 1 or c[0].weight != w:
             return False
-    return _assign(g, ins, outs, [[c[0]] for c in comps]) is not None
+        candidates.append(c)
+    return _assign(g, ins, outs, candidates) is not None
 
 
 def _search(g: LyapunovGraph, ins: dict[str, list[int]],
@@ -351,28 +359,32 @@ def _search(g: LyapunovGraph, ins: dict[str, list[int]],
 
 
 def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[int]],
-            candidates: list[list[BranchedComponent]]) -> list[BranchedComponent] | None:
+            candidates: list[Sequence[BranchedComponent]]) -> list[BranchedComponent] | None:
     """The first choice of one candidate component per edge that makes every
     vertex block-feasible, as a list indexed by edge, or None.
 
-    `ins` and `outs` are the graph's edge index lists (`incidence`).  Edges
-    are assigned by index and candidates tried in list order; a vertex is
-    checked once its last incident edge has a form, and a vertex without
-    edges before any edge.  The checks are listed per slot, the index of
-    that last edge plus one (slot 0 for no edge), as (label, entering edge
-    indices, exiting edge indices), and a check is one query of the
-    feasibility table (`blocks._feasible`) on the target pair read off the
-    assigned components.  The backtracking is iterative, so the depth is
-    not bounded by the recursion limit.
+    `ins` and `outs` are the graph's edge index lists (`incidence`), in edge
+    order.  Edges are assigned by index and candidates tried in sequence
+    order; a vertex is checked once its last incident edge has a form, and a
+    vertex without edges before any edge.  The checks are listed per slot,
+    the index of that last edge plus one (slot 0 for no edge), read off the
+    last entries of the two lists, as (label, entering edge indices, exiting
+    edge indices).  A check is one query of the feasibility table
+    (`blocks._feasible`) on the target pair read off the assigned
+    components: a side of one edge is the 1-tuple of its component, and a
+    side of two or more is sorted.  The backtracking is iterative, so the
+    depth is not bounded by the recursion limit.
     """
     checks: list[list[tuple]] = [[] for _ in range(len(g.edges) + 1)]
     for vid, label in g.vertices.items():
-        checks[max(ins[vid] + outs[vid], default=-1) + 1].append((label, ins[vid], outs[vid]))
+        a, b = ins[vid], outs[vid]
+        checks[max(a[-1] if a else -1, b[-1] if b else -1) + 1].append((label, a, b))
     forms: list[BranchedComponent | None] = [None] * len(g.edges)
 
     def holds(slot: int) -> bool:
         for label, a, b in checks[slot]:
-            target = (tuple(sorted([forms[i] for i in a])), tuple(sorted([forms[i] for i in b])))
+            target = ((forms[a[0]],) if len(a) == 1 else tuple(sorted([forms[i] for i in a])),
+                      (forms[b[0]],) if len(b) == 1 else tuple(sorted([forms[i] for i in b])))
             if not _feasible(label, target):
                 return False
         return True

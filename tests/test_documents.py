@@ -280,11 +280,16 @@ class TestReport:
         with pytest.raises(ValueError, match="JSON object"):
             report_certificate(report)
 
-    @pytest.mark.parametrize("key", ["01", "-1", "+1", "x", " 1", "1.0", "", "\u0661"])
+    @pytest.mark.parametrize("key", ["01", "00", "007", "-1", "+1", "x", " 1", "1.0", "", "\u0661"])
     def test_key_that_is_not_a_plain_edge_index_is_rejected(self, key):
         # '01' would name edge 1 beside '1', and the later key would win.
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             report_certificate({"version": 2, "certificate": {"1": "O", key: "0:0,0:0"}})
+
+    @pytest.mark.parametrize("key", ["0", "10"])
+    def test_plain_decimal_key_is_accepted(self, key):
+        cert = report_certificate({"version": 2, "certificate": {key: "0:0,0:0"}})
+        assert cert == {int(key): family_A(2)}
 
     @pytest.mark.parametrize("form", ["O|", "x", "0:1,0:1"])
     def test_malformed_form_names_its_key(self, form):

@@ -2,8 +2,10 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from gsflows.blocks import _feasible, entries_for
 from gsflows.model import (
     ADMISSIBLE_NATURES,
+    LABELS_BY_WORDS,
     OPEN,
     ConleyIndex,
     Edge,
@@ -51,6 +53,32 @@ def graph(verts, edges):
 
 
 ALL_LABELS = [(t, n) for t in T for n in ADMISSIBLE_NATURES[t]]
+
+
+class TestLabelHash:
+    def test_hash_is_the_pair_hash(self):
+        assert len(ALL_LABELS) == len(LABELS_BY_WORDS) == 20
+        for t, n in ALL_LABELS:
+            label = VertexLabel(t, n)
+            assert hash(label) == hash((t, n))
+            shared = LABELS_BY_WORDS[(t.value, n.value)]
+            assert label == shared and hash(label) == hash(shared) and label is not shared
+
+    def test_fresh_label_finds_the_shared_labels_table_entry(self):
+        # Reversed natures are answered under a label `_feasible` builds
+        # afresh, so a fresh label must hit the entry a shared one made.
+        asked = 0
+        for t, n in ALL_LABELS:
+            shared = LABELS_BY_WORDS[(t.value, n.value)]
+            for entry in entries_for(shared):
+                target = tuple(tuple(sorted(m.components)) if m else () for m in (entry.n_plus, entry.n_minus))
+                expected = _feasible(shared, target)
+                assert expected, entry.name
+                hits = _feasible.cache_info().hits
+                assert _feasible(VertexLabel(t, n), target) == expected
+                assert _feasible.cache_info().hits == hits + 1
+                asked += 1
+        assert asked == 66
 
 
 class TestConleyIndex:

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import re
 import time
 from collections import Counter
 
@@ -510,6 +511,17 @@ class TestVerifyCertificate:
             with pytest.raises(InvalidGraphError):
                 realize(g)
 
+    @pytest.mark.parametrize("key", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_key_whose_type_is_not_int_is_rejected(self, key):
+        # 1.0 and True equal edge index 1, and the forms fit the graph: only
+        # the key's type can reject the certificate.
+        g = gen_random_gs_graph(1, size=5, minimal=True)
+        cert = dict(realize(g).certificate)
+        assert verify_certificate(g, cert)
+        cert[key] = cert.pop(1)
+        with pytest.raises(ValueError, match=re.escape(f"names {key!r}, which is not an edge index")):
+            verify_certificate(g, cert)
+
 
 def _audit_by_vertex(g, cert):
     """`verify_certificate`'s definition read vertex by vertex: one connected
@@ -548,6 +560,39 @@ def _manifold_search(g):
         return False
 
     return dict(enumerate(forms)) if checked(-1) and extend(0) else None
+
+
+def _reference_queries(g, candidates, feasible):
+    """The feasibility queries of the per-vertex assignment, in order: each
+    vertex asks, in slot max(ins + outs, default=-1) + 1, for its two sides'
+    components sorted, and edges are assigned by depth-first backtracking."""
+    ins, outs, _ = incidence(g)
+    slot = {v: max(ins[v] + outs[v], default=-1) + 1 for v in g.vertices}
+    forms = [None] * len(g.edges)
+    asked = []
+
+    def holds(k):
+        for v, label in g.vertices.items():
+            if slot[v] == k:
+                target = (tuple(sorted([forms[i] for i in ins[v]])), tuple(sorted([forms[i] for i in outs[v]])))
+                asked.append((label, target))
+                if not feasible(label, target):
+                    return False
+        return True
+
+    def extend(idx):
+        if not holds(idx):
+            return False
+        if idx == len(g.edges):
+            return True
+        for c in candidates[idx]:
+            forms[idx] = c
+            if extend(idx + 1):
+                return True
+        return False
+
+    extend(0)
+    return asked
 
 
 def _light_graphs():
@@ -598,6 +643,41 @@ class TestComponentAssignment:
                 # Each distinct form is one manifold object, encoded once in a report.
                 assert len({id(m) for m in cert.values()}) == len(set(cert.values()))
         assert searched > 60 and 0 < found < searched
+
+    def test_table_keys_match_the_per_vertex_reference(self, monkeypatch):
+        # `_assign` reads a vertex's slot off the last entries of its edge
+        # index lists and leaves one-edge sides unsorted; its queries must be
+        # those of the per-vertex definition, key for key and in order.
+        module = importlib.import_module("gsflows.realize")
+        feasible = module._feasible
+        asked = []
+
+        def recording(label, target):
+            asked.append((label, target))
+            return feasible(label, target)
+
+        monkeypatch.setattr(module, "_feasible", recording)
+        seen = Counter()
+        for g in _light_graphs():
+            ins, outs, _ = incidence(g)
+            for v in g.vertices:
+                assert all(i < j for side in (ins[v], outs[v]) for i, j in zip(side, side[1:]))
+                seen["bifurcation"] += len(ins[v]) + len(outs[v]) >= 3
+                seen["one side empty"] += not ins[v] or not outs[v]
+            by_weight = {w: sorted(enumerate_connected(w), key=lambda c: c.encode())
+                         for w in {e.weight for e in g.edges}}
+            asked.clear()
+            cert = _search(g, ins, outs)
+            assert asked == _reference_queries(g, [by_weight[e.weight] for e in g.edges], feasible)
+            seen["queries"] += len(asked)
+            seen["sorted sides"] += sum(len(side) >= 2 for _, target in asked for side in target)
+            if cert is not None:
+                asked.clear()
+                assert verify_certificate(g, cert)
+                assert asked == _reference_queries(g, [cert[i].components for i in range(len(g.edges))], feasible)
+                seen["audits"] += 1
+        kinds = ("bifurcation", "one side empty", "sorted sides", "audits")
+        assert all(seen[k] for k in kinds) and seen["queries"] > 500, seen
 
     @pytest.mark.parametrize("bound", [4, 5])
     def test_search_only_matches_manifold_backtracking(self, bound):
