@@ -11,16 +11,19 @@ entering and exiting vertex kinds, the dead entering arcs, the flow bands as
 (entering arc, exiting arc) vertex pairs, and the orientable and provisional
 flags.
 
-The shape catalog is read off the block catalog: the admissible semi-graph
-shapes (label, indegree, outdegree) are those of the blocks and their
-reversals, each given by the first catalog entry that has it, and the
-minimal weights of a shape are that entry's sorted component weights.  The
-weight-condition table is the blocks' own shapes plus the two
-double-crossing shapes that no block realizes.
+The blocks and their reversals are kept in one index (`_index`), built once
+per process: each block followed by its reversal, in catalog order, listed
+under its shape (label, indegree, outdegree).  The admissible semi-graph
+shapes are its keys, each given by its first entry, and the minimal weights
+of a shape are that entry's sorted component weights; a label's entries
+(`entries_for`) are its shapes' entries, and a feasibility query reads the
+entries of its target's shape.  The weight-condition table is the blocks'
+own shapes plus the two double-crossing shapes that no block realizes.
 
 Local verdicts follow a fixed cascade: the Poincare-Hopf residual, the
 degree inequalities, the known non-realizable shape exclusions, shape
-catalog membership, and the cone/double/triple weight-splitting constraints.
+catalog membership, the shape's minimal weights, and the cone/double/triple
+weight-splitting constraints.
 Natures the catalog lists only through reversed blocks are decided on the
 time-reversed semi-graph.  A verdict is computed afresh on every call;
 `realize._vertex_facts` is the memo that keeps one per vertex shape.
@@ -146,7 +149,6 @@ from .model import (
     SingularityType,
     VertexLabel,
     degree_bounds_ok,
-    fold_degrees,
     ph_residual,
     reverse_nature,
     reverse_semigraph,
@@ -175,22 +177,38 @@ def _equation(e_plus: int, e_minus: int, delta: int) -> str:
 
 
 @lru_cache(maxsize=1)
-def _shapes() -> dict[tuple[VertexLabel, int, int], CatalogEntry]:
-    """The first of the catalog blocks and their reversals with each (label, e+, e-), in catalog order."""
-    shapes: dict[tuple[VertexLabel, int, int], CatalogEntry] = {}
+def _index() -> dict[tuple[VertexLabel, int, int], tuple[CatalogEntry, ...]]:
+    """The catalog blocks and their reversals by shape (label, e+, e-), in catalog order.
+
+    Each block is followed by its reversal, built here once per process; the
+    shape views below and the feasibility table read this one index.
+    """
+    index: dict[tuple[VertexLabel, int, int], tuple[CatalogEntry, ...]] = {}
     for block in minimal_block_catalog():
         for e in (block, block.reversed()):
-            shapes.setdefault((e.label, e.e_plus, e.e_minus), e)
-    return shapes
+            shape = (e.label, e.e_plus, e.e_minus)
+            index[shape] = index.get(shape, ()) + (e,)
+    return index
 
 
 def shape_catalog() -> tuple[CatalogEntry, ...]:
     """All admissible shapes, each as the first block or reversal that has it."""
-    return tuple(_shapes().values())
+    return tuple(entries[0] for entries in _index().values())
 
 
 def shape_for(label: VertexLabel, e_plus: int, e_minus: int) -> CatalogEntry | None:
-    return _shapes().get((label, e_plus, e_minus))
+    return _index().get((label, e_plus, e_minus), (None,))[0]
+
+
+@lru_cache(maxsize=None)
+def entries_for(label: VertexLabel) -> tuple[CatalogEntry, ...]:
+    """Catalog entries applying to the label, in catalog order, reversing blocks as needed.
+
+    Self-reversed natures (the saddles) match both orientations of a block,
+    so both the entry and its reversal are offered.  The entries of one
+    shape are adjacent in the catalog, so the index lists them in order.
+    """
+    return tuple(e for (owner, _, _), entries in _index().items() if owner == label for e in entries)
 
 
 #: Double-crossing shapes that satisfy the residual relation but admit no
@@ -275,7 +293,8 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
     Natures the catalog lists only through reversed blocks get the verdict of
     the time-reversed semi-graph, so each rule below is stated once.  The
     excluded shapes and the unequal splits at minimal totals give reason
-    Thm4-exclusion; the splitting rules for non-minimal weights give Thm5-*.
+    Thm4-exclusion, weights below the shape's minimal weights below-minimal,
+    and the splitting rules for non-minimal weights Thm5-*.
     """
     if sg.label.nature in _REVERSED:
         return local_realizable(reverse_semigraph(sg))
@@ -292,10 +311,11 @@ def local_realizable(sg: SemiGraph) -> LocalVerdict:
     if entry is None:
         return _no("shape-absent")
 
+    # The residual fixes B+ - B-, as it does for the minimal weights, so
+    # both sides lie the same excess above them; below them no block fits.
     excess = sg.b_plus - sum(entry.min_in)
-    if excess < 0 or sg.b_minus - sum(entry.min_out) != excess:
-        # Cannot happen once the residual vanishes, but keep the guard.
-        return _no("PH-violated")
+    if excess < 0:
+        return _no("below-minimal")
 
     dss_s = kind is _T.DOUBLE and nature is _N.SS_S and sg.e_plus == 2
     tssa = kind is _T.TRIPLE and nature is _N.SSA and sg.e_minus == 2
@@ -356,21 +376,17 @@ class CatalogEntry:
     #: the rule read off its state by `_rule`, and for a point split or an
     #: arc sum the index of the side that holds the one component X.
     rule: tuple[str, int] = field(init=False)
-    #: Fold degrees of the label on the entering and exiting sides.
-    beta_in: int = field(init=False)
-    beta_out: int = field(init=False)
 
     def __post_init__(self) -> None:
         sides = self.sides or engine.read_sides(self.state)
         (ins, plus_at), (outs, minus_at) = sides
         routing = frozenset((p[0], m[0]) for p, m in zip(plus_at, minus_at))
-        beta_in, beta_out = fold_degrees(self.label.kind, self.label.nature)
         for name, value in (("sides", sides), ("n_plus", Branched1Manifold(ins) if ins else None),
                             ("n_minus", Branched1Manifold(outs) if outs else None),
                             # Canonical components sort by order, so their weights come sorted.
                             ("min_in", tuple(c.weight for c in ins)), ("min_out", tuple(c.weight for c in outs)),
                             ("e_plus", len(ins)), ("e_minus", len(outs)), ("routing", routing),
-                            ("rule", _rule(self.state)), ("beta_in", beta_in), ("beta_out", beta_out)):
+                            ("rule", _rule(self.state))):
             object.__setattr__(self, name, value)
 
     def reversed(self) -> "CatalogEntry":
@@ -517,28 +533,7 @@ def minimal_block_catalog() -> tuple[CatalogEntry, ...]:
 
 
 def catalog_counts() -> dict[SingularityType, int]:
-    counts: dict[SingularityType, int] = {t: 0 for t in SingularityType}
-    for e in minimal_block_catalog():
-        counts[e.label.kind] += 1
-    return counts
-
-
-@lru_cache(maxsize=1)
-def _entries_by_label() -> dict[VertexLabel, tuple[CatalogEntry, ...]]:
-    by_label: dict[VertexLabel, list[CatalogEntry]] = {}
-    for e in minimal_block_catalog():
-        for candidate in (e, e.reversed()):
-            by_label.setdefault(candidate.label, []).append(candidate)
-    return {label: tuple(entries) for label, entries in by_label.items()}
-
-
-def entries_for(label: VertexLabel) -> tuple[CatalogEntry, ...]:
-    """Catalog entries applying to the label, reversing blocks as needed.
-
-    Self-reversed natures (the saddles) match both orientations of a block,
-    so both the entry and its reversal are offered.
-    """
-    return _entries_by_label().get(label, ())
+    return {t: sum(e.label.kind is t for e in minimal_block_catalog()) for t in SingularityType}
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +594,16 @@ def _feasible(label: VertexLabel, target: engine.Pair) -> bool:
     """
     if label.nature in _REVERSED:
         return _feasible(VertexLabel(label.kind, reverse_nature(label.nature)), target[::-1])
-    return any(_entry_feasible(e, target) for e in entries_for(label))
+    return any(_entry_feasible(e, target) for e in _index().get((label, len(target[0]), len(target[1])), ()))
 
 
 def _entry_feasible(entry: CatalogEntry, target: engine.Pair) -> bool:
     """Whether the block grows into the target pair, by the entry's rule.
 
-    A target of other component counts, or whose two sides grow by unequal
-    weights, is infeasible for every rule.
+    The entry has the target's component counts, as `_feasible` reads it
+    off the index by the target's shape.  A target whose two sides grow by
+    unequal weights is infeasible for every rule.
     """
-    if entry.e_plus != len(target[0]) or entry.e_minus != len(target[1]):
-        return False
     plus, minus = (sum(c.weight for c in side) for side in target)
     k = plus - sum(entry.min_in)
     if k < 0 or minus - sum(entry.min_out) != k:

@@ -19,15 +19,15 @@ orbit: the canonizer's automorphisms, which each canonical component
 carries, and the swaps of parallel arcs map every arc pair to the least
 pair of its orbit, and only that pair is rewritten.
 `suppress` reads arc lists that carry degree-2 vertices, as block states
-and `split_off` make them, into canonical components.
+and splits make them, into canonical components.
 
-`split_off` inverts a same-component identification: it splits a branch
-point into two interior points, one per pairing of its four arc ends.  One
-splitter, `point_splits`, lists every result of splitting one branch point
-of a component, connected or not, once per component.  The down-set of a
-component (`down_set`), its closure under `split_off`, holds every connected
-form that identifications can grow into it, and is read off the connected
-splits.  `arc_sums` joins two components along one arc of each.
+Splitting a branch point into two interior points, one per pairing of its
+four arc ends, inverts a same-component identification.  One splitter,
+`point_splits`, lists every result of splitting one branch point of a
+component, connected or not, once per component.  The down-set of a
+component (`down_set`), its closure under connected splits, holds every
+connected form that identifications can grow into it.  `arc_sums` joins two
+components along one arc of each.
 """
 
 from __future__ import annotations
@@ -522,9 +522,9 @@ def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], lis
     one arc is 0.  Parallel arcs, loops included, are swapped by an
     automorphism of their component, so the walks between two branch points
     may take that pair's canonical arcs in any order.  Its callers are the
-    engine's one reader of a block side (`engine.read_sides`) and
-    `split_off`; point identification (`_identify`) makes no degree-2 vertex
-    and does not call it.
+    engine's one reader of a block side (`engine.read_sides`) and the
+    splitter (`_split`); point identification (`_identify`) makes no
+    degree-2 vertex and does not call it.
     """
     # half_edges[v]: (edge index, index of the far end within the edge)
     half_edges: dict[int, list[tuple[int, int]]] = {}
@@ -604,10 +604,10 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
     Grown weight by weight from the circle: the forms of weight w are the
     results of `identify_arcs` on every form of weight w - 1 and every pair
     of its arcs, one arc taken twice included, deduplicated as a set.  Every
-    connected form is reached: `split_off` undoes the step, and pairing a
-    branch point's four arc ends as an Euler tour of the 4-regular component
-    passes through it keeps the component connected, so every connected form
-    has a connected parent one weight lower.
+    connected form is reached: splitting a branch point (`point_splits`)
+    undoes the step, and pairing its four arc ends as an Euler tour of the
+    4-regular component passes through it keeps the component connected, so
+    every connected form has a connected parent one weight lower.
     """
     if w < 1:
         raise ValueError("weight must be >= 1")
@@ -620,17 +620,6 @@ def enumerate_connected(w: int) -> list[BranchedComponent]:
             grown.update(identify_arcs(form, i, j) for i in range(n) for j in range(i, n))
         _FORMS.append(sorted(grown))
     return list(_FORMS[w - 1])
-
-
-def split_off(c: BranchedComponent, v: int) -> list[BranchedComponent]:
-    """Connected results of splitting branch point v into two interior points.
-
-    This is the inverse of a same-component `identify_points`: every result
-    weighs one less than c, and identifying its two new points gives c
-    back.  Disconnected results of `_split` are dropped; the rest are
-    returned distinct and sorted.
-    """
-    return sorted({s[0] for s in _split(c, v) if len(s) == 1})
 
 
 def _split(c: BranchedComponent, v: int) -> set[tuple[BranchedComponent, ...]]:
@@ -674,8 +663,8 @@ def point_splits(c: BranchedComponent) -> frozenset[tuple[BranchedComponent, ...
 def down_set(c: BranchedComponent) -> frozenset[BranchedComponent]:
     """Every connected form that same-component identifications grow into c.
 
-    The closure of c under `split_off`, c included, read off the connected
-    results of `point_splits`; memoised per component.
+    The closure of c under connected splits, c included, read off the
+    connected results of `point_splits`; memoised per component.
     """
     return frozenset([c]).union(*(down_set(s[0]) for s in point_splits(c) if len(s) == 1))
 

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .blocks import catalog_counts, minimal_block_catalog
+from .blocks import catalog_counts
 from .branched import enumerate_connected
 from .documents import (
     ParseError,
@@ -115,20 +115,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    doc = catalog_document()
     if args.json:
-        sys.stdout.write(json.dumps(catalog_document(), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return EX_OK
-    wanted = parse_type(args.type) if args.type else None
-    for entry in minimal_block_catalog():
-        if wanted is not None and entry.label.kind is not wanted:
-            continue
-        n_plus = entry.n_plus.encode() if entry.n_plus else "-"
-        n_minus = entry.n_minus.encode() if entry.n_minus else "-"
-        flags = " provisional" if entry.provisional else ""
-        print(
-            f"{entry.name}: ({entry.label}) e+={entry.e_plus} e-={entry.e_minus} "
-            f"N+={n_plus} N-={n_minus}{flags}"
-        )
+    wanted = str(parse_type(args.type)) if args.type else None
+    for e in doc["entries"]:
+        if wanted in (None, e["type"]):
+            flags = " provisional" if e["provisional"] else ""
+            print(f"{e['name']}: ({e['type']},{e['nature']}) e+={e['e_plus']} e-={e['e_minus']} "
+                  f"N+={e['n_plus'] or '-'} N-={e['n_minus'] or '-'}{flags}")
     counts = catalog_counts()
     print(" ".join(str(counts[t]) for t in SingularityType) + f" / {sum(counts.values())}")
     return EX_OK

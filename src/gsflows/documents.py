@@ -47,6 +47,7 @@ from .model import (
     Edge,
     LyapunovGraph,
     VertexLabel,
+    fold_degrees,
     parse_nature,
     parse_type,
 )
@@ -259,6 +260,7 @@ def catalog_document() -> dict:
     """
     entries = []
     for e in minimal_block_catalog():
+        beta_in, beta_out = fold_degrees(e.label.kind, e.label.nature)
         entries.append(
             {
                 "name": e.name,
@@ -268,8 +270,8 @@ def catalog_document() -> dict:
                 "e_minus": e.e_minus,
                 "n_plus": e.n_plus.encode() if e.n_plus else "",
                 "n_minus": e.n_minus.encode() if e.n_minus else "",
-                "beta_in": e.beta_in,
-                "beta_out": e.beta_out,
+                "beta_in": beta_in,
+                "beta_out": beta_out,
                 "routing": sorted(list(pair) for pair in e.routing),
                 "orientable": e.orientable,
                 "provisional": e.provisional,

@@ -69,12 +69,12 @@ states that can still grow into it.  Each move identifies two points of one
 component on each side, so components never merge or split and each grows
 by same-component point identifications.  A state can reach the target pair
 only if, on each side, its components lie one each in the down-sets
-(`branched.down_set`, the closure under `branched.split_off`) of distinct
+(`branched.down_set`, the closure under connected splits) of distinct
 target components.  The test is necessary, so the prune never loses a
 reachable target; it is applied to a successor's pair before it is built,
 and a successor at the target's depth is only compared with the target.  So
 a walk keys no state it prunes and none at its last level.  The test also
-bounds weights: `split_off` lowers a component's weight by one, so a
+bounds weights: a connected split lowers a component's weight by one, so a
 component in the down-set of a target component never weighs more than it,
 and a state that passes it fits under the target's component weights.
 Closures are not pruned and serve as the unpruned reference: weights only

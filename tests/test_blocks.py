@@ -30,7 +30,6 @@ from gsflows.branched import (
     manifold,
     parse_manifold,
     point_splits,
-    split_off,
     suppress,
 )
 from gsflows import engine
@@ -52,6 +51,7 @@ from gsflows.model import (
     parse_nature,
     parse_type,
     ph_residual,
+    reverse_nature,
     reverse_semigraph,
 )
 from gsflows.realize import lemma_familyB_ok, lemma_firstfamily_ok, realize, verify_certificate
@@ -213,6 +213,32 @@ class TestLocalVerdicts:
         assert local_realizable(sg("R", "a", [2], [])).reason == "PH-violated"
         assert local_realizable(sg("D", "ss_s", [3], [1, 1, 1, 1, 1])).reason == "degree-bound"
         assert local_realizable(sg("R", "a", [1], [1])).reason == "shape-absent"
+        assert local_realizable(sg("T", "ssa", [3], [1])).reason == "below-minimal"
+
+    def test_below_minimal_weights(self):
+        # Every semi-graph of combined weight 9 or less: PH-violated exactly
+        # where the residual is nonzero, and below-minimal exactly on the
+        # triple-crossing saddles whose residual vanishes below the
+        # block's minimal weights, and their mirrors.
+        below = {(lab("T", "ssa"), ins, outs) for ins, outs in (((3,), (1,)), ((4,), (2,)), ((3,), (1, 1)),
+                                                                  ((4,), (1, 2)))}
+        below |= {(lab("T", "ssr"), outs, ins) for _, ins, outs in below}
+        found = set()
+        for kind, natures in ADMISSIBLE_NATURES.items():
+            for nature in natures:
+                label = VertexLabel(kind, nature)
+                for p, m in itertools.product(range(5), repeat=2):
+                    for total in range(max(1, p + m), 10):
+                        for b_plus in range(p, total - m + 1):
+                            for ins in _partitions(b_plus, p):
+                                for outs in _partitions(total - b_plus, m):
+                                    s = SemiGraph(label, ins, outs)
+                                    verdict = local_realizable(s)
+                                    assert (verdict.reason == "PH-violated") == (ph_residual(s) != 0), s
+                                    if verdict.reason == "below-minimal":
+                                        assert not verdict.ok
+                                        found.add((label, ins, outs))
+        assert found == below
 
     def test_structural_exclusions(self):
         assert local_realizable(sg("D", "ss_s", [3, 2], [1, 1, 1, 2])).reason == "Thm4-exclusion"
@@ -315,7 +341,44 @@ class TestCatalog:
         for entry in minimal_block_catalog():
             bp_in = sum(c.order for c in entry.n_plus.components) if entry.n_plus else 0
             bp_out = sum(c.order for c in entry.n_minus.components) if entry.n_minus else 0
-            assert (bp_in, bp_out) == (entry.beta_in, entry.beta_out)
+            assert (bp_in, bp_out) == fold_degrees(entry.label.kind, entry.label.nature)
+
+    def test_each_reversal_is_built_once(self, monkeypatch):
+        # One index holds every block and its reversal: with the catalog
+        # memos cleared, every view of the catalog and the feasibility
+        # table together build each of the 33 reversals once.
+        for memo in (minimal_block_catalog, blocks._index, entries_for):
+            memo.cache_clear()
+        built = []
+        reverse = blocks.CatalogEntry.reversed
+        monkeypatch.setattr(blocks.CatalogEntry, "reversed", lambda e: built.append(e.name) or reverse(e))
+        catalog = minimal_block_catalog()
+        for entry in shape_catalog():
+            assert minimal_weights(entry.label, entry.e_plus, entry.e_minus) == (entry.min_in, entry.min_out)
+            assert entry in entries_for(entry.label)
+            assert blocks._feasible.__wrapped__(entry.label, (entry.sides[0][0], entry.sides[1][0]))
+        assert local_realizable(sg("D", "ss_u", [1, 1], [2, 2])).is_minimal
+        assert sorted(built) == sorted(b.name for b in catalog)
+
+    def test_shape_for_is_the_first_entry_the_table_reads(self, monkeypatch):
+        # A query on a nature the catalog lists only through reversed blocks
+        # reads the mirrored shape.
+        read = []
+        entry_feasible = blocks._entry_feasible
+        monkeypatch.setattr(blocks, "_entry_feasible", lambda e, t: read.append(e) or entry_feasible(e, t))
+        for entry in shape_catalog():
+            label, p, m = entry.label, entry.e_plus, entry.e_minus
+            if label.nature in blocks._REVERSED:
+                label, p, m = VertexLabel(label.kind, reverse_nature(label.nature)), m, p
+            read.clear()
+            blocks._feasible.cache_clear()
+            blocks._feasible(entry.label, (entry.sides[0][0], entry.sides[1][0]))
+            assert read[0] is shape_for(label, p, m), entry.name
+
+    def test_entries_for_keeps_catalog_order(self):
+        entries = [e for b in minimal_block_catalog() for e in (b, b.reversed())]
+        for label in {e.label for e in entries}:
+            assert [e.name for e in entries_for(label)] == [e.name for e in entries if e.label == label]
 
     def test_routing_shapes(self):
         entry = {e.name: e for e in minimal_block_catalog()}
@@ -588,18 +651,15 @@ class TestClosures:
     ])
     def test_whitney_saddle_closure_is_one_point_splits(self, name, bound, count):
         # W_ss_11 reaches exactly the pairs (X, Y) with Y a connected
-        # one-point split of X (`split_off`, at every branch point), and
-        # W_ss_12 exactly the splits of X into two components
-        # (`point_splits`), within the bound: the point split rule's set.
+        # one-point split of X, and W_ss_12 exactly the splits of X into
+        # two components (`point_splits`, at every branch point), within
+        # the bound: the point split rule's set.
         # The reversal reaches the mirrored pairs.
         entry = next(e for e in minimal_block_catalog() if e.name == name)
         expected = set()
         for w in range(2, (bound + 1) // 2 + 1):
             for x in enumerate_connected(w):
-                if name == "W_ss_11":
-                    splits = {(y,) for v in range(x.order) for y in split_off(x, v)}
-                else:
-                    splits = {y for y in point_splits(x) if len(y) == 2}
+                splits = {y for y in point_splits(x) if len(y) == (1 if name == "W_ss_11" else 2)}
                 expected.update(((x,), y) for y in splits if w + sum(c.weight for c in y) <= bound)
         pairs, _ = engine.closure_pairs(entry.state, bound)
         assert pairs == expected
@@ -1040,7 +1100,8 @@ class TestBoundaryFeasible:
         answers = [blocks._feasible(label, t) for label, t in queries]
         walk_blocks = {b.state for b in minimal_block_catalog() if b.rule[0] == blocks.WALK}
         assert set(engine._GRAPH._states) == walk_blocks
-        direct = [any(blocks._entry_feasible(e, t) for e in entries_for(label)) for label, t in queries]
+        direct = [any(blocks._entry_feasible(e, t) for e in entries_for(label)
+                      if (e.e_plus, e.e_minus) == tuple(map(len, t))) for label, t in queries]
         assert answers == direct
         assert 0 < sum(answers) < len(answers)
 
@@ -1070,7 +1131,7 @@ class TestBoundaryFeasible:
         fours = enumerate_connected(4)
         hits = 0
         for five in enumerate_connected(5):
-            splits = {y for v in range(five.order) for y in split_off(five, v)}
+            splits = {y[0] for y in point_splits(five) if len(y) == 1}
             for four in fours:
                 expected = four in splits
                 assert boundary_feasible(lab("W", "s_s"), [manifold([five])], [manifold([four])]) == expected

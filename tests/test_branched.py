@@ -21,6 +21,7 @@ from gsflows.branched import (
     _find,
     _identify,
     _join,
+    _split,
     canonical_component,
     canonical_labelling,
     circle_manifold,
@@ -34,8 +35,8 @@ from gsflows.branched import (
     identify_points,
     manifold,
     parse_manifold,
+    point_splits,
     puncture,
-    split_off,
     weight,
 )
 
@@ -376,9 +377,14 @@ def _grown(form: BranchedComponent) -> set[BranchedComponent]:
     }
 
 
+def _connected_splits(form: BranchedComponent) -> set[BranchedComponent]:
+    """The connected results of splitting one branch point of the form."""
+    return {s[0] for s in point_splits(form) if len(s) == 1}
+
+
 class TestSplitOff:
     def test_inverts_growth(self):
-        # The connected split-offs of a form, over all its branch points, are
+        # The connected splits of a form, over all its branch points, are
         # exactly the forms one weight lower whose growth step yields it.
         for w in range(2, 8):
             parents: dict[BranchedComponent, set[BranchedComponent]] = {}
@@ -386,22 +392,21 @@ class TestSplitOff:
                 for child in _grown(form):
                     parents.setdefault(child, set()).add(form)
             for form in enumerate_connected(w):
-                results = [p for v in range(form.order) for p in split_off(form, v)]
-                assert set(results) == parents[form], form
+                results = _connected_splits(form)
+                assert results == parents[form], form
                 assert all(p.weight == w - 1 for p in results)
 
     def test_figure_eight(self):
-        assert split_off(figure_eight(), 0) == [CIRCLE]
+        assert _connected_splits(figure_eight()) == {CIRCLE}
         assert down_set(figure_eight()) == {figure_eight(), CIRCLE}
 
     def test_circle(self):
-        with pytest.raises(ValueError):
-            split_off(CIRCLE, 0)
+        assert point_splits(CIRCLE) == frozenset()
         assert down_set(CIRCLE) == {CIRCLE}
 
     def test_bad_vertex(self):
         with pytest.raises(ValueError):
-            split_off(THREE_A, 2)
+            _split(THREE_A, 2)
 
     def test_down_set_is_growth_ancestry(self):
         # Every form from which repeated growth reaches the form, itself included.
@@ -487,17 +492,16 @@ class TestFamilies:
                 )
 
     def test_families_split_back_one_weight(self):
-        # Each form splits (`split_off`) into the family's form one weight
+        # Each form splits (`point_splits`) into the family's form one weight
         # lower, and an even-weight circle-chain form is a split of the next,
         # odd, chain: a Whitney saddle block grows between consecutive
         # weights of a family only along such splits.
         for w in range(2, 41):
             for family in (family_A, family_B):
                 c = family(w).components[0]
-                assert any(family(w - 1).components[0] in split_off(c, v) for v in range(c.order)), (family, w)
+                assert family(w - 1).components[0] in _connected_splits(c), (family, w)
             if w % 2 == 0:
-                chain = family_B(w + 1).components[0]
-                assert any(family_B(w).components[0] in split_off(chain, v) for v in range(chain.order)), w
+                assert family_B(w).components[0] in _connected_splits(family_B(w + 1).components[0]), w
 
     def test_agreement_at_low_weights(self):
         assert family_A(1) == family_B(1)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import re
 import time
@@ -17,7 +18,7 @@ from gsflows.branched import (
     parse_manifold,
 )
 from gsflows.cli import EX_OK, main
-from gsflows.documents import serialize_graph
+from gsflows.documents import report_document, report_to_json, serialize_graph
 from gsflows.generator import gen_random_gs_graph
 from gsflows.blocks import boundary_feasible, local_realizable
 from gsflows.model import (
@@ -765,7 +766,34 @@ class TestMultiEdges:
         assert verify_certificate(g, verdict.certificate)
 
 
+#: sha256 digests of the generator's graphs on `_PINNED_SEEDS`, their
+#: unbounded `realize` reports, and the reports of `realize` with search
+#: bound 5 on SEARCH_ONLY and the open graphs among them.
+_PINNED_SEEDS = range(90)
+_PINNED = {
+    "graphs": "1de57ce425568b4df00d636f1a5c632ac811c63f95ca53c802ea9c6b5fc2b5d3",
+    "reports": "bf25a87d45dd26aee4d61e3bc7b22dafdd87053da31ffd05a242aa8d50ee2aee",
+    "searched": "6ba35c03766d8b7936c49c67c82261ab10328de9ca2a4a4c59819c0d9a06623a",
+}
+
+
 class TestDeterminism:
+    def test_outputs_are_pinned(self):
+        # The same graphs, verdicts and certificates as when these digests
+        # were taken, byte for byte: sizes 4 to 48, minimal and general.
+        graphs = [gen_random_gs_graph(s, size=4 + s % 45, minimal=s % 2 == 0) for s in _PINNED_SEEDS]
+        verdicts = [realize(g) for g in graphs]
+        opened = [g for g, v in zip(graphs, verdicts) if v.status == UNKNOWN and max(e.weight for e in g.edges) <= 5]
+        assert len(opened) == 8
+        texts = {
+            "graphs": [serialize_graph(g) for g in graphs],
+            "reports": [report_to_json(report_document(g, v)) for g, v in zip(graphs, verdicts)],
+            "searched": [report_to_json(report_document(g, realize(g, search_bound=5)))
+                         for g in [SEARCH_ONLY, *opened]],
+        }
+        digests = {name: hashlib.sha256("".join(parts).encode()).hexdigest() for name, parts in texts.items()}
+        assert digests == _PINNED
+
     def test_search_certificates_are_reproducible(self):
         # Candidate forms are tried in canonical order, so repeated runs
         # return identical certificates.
