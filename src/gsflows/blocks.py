@@ -158,19 +158,15 @@ _T = SingularityType
 _N = Nature
 
 
-def _equation(e_plus: int, e_minus: int, delta: int) -> str:
-    """Text of the relation B+ - B- = delta for a shape of these degrees."""
+def _equation(e_minus: int, delta: int) -> str:
+    """B+ - B- = delta as text; every tabulated shape has e+ >= 1 and delta >= -1."""
     if e_minus == 0:
         return f"B+ = {delta}"
-    if e_plus == 0:
-        return f"B- = {-delta}"
     if delta == 0:
         return "B+ = B-"
     if delta == 3:
         # Table convention for the largest offset.
         return "B+ - 3 = B-"
-    if delta == -3:
-        return "B- - 3 = B+"
     if delta > 0:
         return f"B+ = B- + {delta}"
     return f"B+ = B- - {-delta}"
@@ -248,7 +244,7 @@ def ph_condition_rows() -> tuple[ConditionRow, ...]:
         # At unit weights B+ - B- = e+ - e-, so the residual there is the
         # offset from the forced value of B+ - B-.
         delta = ep - em - ph_residual(SemiGraph(label, (1,) * ep, (1,) * em))
-        text = _WORDINGS.get((label, ep, em)) or _equation(ep, em, delta)
+        text = _WORDINGS.get((label, ep, em)) or _equation(em, delta)
         rows.append(ConditionRow(label, ep, em, delta, text))
     return tuple(rows)
 

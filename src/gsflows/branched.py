@@ -312,9 +312,12 @@ def canonical_component(order: int, arcs: list[tuple[int, int]] | tuple) -> Bran
 
     The component is read as a graph whose vertex colours are loop counts
     and whose edge labels are arc multiplicities.  Each distinct arc list is
-    canonized once while it stays in `_canonical`'s table.
+    canonized once while it stays in `_canonical`'s table.  A circle (order
+    0) carries no arcs, and arcs join vertex ids 0..order-1, or ValueError.
     """
     if order == 0:
+        if arcs:
+            raise ValueError("a circle carries no arcs")
         return CIRCLE
     return _canonical(order, tuple(sorted((u, v) if u <= v else (v, u) for u, v in arcs)))[0]
 
@@ -327,6 +330,8 @@ def _canonical(order: int, norm: tuple[tuple[int, int], ...]) -> tuple[BranchedC
     carries the search's automorphisms, renamed: g on the input is
     labelling . g . labelling^-1 on canonical names.
     """
+    if any(u < 0 or v >= order for u, v in norm):
+        raise ValueError(f"arcs must join vertex ids 0..{order - 1}")
     loops = [0] * order
     for u, v in norm:
         if u == v:
@@ -556,8 +561,6 @@ def suppress(edges: list[list[int]]) -> tuple[tuple[BranchedComponent, ...], lis
                 if walk_of[idx] < 0:
                     break
             else:
-                if v is not None:
-                    raise AssertionError("arc walk left the complex")
                 break
             walk_of[idx] = walk
             node = edges[idx][far]
@@ -769,8 +772,6 @@ def family_A(w: int) -> Branched1Manifold:
     if w == 1:
         return circle_manifold()
     n = w - 1
-    if n == 1:
-        return manifold([figure_eight()])
     arcs = [(0, 0), (n - 1, n - 1)]
     for i in range(n - 1):
         arcs.extend([(i, i + 1)] * 2)
@@ -801,10 +802,8 @@ def family_B(w: int) -> Branched1Manifold:
 
 
 def _chain_component(w: int) -> BranchedComponent:
-    """Chain of (w + 1) / 2 circles, consecutive pairs crossing in two points."""
+    """Chain of (w + 1) / 2 >= 2 circles, consecutive pairs crossing in two points."""
     k = (w + 1) // 2
-    if k < 2:
-        raise ValueError("chain needs at least two circles")
     n = 2 * (k - 1)
     arcs: list[tuple[int, int]] = []
     for i in range(k - 1):

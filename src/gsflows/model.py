@@ -396,7 +396,14 @@ def label_terms(kind: SingularityType, nature: Nature) -> tuple[int, int, int]:
     """The summands that an admissible label adds to the graph-wide sums:
     twice its term of a - s + r + W/2 + T (`euler_gs`, doubled to stay an
     integer), its entering minus exiting folds (`fold_balance`), and the
-    Euler term h0 - h1 + h2 of its Conley index (`euler_conley`)."""
+    Euler term h0 - h1 + h2 of its Conley index (`euler_conley`).
+
+    A label's fold count is minus its Poincare-Hopf offset (its index's
+    Euler term less its reversed index's) and has the parity of its doubled
+    Euler term.  At a vertex of zero `ph_residual` the count is thus
+    (B+ - e+) - (B- - e-); over a closed graph each edge of weight w adds
+    w - 1 to both terms, so when every vertex is locally realizable the
+    folds balance and the Euler characteristic is an integer."""
     fin, fout = fold_degrees(kind, nature)
     da, ds, dr = _LABELS[(kind, nature)][1]
     euler2 = 2 * (da - ds + dr) + (kind is _T.WHITNEY) + 2 * (kind is _T.TRIPLE)
@@ -445,8 +452,10 @@ def euler_gs(g: LyapunovGraph) -> Fraction:
     """Euler characteristic a - s + r + W/2 + T from nature totals and W/T
     vertex counts, summed label by label.
 
-    Returned as an exact rational so that integrality (equivalent to fold
-    balance) is exactly testable.
+    Returned as an exact rational so that integrality is exactly testable.
+    Fold balance implies it, not conversely (R r ->1 W s_u ->2 W s_u ->3 R a
+    gives 1 with fold count -2); both hold on every closed graph whose
+    vertices are locally realizable (`label_terms`).
     """
     euler2, _, _ = _sum_terms(g, "euler_gs")
     return Fraction(euler2, 2)

@@ -113,8 +113,7 @@ class GSGraphStatus:
     verdicts: dict[str, LocalVerdict] = field(default_factory=dict)
     semigraphs: dict[str, SemiGraph] = field(default_factory=dict)
     #: The `CONDITIONS` rows whose predicate holds at every vertex, in table
-    #: order.  A row applies when, besides, the graph is closed, GS and
-    #: fold-balanced.
+    #: order.  A row applies when, besides, the graph is closed and GS.
     rows: tuple = ()
     #: The vertices' `label_terms`, summed: on a closed graph, its `euler_gs`,
     #: `fold_balance` and `euler_conley`.
@@ -248,27 +247,22 @@ def lemma_familyB_ok(sg: SemiGraph) -> bool:
         )
         if sorted(small) not in options:
             return False
-    # Double crossing with three or four components on one side.
+    # Double crossing with three or four components on one side: at least
+    # all but two of weight 1, and all of odd weight when the other side's
+    # total is odd.
     if kind is _T.DOUBLE:
         for side, other_total in ((outs, bp), (ins, bm)):
-            if len(side) == 3:
-                if side.count(1) < 1:
-                    return False
-                if other_total % 2 == 1 and not odd(side):
-                    return False
-            if len(side) == 4:
-                if side.count(1) < 2:
-                    return False
-                if other_total % 2 == 1 and not odd(side):
+            if len(side) in (3, 4):
+                if side.count(1) < len(side) - 2 or other_total % 2 == 1 and not odd(side):
                     return False
     return True
 
 
 # The sufficient conditions in dispatch order: (theorem, edge family,
-# holds(semi-graph, local verdict)).  A row applies to a closed,
-# fold-balanced GS graph when its predicate holds at every vertex; then the
-# family's form of every edge weight is a certificate.  Every row but Thm6
-# rejects triple crossings.
+# holds(semi-graph, local verdict)).  A row applies to a closed GS graph
+# when its predicate holds at every vertex; then the family's form of every
+# edge weight is a certificate.  Every row but Thm6 rejects triple
+# crossings.
 CONDITIONS = (
     ("Thm6", family_minimal, lambda sg, v: v.is_minimal),
     # No bifurcation vertices.
@@ -293,7 +287,7 @@ def _uniform(g: LyapunovGraph, family) -> Certificate:
 def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:
     """Certificate from one row of `CONDITIONS`, or None when it does not apply.
 
-    The graph must also be closed, GS and fold-balanced, as in `realize`.
+    The graph must also be closed and GS, as in `realize`.
     """
     row = next((r for r in CONDITIONS if r[0] == theorem), None)
     if row is None:
@@ -301,7 +295,7 @@ def check_condition(g: LyapunovGraph, theorem: str) -> Certificate | None:
     if not g.is_closed():
         return None
     status = classify_graph(g)
-    if not status.is_gs or not status.fold_balance or row not in status.rows:
+    if not status.is_gs or row not in status.rows:
         return None
     _, family, _ = row
     return _uniform(g, family)
@@ -346,11 +340,10 @@ def _search(g: LyapunovGraph, ins: dict[str, list[int]],
     """Exhaustive per-edge assignment over all forms of each edge weight.
 
     Returns the first block-feasible assignment found, or None.  Forms are
-    tried in the order of their text encodings, and each distinct form found
-    is wrapped as a manifold once.
+    tried in `enumerate_connected`'s order, which is that of their text
+    encodings, and each distinct form found is wrapped as a manifold once.
     """
-    by_weight = {w: sorted(enumerate_connected(w), key=BranchedComponent.encode)
-                 for w in {e.weight for e in g.edges}}
+    by_weight = {w: enumerate_connected(w) for w in {e.weight for e in g.edges}}
     found = _assign(g, ins, outs, [by_weight[e.weight] for e in g.edges])
     if found is None:
         return None
@@ -365,20 +358,18 @@ def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[in
 
     `ins` and `outs` are the graph's edge index lists (`incidence`), in edge
     order.  Edges are assigned by index and candidates tried in sequence
-    order; a vertex is checked once its last incident edge has a form, and a
-    vertex without edges before any edge.  The checks are listed per slot,
-    the index of that last edge plus one (slot 0 for no edge), read off the
-    last entries of the two lists, as (label, entering edge indices, exiting
-    edge indices).  A check is one query of the feasibility table
+    order.  A vertex is checked once its last incident edge, the later of
+    the last entries of its two lists, has a form; every vertex of a valid
+    graph has an edge.  A check is one query of the feasibility table
     (`blocks._feasible`) on the target pair read off the assigned
     components: a side of one edge is the 1-tuple of its component, and a
     side of two or more is sorted.  The backtracking is iterative, so the
     depth is not bounded by the recursion limit.
     """
-    checks: list[list[tuple]] = [[] for _ in range(len(g.edges) + 1)]
+    checks: list[list[tuple]] = [[] for _ in g.edges]
     for vid, label in g.vertices.items():
         a, b = ins[vid], outs[vid]
-        checks[max(a[-1] if a else -1, b[-1] if b else -1) + 1].append((label, a, b))
+        checks[max(a[-1] if a else -1, b[-1] if b else -1)].append((label, a, b))
     forms: list[BranchedComponent | None] = [None] * len(g.edges)
 
     def holds(slot: int) -> bool:
@@ -389,8 +380,6 @@ def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[in
                 return False
         return True
 
-    if not holds(0):
-        return None
     tried = [0] * len(g.edges)
     idx = 0
     while 0 <= idx < len(g.edges):
@@ -400,7 +389,7 @@ def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[in
             continue
         forms[idx] = candidates[idx][tried[idx]]
         tried[idx] += 1
-        if holds(idx + 1):
+        if holds(idx):
             idx += 1
     return None if idx < 0 else forms
 
@@ -408,9 +397,10 @@ def _assign(g: LyapunovGraph, ins: dict[str, list[int]], outs: dict[str, list[in
 def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVerdict:
     """Decide realizability of a closed graph.
 
-    Pipeline: local verdicts, fold balance and Euler integrality as
-    necessary conditions, the sufficient-condition dispatch, and finally the
-    bounded exhaustive search when a bound is given.  The bound is clamped
+    Pipeline: the local verdicts, which on a closed graph also force fold
+    balance and an integral Euler characteristic (`model.label_terms`), the
+    sufficient-condition dispatch, and finally the bounded exhaustive search
+    when a bound is given.  The bound is clamped
     to `MAX_ENUM_WEIGHT`, the heaviest weight whose forms are enumerated.
     An invalid or open graph raises `InvalidGraphError`, before a bound
     below 1 raises `ValueError`.
@@ -420,21 +410,16 @@ def realize(g: LyapunovGraph, search_bound: int | None = None) -> RealizationVer
         raise InvalidGraphError("realization is defined for closed graphs")
     if search_bound is not None and search_bound < 1:
         raise ValueError(f"search bound must be >= 1, got {search_bound}")
-    chi, balanced = status.euler, status.fold_balance
 
     def verdict(outcome: str, **fields) -> RealizationVerdict:
-        return RealizationVerdict(outcome, euler=chi, fold_balance=balanced, conley=status.conley,
-                                  **fields)
+        return RealizationVerdict(outcome, euler=status.euler, fold_balance=status.fold_balance,
+                                  conley=status.conley, **fields)
 
     if not status.is_gs:
         bad = tuple(vid for vid, v in status.verdicts.items() if not v.ok)
         reasons = {vid: status.verdicts[vid].reason for vid in bad}
         reason = "local: " + ", ".join(f"{v}={r}" for v, r in reasons.items())
         return verdict(NOT_REALIZABLE, witness=bad, reason=reason)
-    if not balanced:
-        return verdict(NOT_REALIZABLE, reason="fold-imbalance")
-    if chi.denominator != 1:
-        return verdict(NOT_REALIZABLE, reason="fractional-euler-characteristic")
 
     if status.rows:
         theorem, family, _ = status.rows[0]

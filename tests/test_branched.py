@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gsflows.branched import (
     CIRCLE,
+    MAX_COMPONENTS,
     MAX_ENUM_WEIGHT,
     ArcPosition,
     Branched1Manifold,
@@ -37,6 +38,7 @@ from gsflows.branched import (
     parse_manifold,
     point_splits,
     puncture,
+    suppress,
     weight,
 )
 
@@ -94,6 +96,50 @@ class TestWeight:
             assert total == edges - verts + len(m.components)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("order, arcs, message", [
+        (0, ((0, 0),), "a circle carries no arcs"),
+        (1, ((0, 0), (0, 1)), "out of range"),
+        (1, ((0, 0),), "degree 4"),
+        (2, ((0, 1), (0, 0), (0, 1), (1, 1)), "must be sorted"),
+        (2, ((0, 0), (0, 0), (1, 1), (1, 1)), "must be connected"),
+    ], ids=["circle-with-arc", "id-out-of-range", "degree-2", "unsorted", "disconnected"])
+    def test_component_construction(self, order, arcs, message):
+        with pytest.raises(ValueError, match=message):
+            BranchedComponent(order, arcs)
+
+    @pytest.mark.parametrize("count", [0, MAX_COMPONENTS + 1])
+    def test_manifold_component_count(self, count):
+        with pytest.raises(ValueError, match="component count"):
+            Branched1Manifold((CIRCLE,) * count)
+
+    def test_canonical_circle_carries_no_arcs(self):
+        assert canonical_component(0, ()) is CIRCLE
+        with pytest.raises(ValueError, match="a circle carries no arcs"):
+            canonical_component(0, [(0, 0), (0, 0)])
+
+    @pytest.mark.parametrize("arcs", [[(0, 1), (0, 0)], [(-1, 0), (0, 0)]], ids=["above", "negative"])
+    def test_canonical_vertex_ids_lie_below_the_order(self, arcs):
+        with pytest.raises(ValueError, match="vertex ids 0..0"):
+            canonical_component(1, arcs)
+
+    def test_positions_must_exist(self):
+        f8 = manifold([figure_eight()])
+        with pytest.raises(ValueError, match="no component 1"):
+            identify_points(f8, ArcPosition(1, 0), ArcPosition(0, 0))
+        with pytest.raises(ValueError, match="has no arc 2"):
+            identify_points(f8, ArcPosition(0, 0), ArcPosition(0, 2))
+
+    def test_suppress_rejects_odd_degrees(self):
+        with pytest.raises(ValueError, match="degree 2 or 4"):
+            suppress([[0, 1], [1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("family", [family_A, family_B])
+    def test_families_start_at_weight_one(self, family):
+        with pytest.raises(ValueError, match="weight must be >= 1"):
+            family(0)
+
+
 class TestIsomorphism:
     def test_weight_separates(self):
         assert manifold([figure_eight()]) != circle_manifold()
@@ -144,6 +190,13 @@ class TestEnumerate:
             ours = {matrix_of_component(c) for c in forms}
             assert ours == brute_force_components(w)
             assert len(ours) == count_components_burnside(w) == expected
+
+    def test_order_is_the_encoding_order(self):
+        # The bounded search tries forms in the order of their text
+        # encodings and reads that order straight off the enumeration.
+        for w in range(1, MAX_ENUM_WEIGHT + 1):
+            forms = enumerate_connected(w)
+            assert forms == sorted(forms, key=BranchedComponent.encode), w
 
     def test_counts_above_oracle_range(self):
         # 359 at weight 8 matches a one-off Burnside count, too slow for the suite.

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,28 @@ def test_usage_errors(capsys):
 
 def test_missing_file():
     assert main(["validate", "/nonexistent/file.gs"]) == EX_NOINPUT
+
+
+def test_realize_reports_a_malformed_document(tmp_path, capsys):
+    path = tmp_path / "bad.gs"
+    path.write_text("gsgraph v1\nvertex v Q a\n")
+    assert main(["realize", str(path)]) == EX_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(re.escape(str(path)) + r": line 2, col \d+: .+\n", captured.err)
+
+
+@pytest.mark.parametrize("text", [
+    "gsgraph v1\nvertex v R a\nedge OPEN v 1\n",
+    "gsgraph v1\nvertex a R s\nvertex b R s\nedge a b 1\nedge b a 1\n",
+], ids=["open", "cyclic"])
+def test_euler_rejects_open_and_invalid_graphs(tmp_path, capsys, text):
+    path = tmp_path / "g.gs"
+    path.write_text(text)
+    assert main(["euler", str(path)]) == EX_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "euler requires a structurally valid closed graph\n"
 
 
 def test_realize_rejects_open_graph(tmp_path, capsys):

@@ -188,6 +188,10 @@ class TestGenerator:
             )
             assert hashlib.sha256(docs.encode()).hexdigest() == digest
 
+    def test_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 2"):
+            gen_random_gs_graph(1, size=1)
+
 
 class TestDot:
     def test_counts_match(self):

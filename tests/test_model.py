@@ -21,6 +21,7 @@ from gsflows.model import (
     euler_gs,
     fold_balance,
     fold_degrees,
+    label_terms,
     nature_totals,
     parse_nature,
     parse_type,
@@ -98,12 +99,18 @@ class TestConleyIndex:
             conley_index(T.REGULAR, N.SA)
         with pytest.raises(ValueError):
             VertexLabel(T.REGULAR, N.SSA)
+        with pytest.raises(ValueError, match="inadmissible label"):
+            fold_degrees(T.REGULAR, N.SA)
 
     def test_attractor_invariant(self):
         with pytest.raises(ValueError):
             ConleyIndex(1, 1, 0)
         with pytest.raises(ValueError):
             ConleyIndex(2, 0, 0)
+
+    def test_ranks_are_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ConleyIndex(0, -1, 0)
 
 
 class TestReverseNature:
@@ -256,6 +263,18 @@ class TestSemigraph:
         with pytest.raises(ValueError):
             semigraph(g, "v")
 
+    def test_construction_errors(self):
+        label = VertexLabel(T.REGULAR, N.A)
+        with pytest.raises(ValueError, match="at least one incident edge"):
+            SemiGraph(label, (), ())
+        with pytest.raises(ValueError, match="weights must be >= 1"):
+            SemiGraph(label, (1, 0), ())
+
+    def test_duplicate_vertex_id(self):
+        g = graph([("v", "R", "a")], [])
+        with pytest.raises(ValueError, match="duplicate vertex id 'v'"):
+            g.add_vertex("v", T.REGULAR, N.R)
+
     def test_dangling_out_edge_counts(self):
         g = graph([("v", "R", "s")], [(OPEN, "v", 1), ("v", OPEN, 1)])
         s = semigraph(g, "v")
@@ -327,6 +346,24 @@ class TestFolds:
         assert fold_degrees(T.REGULAR, N.S) == (0, 0)
         assert fold_degrees(T.DOUBLE, N.R) == (0, 2)
         assert fold_degrees(T.WHITNEY, N.S_S) == (1, 0)
+
+    def test_folds_are_minus_the_poincare_hopf_offset(self):
+        # The per-label identity and parity from which `label_terms` derives
+        # that locally realizable closed graphs are fold-balanced, with an
+        # integral Euler characteristic; `realize` tests neither.
+        for t, n in ALL_LABELS:
+            euler2, folds, chi = label_terms(t, n)
+            assert folds == -(chi - conley_index(t, reverse_nature(n)).euler_term), (t, n)
+            assert (euler2 - folds) % 2 == 0, (t, n)
+
+    def test_integrality_does_not_force_balance(self):
+        g = graph(
+            [("r", "R", "r"), ("u", "W", "s_u"), ("v", "W", "s_u"), ("a", "R", "a")],
+            [("r", "u", 1), ("u", "v", 2), ("v", "a", 3)],
+        )
+        assert euler_gs(g) == 1 and not fold_balance(g)
+        assert sum(label_terms(l.kind, l.nature)[1] for l in g.vertices.values()) == -2
+        assert not classify_graph(g).is_gs
 
     def test_totals(self):
         assert [total_folds(t) for t in (T.REGULAR, T.CONE, T.WHITNEY, T.DOUBLE, T.TRIPLE)] == [0, 0, 1, 2, 6]

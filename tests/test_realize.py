@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import importlib
+import random
 import re
 import time
 from collections import Counter
@@ -145,6 +146,9 @@ class TestCheckers:
     def test_linear_guards(self):
         assert check_condition(NON_REALIZABLE, "Thm7") is None  # degree-3 vertex
         assert check_condition(T_PAIR, "Thm7") is None  # triple crossing label
+
+    def test_open_graph_guard(self):
+        assert check_condition(G([("a", "R", "a")], [(None, "a", 1)]), "Thm6") is None
 
     def test_blend(self):
         g = G(
@@ -708,6 +712,21 @@ class TestTheoremCertificatesVerify:
         verdict = realize(g)
         assert verdict.status == REALIZABLE and verdict.theorem == theorem
         assert verify_certificate(g, verdict.certificate)
+
+    def test_every_certificate_of_a_corpus_passes_its_audit(self):
+        # The benchmark's seed-1 corpus recipe: 600 graphs of 4 to 48
+        # vertices, alternately minimal and general.  Locally realizable,
+        # each is also fold-balanced with an integral Euler characteristic.
+        rng = random.Random(1)
+        audited = 0
+        for j in range(600):
+            g = gen_random_gs_graph(rng.randrange(1 << 31), size=4 + j * 19 % 45, minimal=j % 2 == 0)
+            verdict = realize(g)
+            assert verdict.fold_balance and verdict.euler.denominator == 1, j
+            if verdict.certificate is not None:
+                assert verify_certificate(g, verdict.certificate), j
+                audited += 1
+        assert audited == 367
 
 
 class TestSearchAgreement:
